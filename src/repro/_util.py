@@ -7,14 +7,17 @@ focused on the domain.
 
 from __future__ import annotations
 
+import os
 import random
 from collections.abc import Iterable, Sequence
+from pathlib import Path
 from typing import TypeVar
 
 T = TypeVar("T")
 
 __all__ = [
     "as_rng",
+    "atomic_write_text",
     "check_nonnegative",
     "check_positive",
     "is_power_of_two",
@@ -46,6 +49,22 @@ def node_from_json(value):
     if isinstance(value, list):
         return tuple(node_from_json(v) for v in value)
     return value
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` so a reader sees the old or the new file.
+
+    The text goes to a sibling tmp file that is then renamed over ``path``
+    (``os.replace``, atomic on POSIX): a process killed mid-write, or a
+    write that raises, leaves the previous file as it was.
+    """
+    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    try:
+        tmp.write_text(text)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def as_rng(seed: int | random.Random | None) -> random.Random:

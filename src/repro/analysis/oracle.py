@@ -29,7 +29,6 @@ benchmark harness) share CSR builds and row caches for free.
 from __future__ import annotations
 
 import os
-import weakref
 from collections import OrderedDict
 from collections.abc import Iterable
 from typing import Any
@@ -437,17 +436,17 @@ class DistanceOracle:
         return self._bfs_rows(idx).astype(dtype, copy=False)
 
 
-_ORACLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def oracle_for(topology: Topology) -> DistanceOracle:
     """The memoised :class:`DistanceOracle` for a live topology object.
 
-    Keyed weakly by object identity: call sites share CSR builds and row
-    caches while the topology lives, and the oracle dies with it.
+    Kept on the topology instance itself (identity, not equality): call
+    sites share CSR builds, row caches and next-hop tables while the
+    topology lives.  The entry lives exactly as long as its topology — the
+    two reference each other, so once nothing else holds the topology the
+    garbage collector frees both.  (A process-wide table keyed by the
+    topology would hold it through the oracle's back-reference forever.)
     """
-    oracle = _ORACLES.get(topology)
+    oracle = topology.__dict__.get("_oracle")
     if oracle is None:
-        oracle = DistanceOracle(topology)
-        _ORACLES[topology] = oracle
+        oracle = topology._oracle = DistanceOracle(topology)
     return oracle

@@ -27,6 +27,7 @@ from typing import Any
 
 import numpy as np
 
+from .._util import node_to_json
 from ..networks.base import Topology, bfs_distances_from
 from ..trees.binary_tree import BinaryTree
 
@@ -80,12 +81,26 @@ class Embedding:
         self._edge_dils: np.ndarray | None = None
         self._route_dist_cache: dict[Any, dict[Any, Any]] = {}
         self._link_load: Counter | None = None
+        self._phi_json: list[list] | None = None
 
     # ------------------------------------------------------------------
     # Basic queries
     # ------------------------------------------------------------------
     def __getitem__(self, guest_node: int):
         return self.phi[guest_node]
+
+    def phi_json(self) -> list[list]:
+        """``phi`` as ``[guest node, host label in JSON form]`` pairs
+        sorted by guest node — the form checkpoints store.
+
+        Built once per instance (embeddings are frozen; online repair
+        builds a new one).  Each call returns a fresh outer list, so a
+        caller may reorder or extend it; the pairs themselves are shared
+        and must not be mutated.
+        """
+        if self._phi_json is None:
+            self._phi_json = [[g, node_to_json(h)] for g, h in sorted(self.phi.items())]
+        return list(self._phi_json)
 
     def loads(self) -> Counter:
         """Host node -> number of guest nodes mapped there."""

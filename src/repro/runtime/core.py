@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .._util import node_from_json, node_to_json
+from .._util import atomic_write_text, node_from_json, node_to_json
 from ..networks import TOPOLOGIES
 from ..obs import Recorder
 from ..simulate.engine import Message, SynchronousNetwork
@@ -643,7 +643,18 @@ class Runtime:
         }
 
     def checkpoint_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.checkpoint(), indent=2) + "\n")
+        """Write :meth:`checkpoint` to ``path`` as compact JSON, atomically.
+
+        The one checkpoint writer (``drive_runtime``, the worker and the
+        ``runtime`` CLI all call it).  Compact separators keep
+        :func:`json.dumps` on CPython's C encoder; any ``indent`` falls
+        back to the pure-Python one.  The tmp + rename write means a crash
+        or a failed write leaves the previous checkpoint intact.
+        :meth:`restore_json` also reads the indented files of earlier
+        builds.
+        """
+        text = json.dumps(self.checkpoint(), separators=(",", ":"))
+        atomic_write_text(Path(path), text + "\n")
 
     @classmethod
     def restore(cls, state: dict, *, recorder: Recorder | None = None) -> "Runtime":

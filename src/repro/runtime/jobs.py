@@ -4,7 +4,7 @@ A :class:`JobSpec` is fully declarative — a guest tree recipe, a program
 name, an embedding shape, and scheduling attributes — so it JSON
 round-trips and a checkpoint can rebuild the job deterministically.  A
 :class:`Job` is the spec *instantiated*: the generated tree, the Theorem 1
-embedding (whose ``phi`` mutates under online repair), the program built
+embedding (which online repair replaces), the program built
 on the embedding's (padded) guest, and every execution counter the
 scheduler and the checkpoint need.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .._util import node_from_json, node_to_json
+from .._util import node_from_json
 from ..core.embedding import Embedding
 from ..core.universal import lift_onto_slots
 from ..core.xtree_embed import embed_binary_tree
@@ -221,9 +221,7 @@ class Job:
     def state(self) -> dict:
         return {
             "spec": self.spec.as_dict(),
-            "phi": [
-                [g, node_to_json(h)] for g, h in sorted(self.embedding.phi.items())
-            ],
+            "phi": self.embedding.phi_json(),
             "status": self.status,
             "next_step": self.next_step,
             "msg_seq": self.msg_seq,

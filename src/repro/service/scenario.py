@@ -249,14 +249,6 @@ class Scenario:
         return rt
 
 
-def _atomic_checkpoint(rt: Runtime, path: Path) -> None:
-    """Checkpoint via tmp + rename: a SIGKILL mid-write must never leave a
-    truncated checkpoint behind (the recovery path reads this file)."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(rt.checkpoint(), indent=2) + "\n")
-    tmp.replace(path)
-
-
 def _normalise_admissions(entries) -> list[tuple[int, JobSpec]]:
     """``(cycle, spec-or-dict)`` pairs into sorted ``(cycle, JobSpec)``."""
     out = []
@@ -330,7 +322,6 @@ def drive_runtime(
     already admitted or already attempted are skipped, which keeps
     replayed admissions idempotent across crash/resume.
     """
-    path = None if checkpoint_path is None else Path(checkpoint_path)
     attempted: set[str] = set()
     pending = _normalise_admissions(admissions)
 
@@ -350,8 +341,8 @@ def drive_runtime(
         if (rt.step_batch() if batch else rt.step()) not in ([], None):
             steps += 1
             if steps % checkpoint_every == 0:
-                if path is not None:
-                    _atomic_checkpoint(rt, path)
+                if checkpoint_path is not None:
+                    rt.checkpoint_json(checkpoint_path)
                 if heartbeat is not None:
                     heartbeat()
                 _poll()
@@ -361,8 +352,8 @@ def drive_runtime(
             break
         # idle with future arrivals: admit the earliest batch now
         pending = _admit_due(rt, pending, attempted, up_to=pending[0][0])
-    if path is not None:
-        _atomic_checkpoint(rt, path)
+    if checkpoint_path is not None:
+        rt.checkpoint_json(checkpoint_path)
     return rt.result()
 
 

@@ -32,6 +32,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from .._util import atomic_write_text
+
 __all__ = ["Store", "JobRecord", "JOB_STATES", "DeadWorkerError"]
 
 #: service-level job lifecycle (distinct from runtime job statuses):
@@ -111,12 +113,6 @@ class JobRecord:
         return cls(**d)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    tmp.replace(path)
-
-
 class Store:
     """Handle on one service root directory (safe to open from any
     process; every mutation is an atomic rename or replace)."""
@@ -192,7 +188,7 @@ class Store:
         """
         jd = self.job_dir(job_id)
         jd.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.scenario_path(job_id), json.dumps(scenario_doc, indent=2) + "\n")
+        atomic_write_text(self.scenario_path(job_id), json.dumps(scenario_doc, indent=2) + "\n")
         self.write_meta(record)
         marker = self._marker(record.priority, record.seq, job_id)
         (self.queue_dir(record.shard) / marker).write_text("")
@@ -236,7 +232,7 @@ class Store:
         result present, which recovery resolves in the job's favour
         (see :meth:`requeue_running`).
         """
-        _atomic_write(self.result_path(job_id), json.dumps(result_doc, indent=2) + "\n")
+        atomic_write_text(self.result_path(job_id), json.dumps(result_doc, indent=2) + "\n")
         rec = self.read_meta(job_id)
         rec.status = status
         rec.error = error
@@ -295,7 +291,7 @@ class Store:
         return JobRecord.from_dict(json.loads(self.meta_path(job_id).read_text()))
 
     def write_meta(self, record: JobRecord) -> None:
-        _atomic_write(self.meta_path(record.id), json.dumps(record.as_dict(), indent=2) + "\n")
+        atomic_write_text(self.meta_path(record.id), json.dumps(record.as_dict(), indent=2) + "\n")
 
     def read_scenario_doc(self, job_id: str) -> dict:
         return json.loads(self.scenario_path(job_id).read_text())
@@ -320,7 +316,7 @@ class Store:
         while (d / f"admit-{seq:04d}.json").exists():
             seq += 1
         name = f"admit-{seq:04d}.json"
-        _atomic_write(
+        atomic_write_text(
             d / name,
             json.dumps({"cycle": int(cycle), "spec": spec_doc}, indent=2) + "\n",
         )

@@ -10,7 +10,9 @@ Two proof obligations from the oracle PR:
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -175,6 +177,18 @@ def test_oracle_for_is_memoised_per_instance():
     x = XTree(3)
     assert oracle_for(x) is oracle_for(x)
     assert oracle_for(XTree(3)) is not oracle_for(x)  # identity, not equality
+
+
+def test_oracle_for_entry_dies_with_its_topology():
+    # the memo must not keep its topology alive: a long-lived worker builds
+    # a fresh host per job, and each oracle holds dense next-hop tables
+    t = XTree(4)
+    oracle_for(t).next_hop_tables()
+    t_ref, oracle_ref = weakref.ref(t), weakref.ref(oracle_for(t))
+    del t
+    gc.collect()
+    assert t_ref() is None
+    assert oracle_ref() is None
 
 
 def test_unreachable_distance_is_minus_one():

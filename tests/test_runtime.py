@@ -13,12 +13,16 @@ Covers the tentpole semantics end to end:
   deaths exhausting the slack into ``RepairError``;
 * checkpoint → restore → continue is bit-identical to the uninterrupted
   run (also as a Hypothesis property over fault timing and cut points,
-  and with adaptive-router state in the checkpoint).
+  and with adaptive-router state in the checkpoint);
+* the checkpoint writer: compact and indented files restore alike, a
+  failed write keeps the last good file, and the memoised ``phi`` follows
+  every repair.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -407,6 +411,86 @@ class TestCheckpointRestore:
                 break
         restored = Runtime.restore(json.loads(json.dumps(rt.checkpoint())))
         assert restored.run().as_dict() == full
+
+
+NODE_DEATH = FaultSchedule.from_json(
+    Path(__file__).resolve().parents[1] / "examples" / "faults_node_death.json"
+)
+
+
+class TestCheckpointWriter:
+    """``checkpoint_json`` is the one writer: compact JSON through an
+    atomic tmp + rename, with each embedding's ``phi`` serialised once."""
+
+    def test_indented_and_compact_files_restore_alike(self, tmp_path):
+        full = two_job_runtime(faults=NODE_FAULT).run().as_dict()
+        rt = two_job_runtime(faults=NODE_FAULT)
+        for _ in range(4):
+            rt.step()
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        # the format every earlier build wrote
+        old.write_text(json.dumps(rt.checkpoint(), indent=2) + "\n")
+        rt.checkpoint_json(new)
+        text = new.read_text()
+        assert text.endswith("\n") and "\n" not in text[:-1]
+        assert json.loads(text) == json.loads(old.read_text())
+        from_old = Runtime.restore_json(old).run().as_dict()
+        from_new = Runtime.restore_json(new).run().as_dict()
+        assert from_old == from_new == full
+
+    def test_failed_write_keeps_last_good_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.json"
+        rt = two_job_runtime(faults=NODE_FAULT)
+        for _ in range(4):
+            rt.step()
+        rt.checkpoint_json(path)
+        good = path.read_bytes()
+        for _ in range(3):
+            rt.step()
+        write_text = Path.write_text
+
+        def torn_write(self, data, *args, **kwargs):
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError):
+            rt.checkpoint_json(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == good
+        assert list(tmp_path.iterdir()) == [path]  # no tmp file left behind
+        resumed = Runtime.restore_json(path).run().as_dict()
+        assert resumed == two_job_runtime(faults=NODE_FAULT).run().as_dict()
+
+    def test_phi_follows_repair_at_every_cut(self):
+        rt = two_job_runtime(faults=NODE_DEATH)
+        seen = {job.spec.name: set() for job in rt.jobs}
+        while True:
+            cp = rt.checkpoint()
+            for job, state in zip(rt.jobs, cp["jobs"]):
+                live = sorted(job.embedding.phi.items())
+                assert state["phi"] == [[g, list(h)] for g, h in live]
+                seen[job.spec.name].add(json.dumps(state["phi"]))
+            if rt.step() is None:
+                break
+        assert rt.result().n_repairs >= 1
+        # a repaired job's checkpoints carry both its old and its new phi
+        assert max(len(phis) for phis in seen.values()) >= 2
+
+    def test_mutating_a_checkpoint_leaves_the_next_alone(self):
+        rt = two_job_runtime(faults=NODE_FAULT)
+        for _ in range(4):
+            rt.step()
+        cp = rt.checkpoint()
+        before = json.dumps(cp)
+        cp["jobs"][0]["phi"].clear()
+        cp["jobs"][1]["phi"].reverse()
+        cp["jobs"][1]["phi"].append([999, [0, 0]])
+        cp["jobs"][0]["delivered"].clear()
+        cp["jobs"].pop()
+        cp["counters"]["bogus"] = 1
+        cp["cycle"] = -1
+        assert json.dumps(rt.checkpoint()) == before
 
 
 class TestBatchFallbackObservability:
