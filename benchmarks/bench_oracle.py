@@ -25,11 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+
+from bench_obs import _best_of
 
 from repro.analysis.distances import all_pairs_distances
 from repro.core import theorem1_embedding
@@ -38,16 +39,6 @@ from repro.networks.base import bfs_distance
 from repro.trees import make_tree, theorem1_guest_size
 
 REQUIRED_SPEEDUP = 5.0
-
-
-def _best_of(fn, repeats: int = 3) -> float:
-    """Best wall-clock time of ``repeats`` runs (minimises scheduler noise)."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def legacy_edge_dilations(embedding) -> dict:

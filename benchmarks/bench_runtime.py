@@ -27,12 +27,11 @@ Writes ``BENCH_PR5.json`` at the repo root.  Run::
 from __future__ import annotations
 
 import argparse
-import gc
 import json
-import statistics
 import sys
-import time
 from pathlib import Path
+
+from bench_obs import _best_of_pair
 
 from repro.core.xtree_embed import embed_binary_tree
 from repro.networks import XTree
@@ -126,37 +125,6 @@ def bench_checkpoint_identity(r: int, cuts=(1, 4, 9, 15)) -> dict:
         "gated": True,
         "passed": all(identical),
     }
-
-
-def _best_of_pair(fn_a, fn_b, repeats: int) -> tuple[float, float, float]:
-    """Interleaved A/B timing; ``(best_a, best_b, median_ratio)``.
-
-    Same discipline as ``bench_obs``: alternate order, cyclic GC paused,
-    gate on the median of per-pair ratios so machine drift cancels.
-    """
-    best_a = best_b = float("inf")
-    ratios = []
-    fn_a(), fn_b()  # warm-up
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for i in range(repeats):
-            first, second = (fn_a, fn_b) if i % 2 == 0 else (fn_b, fn_a)
-            t0 = time.perf_counter()
-            first()
-            dt_1 = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            second()
-            dt_2 = time.perf_counter() - t0
-            dt_a, dt_b = (dt_1, dt_2) if i % 2 == 0 else (dt_2, dt_1)
-            best_a = min(best_a, dt_a)
-            best_b = min(best_b, dt_b)
-            ratios.append(dt_b / dt_a)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()
-    return best_a, best_b, statistics.median(ratios)
 
 
 def bench_single_job_overhead(r: int, repeats: int) -> dict:

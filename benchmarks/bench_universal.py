@@ -1,8 +1,8 @@
 """Separator engine + Theorem 4 universal-graph benchmark (PR 10).
 
 Five gated measurements of the flow-based separator engine
-(``repro.separators``) and the G_n universal-graph subsystem
-(``repro.universal``):
+(``repro.separators``) and the G_n universal graph
+(``repro.networks.universal`` + ``repro.core.universal``):
 
 * **paper-separator bit-identity** — selecting ``--separator paper``
   must reproduce the default pipeline's placement exactly (same ``phi``
@@ -18,7 +18,7 @@ Five gated measurements of the flow-based separator engine
   separator across tree families: load must stay within the paper's 16,
   dilation is measured against the paper separator's.
 * **universal degree + spanning** — G_n at the largest feasible ``n``
-  (``t = 11``, 2032 vertices, under the vectorised engine's stock
+  (``t = 11``, 2032 vertices, under the vectorised engine's
   2048-node bound): maximum degree at most (and at ``t >= 11`` exactly)
   ``25*16 + 15 = 415``; Theorem 1 + slot lift yields a *bijective*
   embedding with zero spanning defect and measured dilation/load.
@@ -42,22 +42,30 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 from repro.core.separators import lemma2_bound  # noqa: E402
+from repro.core.universal import embed_into_universal, spanning_defect  # noqa: E402
 from repro.core.xtree_embed import theorem1_embedding  # noqa: E402
-from repro.separators import FlowSeparator  # noqa: E402
-from repro.simulate import PROGRAMS, simulate_on_guest, simulate_on_host  # noqa: E402
-from repro.trees.binary_tree import theorem1_guest_size  # noqa: E402
-from repro.trees.generators import make_tree  # noqa: E402
-from repro.universal import (  # noqa: E402
+from repro.networks.universal import (  # noqa: E402
     PAPER_DEGREE_BOUND,
     UniversalGraph,
-    embed_into_universal,
-    largest_feasible_t,
-    spanning_defect,
+    universal_graph_size,
 )
+from repro.separators import FlowSeparator  # noqa: E402
+from repro.simulate import (  # noqa: E402
+    PROGRAMS,
+    VECTOR_MAX_NODES,
+    simulate_on_guest,
+    simulate_on_host,
+)
+from repro.trees.binary_tree import theorem1_guest_size  # noqa: E402
+from repro.trees.generators import make_tree  # noqa: E402
 
 #: tree families the separator sweeps cover (structurally diverse: dense
 #: random, path-like, heavy-spined, and skewed shapes)
 FAMILIES = ("random", "path", "caterpillar", "skewed")
+
+#: largest t whose G_n the vector engine takes dense tables for:
+#: t = 11, n = 2032 under the 2048-node bound
+LARGEST_T = max(t for t in range(5, 16) if universal_graph_size(t) <= VECTOR_MAX_NODES)
 
 
 def _separation_sound(tree, sep, r1, r2, uni) -> list[str]:
@@ -206,7 +214,7 @@ def bench_flow_embedding_quality(smoke: bool) -> dict:
 
 def bench_universal_degree(smoke: bool) -> dict:
     """Degree bound + bijective zero-defect embedding at the largest n."""
-    t = 7 if smoke else largest_feasible_t()
+    t = 7 if smoke else LARGEST_T
     graph = UniversalGraph(t)
     degree = graph.max_degree()
     seeds = (0,) if smoke else (0, 1)
@@ -282,7 +290,7 @@ def bench_universal_route_small() -> dict:
 
 def bench_universal_route_large() -> dict:
     """Routing at the largest feasible n (full runs only)."""
-    t = largest_feasible_t()
+    t = LARGEST_T
     row = _route_on(t, "reduction")
     return {
         "name": "universal_route_large",

@@ -28,7 +28,6 @@ benchmark harness) share CSR builds and row caches for free.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from collections.abc import Iterable
 from typing import Any
@@ -43,41 +42,10 @@ from ..networks.hypercube import Hypercube
 from ..networks.universal import UNIVERSAL_SLOTS, UniversalGraph
 from ..networks.xtree import XTree
 
-__all__ = [
-    "DistanceOracle",
-    "ORACLE_CACHE_ENV",
-    "ORACLE_CACHE_ROWS",
-    "oracle_for",
-    "resolve_oracle_cache",
-]
+__all__ = ["DistanceOracle", "ORACLE_CACHE_ROWS", "oracle_for"]
 
-#: default LRU row-cache capacity (one-to-all rows held per oracle)
+#: LRU row-cache capacity (one-to-all rows held per oracle)
 ORACLE_CACHE_ROWS = 256
-
-#: environment override for the row-cache capacity — resolved at oracle
-#: construction, so exported once it governs every oracle that did not
-#: pass an explicit ``row_cache_size``
-ORACLE_CACHE_ENV = "REPRO_ORACLE_CACHE"
-
-
-def resolve_oracle_cache(override: int | None = None) -> int:
-    """The effective row-cache capacity: explicit override > env > default."""
-    if override is not None:
-        if override < 1:
-            raise ValueError(f"row cache size must be >= 1, got {override}")
-        return override
-    raw = os.environ.get(ORACLE_CACHE_ENV)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{ORACLE_CACHE_ENV}={raw!r} is not an integer"
-            ) from None
-        if value < 1:
-            raise ValueError(f"{ORACLE_CACHE_ENV} must be >= 1, got {value}")
-        return value
-    return ORACLE_CACHE_ROWS
 
 
 def _heap_split(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,8 +99,7 @@ class DistanceOracle:
     (``Topology.index``); label-level conveniences convert at the edge.
     """
 
-    def __init__(self, topology: Topology, row_cache_size: int | None = None):
-        row_cache_size = resolve_oracle_cache(row_cache_size)
+    def __init__(self, topology: Topology):
         self.topology = topology
         self.n = topology.n_nodes
         self._labels: list[Any] = list(topology.nodes())
@@ -146,7 +113,6 @@ class DistanceOracle:
         self.indptr = indptr
         self.indices = np.asarray(flat, dtype=np.int32)
         self._row_cache: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._row_cache_size = row_cache_size
         self._closed_form = topology.has_closed_form_distance
         #: dense routing tables, built lazily by :meth:`next_hop_matrix`
         #: and memoised alongside the row cache (one per oracle lifetime)
@@ -247,7 +213,7 @@ class DistanceOracle:
         row.setflags(write=False)
         self._row_cache[src] = row
         self._row_cache.move_to_end(src)
-        while len(self._row_cache) > self._row_cache_size:
+        while len(self._row_cache) > ORACLE_CACHE_ROWS:
             self._row_cache.popitem(last=False)
 
     @property
@@ -261,7 +227,7 @@ class DistanceOracle:
             "hits": self.row_cache_hits,
             "misses": self.row_cache_misses,
             "rows": len(self._row_cache),
-            "capacity": self._row_cache_size,
+            "capacity": ORACLE_CACHE_ROWS,
         }
 
     # ------------------------------------------------------------------

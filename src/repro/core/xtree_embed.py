@@ -82,10 +82,6 @@ class EmbedConfig:
         the carefully damped ADJUST balance, measurably *raising* worst-case
         dilation at depth — hence **off by default**; kept for the ablation
         study (bench_ablation.py).
-    ``n_aware_finalize``
-        The final rearrangement prefers free slots inside the ``N``
-        relation of the node's anchor before falling back to plain
-        nearest-free.
     ``balance_children``
         SPLIT's fine-tuning lemma split across the two children (the
         paper's "4 free places" step).
@@ -94,7 +90,6 @@ class EmbedConfig:
     adjust_sigma_filter: bool = True
     sideways_balance_moves: bool = False
     neighbor_fill: bool = False
-    n_aware_finalize: bool = True
     balance_children: bool = True
 
 
@@ -638,22 +633,19 @@ class _XTreeEmbedder:
     def _nearest_free(self, start: XAddr) -> tuple[XAddr, int]:
         """BFS over the X-tree for the closest vertex with a free slot.
 
-        With ``config.n_aware_finalize``, among the free vertices at the
-        *minimal* distance an N-related one is preferred — never a farther
-        one, so the preference cannot inflate the spill distance (an
-        earlier variant that jumped straight to any N-slot let spill chains
-        drift and was measurably worse; see bench_ablation.py).
+        Among the free vertices at the *minimal* distance an N-related one
+        is preferred — never a farther one, so the preference cannot
+        inflate the spill distance (an earlier variant that jumped straight
+        to any N-slot let spill chains drift and was measurably worse; see
+        bench_ablation.py).
         """
         state = self.state
         if state.free(start) > 0:
             return start, 0
-        n_aware = self.config.n_aware_finalize
-        n_set: frozenset[XAddr] | set[XAddr] = frozenset()
-        if n_aware:
-            n_set = (
-                self.xtree.condition_neighborhood(start)
-                | self.xtree.asymmetric_in_neighbors(start)
-            )
+        n_set = (
+            self.xtree.condition_neighborhood(start)
+            | self.xtree.asymmetric_in_neighbors(start)
+        )
         seen = {start}
         frontier = [start]
         d = 0
@@ -670,10 +662,9 @@ class _XTreeEmbedder:
                     if state.free(u) > 0:
                         free_here.append(u)
             if free_here:
-                if n_aware:
-                    related = [u for u in free_here if u in n_set]
-                    if related:
-                        return related[0], d
+                related = [u for u in free_here if u in n_set]
+                if related:
+                    return related[0], d
                 return free_here[0], d
             frontier = nxt
         raise RuntimeError("X-tree is full but guests remain; sizing bug")

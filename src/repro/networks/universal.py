@@ -29,10 +29,19 @@ from collections.abc import Iterator
 from .base import Topology
 from .xtree import XAddr, XTree
 
-__all__ = ["UniversalGraph", "universal_graph_size", "UNIVERSAL_SLOTS"]
+__all__ = [
+    "UniversalGraph",
+    "universal_graph_size",
+    "UNIVERSAL_SLOTS",
+    "PAPER_DEGREE_BOUND",
+]
 
 #: slot-group size: each X-tree vertex carries 16 universal-graph vertices
 UNIVERSAL_SLOTS = 16
+
+#: paper degree bound for G_n: 25 related slot groups x 16 slots + 15
+#: within the own group
+PAPER_DEGREE_BOUND = 25 * UNIVERSAL_SLOTS + (UNIVERSAL_SLOTS - 1)
 
 _SLOTS = UNIVERSAL_SLOTS
 

@@ -145,25 +145,6 @@ def _policy_spec(policy: SchedulerPolicy) -> "str | dict":
     return policy.name
 
 
-def _replay_event(network: SynchronousNetwork, ev: FaultEvent) -> None:
-    """Re-apply one already-applied fault event to a fresh network."""
-    if ev.action == "fail_link":
-        if frozenset((ev.u, ev.v)) not in network.failed:
-            network.fail_link(ev.u, ev.v)
-    elif ev.action == "heal_link":
-        network.restore_link(ev.u, ev.v)
-    elif ev.action == "delay_link":
-        network.delay_link(ev.u, ev.v, ev.delay)
-    elif ev.action == "corrupt_link":
-        network.corrupt_link(ev.u, ev.v, ev.rate, ev.seed)
-    elif ev.action == "flaky_link":
-        network.flaky_link(ev.u, ev.v, ev.rate, ev.seed)
-    elif ev.action == "fail_node":
-        network.fail_node(ev.u)
-    else:
-        network.heal_node(ev.u)
-
-
 class Runtime:
     """A live scheduler multiplexing guest programs on one host network."""
 
@@ -178,7 +159,6 @@ class Runtime:
         max_load: int = 16,
         link_capacity: int = 1,
         engine: str = "auto",
-        vector_max_nodes: int | None = None,
     ):
         if max_load < 1:
             raise ValueError(f"max_load must be >= 1, got {max_load}")
@@ -188,7 +168,6 @@ class Runtime:
             link_capacity=link_capacity,
             router=router,
             engine=engine,
-            vector_max_nodes=vector_max_nodes,
         )
         self.faults = faults
         self.recorder = recorder
@@ -197,7 +176,6 @@ class Runtime:
         self.max_load = max_load
         self.link_capacity = link_capacity
         self.engine = engine
-        self.vector_max_nodes = vector_max_nodes
         #: named counters — ``batch_fallback.<reason>`` records every round
         #: :meth:`step_batch` degraded to per-job stepping, so service-level
         #: batching regressions are observable instead of just slow
@@ -419,9 +397,6 @@ class Runtime:
     def _observing(self) -> bool:
         return self.recorder is not None and self.recorder.enabled
 
-    def _fault_mode(self, job: Job) -> bool:
-        return self.faults is not None or job.spec.ttl is not None
-
     def _deliver(self, job: Job, messages: list[Message], label):
         """One delivery on the shared network, on the global clock.
 
@@ -431,16 +406,13 @@ class Runtime:
         recorder = self.recorder
         if recorder is not None and recorder.enabled:
             recorder.begin_phase(f"{job.spec.name}[{label}]")
-        if self.faults is not None or job.spec.ttl is not None:
-            stats = self.network.deliver_scheduled(
-                [(0, m) for m in messages],
-                recorder=recorder,
-                faults=self.faults,
-                ttl=job.spec.ttl,
-                fault_offset=self.cycle,
-            )
-        else:
-            stats = self.network.deliver(messages, recorder=recorder)
+        stats = self.network.deliver_scheduled(
+            [(0, m) for m in messages],
+            recorder=recorder,
+            faults=self.faults,
+            ttl=job.spec.ttl,
+            fault_offset=self.cycle,
+        )
         base = self.cycle
         self.cycle += stats.cycles
         job.consumed_cycles += stats.cycles
@@ -597,7 +569,6 @@ class Runtime:
             "max_load": self.max_load,
             "link_capacity": self.link_capacity,
             "engine": self.engine,
-            "vector_max_nodes": self.vector_max_nodes,
             "counters": dict(sorted(self.counters.items())),
             "policy": _policy_spec(self.policy),
             "host": _host_spec(self.host),
@@ -700,7 +671,6 @@ class Runtime:
             max_load=state["max_load"],
             link_capacity=state["link_capacity"],
             engine=state.get("engine", "auto"),
-            vector_max_nodes=state.get("vector_max_nodes"),
         )
         rt.counters.update(state.get("counters", {}))
         for entry in state["applied_events"]:
@@ -708,7 +678,7 @@ class Runtime:
             # entries are internal state, exempt from the wire-format
             # version gate a bare byzantine event list would trip
             ev = FaultEvent.from_dict(entry)
-            _replay_event(rt.network, ev)
+            rt.network._apply_fault_event(ev)
             rt.applied_events.append(ev)
         integrity = state.get("integrity")
         if integrity:

@@ -18,12 +18,7 @@ from .engine import (
     SynchronousNetwork,
     UnreachableError,
 )
-from .vector_engine import (
-    VECTOR_MAX_NODES,
-    VECTOR_MAX_NODES_ENV,
-    resolve_vector_max_nodes,
-    vector_supported,
-)
+from .vector_engine import VECTOR_MAX_NODES, vector_supported
 from .faults import (
     BYZANTINE_ACTIONS,
     FAULT_SCHEDULE_VERSION,
@@ -61,8 +56,6 @@ __all__ = [
     "QUARANTINE_THRESHOLD",
     "QUARANTINE_PROBE_AFTER",
     "VECTOR_MAX_NODES",
-    "VECTOR_MAX_NODES_ENV",
-    "resolve_vector_max_nodes",
     "vector_supported",
     "FaultEvent",
     "FaultSchedule",

@@ -93,14 +93,12 @@ def simulated_reduction(
                 payloads[mid] = (dst, acc[src])
             if observing:
                 recorder.begin_phase(f"{program.name}[{k}]")
+            stats = network.deliver_scheduled(
+                [(0, m) for m in messages],
+                recorder=recorder, faults=faults, ttl=ttl, fault_offset=total_cycles,
+            )
             if fault_mode:
-                stats = network.deliver_scheduled(
-                    [(0, m) for m in messages],
-                    recorder=recorder, faults=faults, ttl=ttl, fault_offset=total_cycles,
-                )
                 _fold_report(report, stats, key=lambda mid, k=k: (k, mid))
-            else:
-                stats = network.deliver(messages, recorder=recorder)
             total_cycles += stats.cycles
             # arrivals fold into the parent's accumulator (order-independent
             # because the operator is associative-commutative)
@@ -159,14 +157,12 @@ def simulated_prefix(
                 payloads[mid] = (dst, combine(out[src], values[src]))
             if observing:
                 recorder.begin_phase(f"{program.name}[{k}]")
+            stats = network.deliver_scheduled(
+                [(0, m) for m in messages],
+                recorder=recorder, faults=faults, ttl=ttl, fault_offset=total_cycles,
+            )
             if fault_mode:
-                stats = network.deliver_scheduled(
-                    [(0, m) for m in messages],
-                    recorder=recorder, faults=faults, ttl=ttl, fault_offset=total_cycles,
-                )
                 _fold_report(report, stats, key=lambda mid, k=k: (k, mid))
-            else:
-                stats = network.deliver(messages, recorder=recorder)
             total_cycles += stats.cycles
             for mid in stats.delivery_cycle:
                 dst, value = payloads[mid]

@@ -29,8 +29,7 @@ from ..networks.base import Topology, bfs_distances_from
 from ..obs import Recorder
 from .routing import Router, make_router
 from .vector_engine import (
-    VECTOR_MAX_NODES,
-    resolve_vector_max_nodes,
+    fits_dense_tables,
     vector_deliver_scheduled,
     vector_supported,
 )
@@ -196,21 +195,14 @@ class SynchronousNetwork:
         failed_links: Iterable[tuple[Node, Node]] | None = None,
         router: Router | str | None = None,
         engine: str = "auto",
-        vector_max_nodes: int | None = None,
     ):
         if link_capacity < 1:
             raise ValueError(f"link capacity must be >= 1, got {link_capacity}")
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-        if vector_max_nodes is not None:
-            resolve_vector_max_nodes(vector_max_nodes)  # validate eagerly
         self.topology = topology
         self.link_capacity = link_capacity
         self.engine = engine
-        #: explicit dense-table bound override; ``None`` defers to the
-        #: ``REPRO_VECTOR_MAX_NODES`` env var, then the module default —
-        #: see :attr:`vector_max_nodes`
-        self._vector_max_nodes = vector_max_nodes
         self.router = make_router(router).bind(self)
         self.failed: set[frozenset] = set()
         #: latency faults: link -> extra cycles per crossing (slow, not dead)
@@ -390,19 +382,6 @@ class SynchronousNetwork:
             if frozenset((node, v)) in self.failed:
                 self.restore_link(node, v)
 
-    @property
-    def vector_max_nodes(self) -> int:
-        """Effective dense-table node bound for this network.
-
-        Resolution order: the ``vector_max_nodes`` constructor argument,
-        then the ``REPRO_VECTOR_MAX_NODES`` environment variable, then the
-        module default :data:`~repro.simulate.vector_engine.VECTOR_MAX_NODES`
-        (2048).  Large hosts that can afford the O(n²) next-hop tables opt
-        in by raising it instead of silently falling back to the classic
-        loop.
-        """
-        return resolve_vector_max_nodes(self._vector_max_nodes)
-
     def _check_not_delivering(self, what: str) -> None:
         """Reject bare fault calls while a delivery is running.
 
@@ -531,12 +510,12 @@ class SynchronousNetwork:
         """Lazily fetch the oracle's dense next-hop matrix (fault-free only).
 
         Returns the ``(n, n)`` int32 matrix, or ``False`` when the topology
-        exceeds :attr:`vector_max_nodes` and the O(n^2) table is not worth
-        building.
+        exceeds :data:`~repro.simulate.vector_engine.VECTOR_MAX_NODES` and
+        the O(n^2) table is not worth building.
         """
         nh = self._dense_nh
         if nh is None:
-            if self.topology.n_nodes > self.vector_max_nodes:
+            if not fits_dense_tables(self.topology):
                 nh = self._dense_nh = False
             else:
                 from ..analysis.oracle import oracle_for

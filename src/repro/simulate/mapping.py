@@ -139,9 +139,7 @@ def simulate_on_host(
                     msg_id += 1
                 if observing:
                     recorder.begin_phase(f"{program.name}[{k}]")
-                stats = network.deliver(
-                    messages, recorder=recorder, faults=faults, ttl=ttl,
-                ) if not fault_mode else network.deliver_scheduled(
+                stats = network.deliver_scheduled(
                     [(0, m) for m in messages],
                     recorder=recorder, faults=faults, ttl=ttl, fault_offset=base,
                 )

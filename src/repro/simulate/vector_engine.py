@@ -38,7 +38,6 @@ remains the reference implementation.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,47 +45,25 @@ import numpy as np
 from ..analysis.oracle import oracle_for
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from ..networks.base import Topology
     from .engine import DeliveryStats, SynchronousNetwork
 
 __all__ = [
     "VECTOR_MAX_NODES",
-    "VECTOR_MAX_NODES_ENV",
-    "resolve_vector_max_nodes",
+    "fits_dense_tables",
     "vector_supported",
     "vector_deliver_scheduled",
 ]
 
 #: dense next-hop tables cost O(n^2) int32 each; beyond this the classic
 #: per-destination BFS tables are the better trade (and the kernel defers).
-#: Large hosts can opt in anyway: pass ``vector_max_nodes=`` to
-#: :class:`~repro.simulate.engine.SynchronousNetwork` (or
-#: :class:`~repro.runtime.Runtime`), or set :data:`VECTOR_MAX_NODES_ENV`.
+#: 2048 keeps Theorem 4's G_n at t = 11 (2032 vertices) on the kernel.
 VECTOR_MAX_NODES = 2048
 
-#: environment override for the dense-table bound — read per delivery, so
-#: exported once it governs every network that did not pass an explicit
-#: ``vector_max_nodes``
-VECTOR_MAX_NODES_ENV = "REPRO_VECTOR_MAX_NODES"
 
-
-def resolve_vector_max_nodes(override: int | None = None) -> int:
-    """The effective dense-table bound: explicit override > env > default."""
-    if override is not None:
-        if override < 1:
-            raise ValueError(f"vector_max_nodes must be >= 1, got {override}")
-        return override
-    raw = os.environ.get(VECTOR_MAX_NODES_ENV)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{VECTOR_MAX_NODES_ENV}={raw!r} is not an integer"
-            ) from None
-        if value < 1:
-            raise ValueError(f"{VECTOR_MAX_NODES_ENV} must be >= 1, got {value}")
-        return value
-    return VECTOR_MAX_NODES
+def fits_dense_tables(topology: "Topology") -> bool:
+    """Whether ``topology`` is small enough for dense next-hop tables."""
+    return topology.n_nodes <= VECTOR_MAX_NODES
 
 
 def vector_supported(network: "SynchronousNetwork", rec, faults, ttl) -> str | None:
@@ -122,12 +99,10 @@ def vector_supported(network: "SynchronousNetwork", rec, faults, ttl) -> str | N
         blockers.append("links are flaky")
     if network.quarantined:
         blockers.append("links are quarantined")
-    limit = network.vector_max_nodes
-    if network.topology.n_nodes > limit:
+    if not fits_dense_tables(network.topology):
         blockers.append(
             f"topology has {network.topology.n_nodes} nodes "
-            f"(> VECTOR_MAX_NODES = {limit}; raise via "
-            f"SynchronousNetwork(vector_max_nodes=) or ${VECTOR_MAX_NODES_ENV})"
+            f"(> VECTOR_MAX_NODES = {VECTOR_MAX_NODES})"
         )
     if not blockers:
         return None

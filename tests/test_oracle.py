@@ -149,11 +149,13 @@ def test_csr_layout():
         assert row == {x.index(v) for v in x.neighbors(u)}
 
 
-def test_row_cache_lru_bounded():
+def test_row_cache_lru_bounded(monkeypatch):
+    import repro.analysis.oracle as oracle_mod
     from repro.networks import DeBruijn
 
+    monkeypatch.setattr(oracle_mod, "ORACLE_CACHE_ROWS", 4)
     g = DeBruijn(5)  # no closed form: rows actually get computed
-    oracle = DistanceOracle(g, row_cache_size=4)
+    oracle = DistanceOracle(g)
     for s in range(10):
         oracle.row(s)
     assert oracle.cached_rows == 4
@@ -223,51 +225,10 @@ def test_unreachable_distance_is_minus_one():
 
 
 class TestCacheConfiguration:
-    """The row-cache capacity knob: explicit > env > default, eager."""
+    """The row-cache capacity is the module constant."""
 
     def test_default_capacity(self):
         from repro.analysis.oracle import ORACLE_CACHE_ROWS
 
         oracle = DistanceOracle(XTree(3))
-        assert oracle.cache_info()["capacity"] == ORACLE_CACHE_ROWS
-
-    def test_env_override(self, monkeypatch):
-        from repro.analysis.oracle import ORACLE_CACHE_ENV
-
-        monkeypatch.setenv(ORACLE_CACHE_ENV, "7")
-        assert DistanceOracle(XTree(3)).cache_info()["capacity"] == 7
-
-    def test_explicit_beats_env(self, monkeypatch):
-        from repro.analysis.oracle import ORACLE_CACHE_ENV
-
-        monkeypatch.setenv(ORACLE_CACHE_ENV, "7")
-        oracle = DistanceOracle(XTree(3), row_cache_size=3)
-        assert oracle.cache_info()["capacity"] == 3
-
-    def test_explicit_validated_eagerly(self):
-        with pytest.raises(ValueError, match="must be >= 1, got 0"):
-            DistanceOracle(XTree(3), row_cache_size=0)
-
-    def test_env_validated_eagerly(self, monkeypatch):
-        from repro.analysis.oracle import ORACLE_CACHE_ENV
-
-        monkeypatch.setenv(ORACLE_CACHE_ENV, "x")
-        with pytest.raises(ValueError, match="is not an integer"):
-            DistanceOracle(XTree(3))
-        monkeypatch.setenv(ORACLE_CACHE_ENV, "0")
-        with pytest.raises(ValueError, match="must be >= 1"):
-            DistanceOracle(XTree(3))
-
-    def test_resolve_helper(self, monkeypatch):
-        from repro.analysis.oracle import (
-            ORACLE_CACHE_ENV,
-            ORACLE_CACHE_ROWS,
-            resolve_oracle_cache,
-        )
-
-        monkeypatch.delenv(ORACLE_CACHE_ENV, raising=False)
-        assert resolve_oracle_cache() == ORACLE_CACHE_ROWS
-        assert resolve_oracle_cache(5) == 5
-        monkeypatch.setenv(ORACLE_CACHE_ENV, "11")
-        assert resolve_oracle_cache() == 11
-        assert resolve_oracle_cache(2) == 2
+        assert oracle.cache_info()["capacity"] == ORACLE_CACHE_ROWS == 256

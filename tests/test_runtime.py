@@ -378,6 +378,21 @@ class TestCheckpointRestore:
         assert restored.run().as_dict() == two_job_runtime(
             faults=NODE_FAULT).run().as_dict()
 
+    @pytest.mark.parametrize("legacy_bound", [None, 1, 9999])
+    def test_legacy_vector_max_nodes_key_ignored(self, legacy_bound):
+        # earlier builds stamped a dense-table bound into every checkpoint;
+        # it only picked between two bit-identical engines, so restore
+        # ignores it and new checkpoints no longer carry it
+        full = two_job_runtime().run().as_dict()
+        rt = two_job_runtime()
+        for _ in range(3):
+            rt.step()
+        state = json.loads(json.dumps(rt.checkpoint()))
+        assert "vector_max_nodes" not in state
+        legacy = dict(state, vector_max_nodes=legacy_bound)
+        assert Runtime.restore(legacy).run().as_dict() == full
+        assert Runtime.restore(state).run().as_dict() == full
+
     def test_restore_rejects_unknown_version(self):
         state = two_job_runtime().checkpoint()
         state["version"] = 99

@@ -11,18 +11,18 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.oracle import DistanceOracle
+from repro.core.universal import lift_onto_slots
 from repro.networks import TOPOLOGIES
 from repro.networks.base import bfs_distances_from
-from repro.runtime import JobSpec, Runtime
-from repro.service import Scenario, run_scenario
-from repro.universal import (
+from repro.networks.universal import (
     PAPER_DEGREE_BOUND,
     UNIVERSAL_SLOTS,
     UniversalGraph,
-    largest_feasible_t,
-    lift_onto_slots,
     universal_graph_size,
 )
+from repro.runtime import JobSpec, Runtime
+from repro.service import Scenario, run_scenario
+from repro.simulate import VECTOR_MAX_NODES
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -170,21 +170,11 @@ class TestLiftOntoSlots:
         assert len(set(phi.values())) == len(phi) == tree_n
 
 
-class TestLargestFeasible:
-    def test_default_tracks_vector_bound(self):
-        from repro.simulate.vector_engine import resolve_vector_max_nodes
-
-        t = largest_feasible_t()
-        assert universal_graph_size(t) <= resolve_vector_max_nodes()
-        assert universal_graph_size(t + 1) > resolve_vector_max_nodes()
-
-    def test_explicit_bound(self):
-        assert largest_feasible_t(2048) == 11
-        assert largest_feasible_t(112) == 7
-
-    def test_too_small_rejected(self):
-        with pytest.raises(ValueError, match="below the smallest"):
-            largest_feasible_t(10)
+class TestVectorBound:
+    def test_largest_vectorised_g_n_is_t11(self):
+        # the dense-table bound is sized so Theorem 4's G_n at t = 11
+        # (2032 vertices) still runs on the vector kernel, and t = 12 not
+        assert universal_graph_size(11) <= VECTOR_MAX_NODES < universal_graph_size(12)
 
 
 class TestShippedScenario:

@@ -235,11 +235,9 @@ class TestDispatch:
         assert stats.delivery_cycle == {0: 1}
 
     def test_oversized_topology_falls_back(self, monkeypatch):
-        import repro.simulate.engine as engine_mod
         import repro.simulate.vector_engine as vec_mod
 
         monkeypatch.setattr(vec_mod, "VECTOR_MAX_NODES", 4)
-        monkeypatch.setattr(engine_mod, "VECTOR_MAX_NODES", 4)
         topology = TOPOS["xtree"]
         schedule = self._schedule(topology)
         net = SynchronousNetwork(topology)
@@ -355,26 +353,24 @@ class TestRuntimeBatching:
 
 
 class TestBlockerAggregation:
-    """PR-7 satellite: ``vector_supported`` reports *every* blocker at
-    once, and the dense-table bound is overridable per network or via
-    the environment."""
+    """``vector_supported`` reports *every* blocker at once."""
 
     def _msg(self, topology):
         a, b = list(topology.nodes())[:2]
         return [(0, Message(0, a, b))]
 
-    def test_all_blockers_reported_together(self):
-        from repro.simulate.vector_engine import vector_supported
+    def test_all_blockers_reported_together(self, monkeypatch):
+        import repro.simulate.vector_engine as vec_mod
 
+        monkeypatch.setattr(vec_mod, "VECTOR_MAX_NODES", 1)
         topology = TOPOS["xtree"]
         nodes = list(topology.nodes())
         u, v = nodes[0], next(iter(topology.neighbors(nodes[0])))
         net = SynchronousNetwork(
-            topology, router="adaptive", failed_links=[(u, v)],
-            vector_max_nodes=1,
+            topology, router="adaptive", failed_links=[(u, v)]
         )
         net.link_delays[(u, v)] = 2
-        reason = vector_supported(
+        reason = vec_mod.vector_supported(
             net, TraceRecorder(), FaultSchedule.from_obj([]), 50
         )
         for needle in ("FaultSchedule", "TTL", "recorder", "adaptive",
@@ -397,68 +393,19 @@ class TestBlockerAggregation:
                 self._msg(topology), recorder=TraceRecorder(), engine="vector"
             )
 
-    def test_constructor_override_raises_bound(self):
-        # bound of 1 blocks the 11-node X(2); an explicit override unblocks
-        topology = TOPOS["xtree"]
-        blocked = SynchronousNetwork(topology, vector_max_nodes=1)
-        with pytest.raises(ValueError, match="VECTOR_MAX_NODES = 1"):
-            blocked.deliver_scheduled(self._msg(topology), engine="vector")
-        allowed = SynchronousNetwork(
-            topology, vector_max_nodes=topology.n_nodes
-        )
-        stats = allowed.deliver_scheduled(self._msg(topology), engine="vector")
-        assert stats.n_messages == 1
-
-    def test_constructor_override_validated_eagerly(self):
-        with pytest.raises(ValueError, match="vector_max_nodes"):
-            SynchronousNetwork(TOPOS["xtree"], vector_max_nodes=0)
-
-    def test_env_override(self, monkeypatch):
-        from repro.simulate.vector_engine import VECTOR_MAX_NODES_ENV
+    def test_bound_is_inclusive(self, monkeypatch):
+        # a topology of exactly VECTOR_MAX_NODES nodes still vectorises
+        import repro.simulate.vector_engine as vec_mod
 
         topology = TOPOS["xtree"]
-        monkeypatch.setenv(VECTOR_MAX_NODES_ENV, "1")
-        net = SynchronousNetwork(topology)
-        with pytest.raises(ValueError, match="VECTOR_MAX_NODES = 1"):
-            net.deliver_scheduled(self._msg(topology), engine="vector")
-        # auto still falls back and matches classic
-        stats = net.deliver_scheduled(self._msg(topology))
+        monkeypatch.setattr(vec_mod, "VECTOR_MAX_NODES", topology.n_nodes)
+        stats = SynchronousNetwork(topology).deliver_scheduled(
+            self._msg(topology), engine="vector"
+        )
         assert stats.n_messages == 1
-        monkeypatch.setenv(VECTOR_MAX_NODES_ENV, str(topology.n_nodes))
-        assert net.deliver_scheduled(self._msg(topology), engine="vector").n_messages == 1
-
-    def test_env_invalid_rejected(self, monkeypatch):
-        from repro.simulate.vector_engine import (
-            VECTOR_MAX_NODES_ENV,
-            resolve_vector_max_nodes,
-        )
-
-        monkeypatch.setenv(VECTOR_MAX_NODES_ENV, "many")
-        with pytest.raises(ValueError, match="not an integer"):
-            resolve_vector_max_nodes()
-        monkeypatch.setenv(VECTOR_MAX_NODES_ENV, "0")
-        with pytest.raises(ValueError, match=">= 1"):
-            resolve_vector_max_nodes()
-
-    def test_resolution_precedence(self, monkeypatch):
-        from repro.simulate.vector_engine import (
-            VECTOR_MAX_NODES_ENV,
-            resolve_vector_max_nodes,
-        )
-
-        assert resolve_vector_max_nodes() == 2048
-        monkeypatch.setenv(VECTOR_MAX_NODES_ENV, "77")
-        assert resolve_vector_max_nodes() == 77
-        assert resolve_vector_max_nodes(5) == 5  # explicit beats env
-
-    def test_runtime_threads_override_through_checkpoint(self):
-        # Runtime(vector_max_nodes=) reaches the network, survives a
-        # checkpoint/restore round trip, and stays bit-identical
-        rt = Runtime(XTree(4), vector_max_nodes=9999)
-        rt.admit(JobSpec(name="a", program="reduction", tree_n=15,
-                         capacity=4, height=4))
-        assert rt.network.vector_max_nodes == 9999
-        state = rt.checkpoint()
-        assert state["vector_max_nodes"] == 9999
-        restored = Runtime.restore(state)
-        assert restored.network.vector_max_nodes == 9999
+        below = topology.n_nodes - 1
+        monkeypatch.setattr(vec_mod, "VECTOR_MAX_NODES", below)
+        with pytest.raises(ValueError, match=rf"VECTOR_MAX_NODES = {below}\)"):
+            SynchronousNetwork(topology).deliver_scheduled(
+                self._msg(topology), engine="vector"
+            )
