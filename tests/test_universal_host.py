@@ -170,11 +170,22 @@ class TestLiftOntoSlots:
         assert len(set(phi.values())) == len(phi) == tree_n
 
 
-class TestVectorBound:
-    def test_largest_vectorised_g_n_is_t11(self):
+def _largest_t_within(max_nodes: int) -> int:
+    # the same derivation bench_universal uses for its largest G_n
+    return max(t for t in range(5, 16) if universal_graph_size(t) <= max_nodes)
+
+
+class TestLargestFeasible:
+    def test_default_tracks_vector_bound(self):
         # the dense-table bound is sized so Theorem 4's G_n at t = 11
         # (2032 vertices) still runs on the vector kernel, and t = 12 not
         assert universal_graph_size(11) <= VECTOR_MAX_NODES < universal_graph_size(12)
+        assert _largest_t_within(VECTOR_MAX_NODES) == 11
+
+    def test_explicit_bound(self):
+        assert _largest_t_within(2048) == 11
+        # a bound equal to a G_n's size admits that G_n
+        assert _largest_t_within(112) == 7
 
 
 class TestShippedScenario:
