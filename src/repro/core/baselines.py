@@ -125,14 +125,12 @@ def recursive_bisection_embedding(
                 light = c0 if assigned[c0] <= assigned[c1] else c1
                 room = target - assigned[light]
                 if piece.size <= room or piece.size <= 1 or len(piece.designated) == 0:
-                    state.detach(piece)
-                    state.attach(piece.moved_to(light))
+                    state.move(piece, light)
                     assigned[light] += piece.size
                     continue
                 if room < 1:
                     other = c1 if light == c0 else c0
-                    state.detach(piece)
-                    state.attach(piece.moved_to(other))
+                    state.move(piece, other)
                     assigned[other] += piece.size
                     continue
                 r1 = piece.designated[0]
@@ -162,7 +160,6 @@ def _fill_greedy(state: LayoutState, addr: XAddr) -> None:
         if not pieces:
             break
         piece = max(pieces, key=lambda p: p.size)
-        state.detach(piece)
         before = state.free(addr)
         state.peel(piece, before, addr)
         if state.free(addr) == before:

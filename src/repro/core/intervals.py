@@ -25,6 +25,7 @@ This module is pure bookkeeping; the round logic lives in
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..networks.xtree import XAddr, XTree
@@ -68,7 +69,6 @@ class LayoutStats:
     sigma_conflicts: int = 0
     overflow_placements: int = 0
     separator_promotions: int = 0
-    underfull_after_round: int = 0
     final_spill_distance: int = 0
     final_spill_count: int = 0
     #: peak number of pieces attached to one leaf — the paper's section 2
@@ -106,6 +106,21 @@ class LayoutState:
                 break
             level, idx = level - 1, idx >> 1
 
+    def _shift_weight(self, src: XAddr, dst: XAddr, amount: int) -> None:
+        """Move ``amount`` of weight from ``src`` to ``dst``.
+
+        Their common ancestors gain and lose the same amount, so only the
+        vertices below the lowest common ancestor are touched.
+        """
+        weight = self.weight
+        while src != dst:
+            if src[0] >= dst[0]:
+                weight[src] = weight.get(src, 0) - amount
+                src = (src[0] - 1, src[1] >> 1)
+            else:
+                weight[dst] = weight.get(dst, 0) + amount
+                dst = (dst[0] - 1, dst[1] >> 1)
+
     def load(self, addr: XAddr) -> int:
         """Current number of guests placed at ``addr``."""
         return len(self.slots.get(addr, ()))
@@ -114,29 +129,74 @@ class LayoutState:
         """Remaining slot capacity at ``addr``."""
         return self.capacity - self.load(addr)
 
+    def _place(self, nodes: Sequence[int], addr: XAddr) -> None:
+        """Place ``nodes`` at ``addr`` without touching the weights;
+        capacity and double-placement checked."""
+        place = self.place
+        bucket = self.slots.setdefault(addr, [])
+        for v in nodes:
+            if v in place:
+                raise RuntimeError(f"guest node {v} placed twice")
+            if len(bucket) >= self.capacity:
+                raise RuntimeError(f"capacity exceeded at {addr}")
+            bucket.append(v)
+            place[v] = addr
+
     def place_node(self, v: int, addr: XAddr) -> None:
         """Place one guest node; capacity and double-placement checked."""
-        if v in self.place:
-            raise RuntimeError(f"guest node {v} placed twice")
-        bucket = self.slots.setdefault(addr, [])
-        if len(bucket) >= self.capacity:
-            raise RuntimeError(f"capacity exceeded at {addr}")
-        bucket.append(v)
-        self.place[v] = addr
+        self._place((v,), addr)
         self._bump_weight(addr, 1)
 
-    def attach(self, piece: Piece) -> None:
-        """Attach a piece to its leaf, updating subtree weights."""
+    def _index(self, piece: Piece) -> None:
+        """Append ``piece`` to its leaf's list; weights untouched."""
         bucket = self.pieces_at.setdefault(piece.leaf, [])
         bucket.append(piece)
         if len(bucket) > self.stats.max_pieces_per_leaf:
             self.stats.max_pieces_per_leaf = len(bucket)
+
+    def attach(self, piece: Piece) -> None:
+        """Attach a piece to its leaf, updating subtree weights."""
+        self._index(piece)
         self._bump_weight(piece.leaf, piece.size)
 
     def detach(self, piece: Piece) -> None:
         """Remove a piece from the attachment index."""
         self.pieces_at[piece.leaf].remove(piece)
         self._bump_weight(piece.leaf, -piece.size)
+
+    def move(self, piece: Piece, leaf: XAddr) -> Piece:
+        """Re-attach ``piece`` at ``leaf`` (at the back of that leaf's list);
+        returns the moved piece."""
+        self.pieces_at[piece.leaf].remove(piece)
+        moved = piece.moved_to(leaf)
+        self._index(moved)
+        self._shift_weight(piece.leaf, leaf, piece.size)
+        return moved
+
+    def lay_out(
+        self, piece: Piece, parts: Sequence[tuple[Sequence[int], frozenset[int], XAddr]]
+    ) -> list[Piece]:
+        """Replace the attached ``piece`` by placements and residual pieces.
+
+        Each part ``(placed, rest, addr)`` places ``placed`` at ``addr`` in
+        the order given and attaches the components of ``rest`` there; the
+        parts together cover ``piece.nodes``.  Every placement is made
+        before any residual is wrapped, so each residual sees all of its
+        placed neighbours.  The weights change by the net move only — each
+        part's nodes go from ``piece.leaf`` to its ``addr``.  Returns the
+        residual pieces, already attached.
+        """
+        self.pieces_at[piece.leaf].remove(piece)
+        for placed, _rest, addr in parts:
+            self._place(placed, addr)
+        residuals: list[Piece] = []
+        for placed, rest, addr in parts:
+            if rest:
+                for p in self.make_pieces(rest, addr):
+                    self._index(p)
+                    residuals.append(p)
+            self._shift_weight(piece.leaf, addr, len(placed) + len(rest))
+        return residuals
 
     def pop_pieces(self, leaf: XAddr) -> list[Piece]:
         """Detach and return every piece attached at ``leaf``."""
@@ -156,28 +216,33 @@ class LayoutState:
         several addresses — the theory says it cannot — the majority address
         wins and the event is counted in ``stats.sigma_conflicts``.
         """
+        adj = self.tree.adjacency
+        place = self.place
         out: list[Piece] = []
-        seen: set[int] = set()
+        # ``nodes`` are unplaced, so a neighbour that is neither still
+        # unvisited nor placed is one of this component's visited nodes
+        unvisited = set(nodes)
+        visit = unvisited.remove
         for start in nodes:
-            if start in seen:
+            if start not in unvisited:
                 continue
             comp: list[int] = []
             desig: list[int] = []
             sigmas: list[XAddr] = []
             stack = [start]
-            seen.add(start)
+            push = stack.append
+            visit(start)
             while stack:
                 v = stack.pop()
                 comp.append(v)
                 is_designated = False
-                for u in self.tree.neighbors(v):
-                    if u in nodes:
-                        if u not in seen:
-                            seen.add(u)
-                            stack.append(u)
-                    elif u in self.place:
+                for u in adj[v]:
+                    if u in unvisited:
+                        visit(u)
+                        push(u)
+                    elif u in place:
                         is_designated = True
-                        sigmas.append(self.place[u])
+                        sigmas.append(place[u])
                 if is_designated:
                     desig.append(v)
             if not sigmas:
@@ -195,7 +260,7 @@ class LayoutState:
     # Peeling: batch placement of a connected blob of a piece
     # ------------------------------------------------------------------
     def peel(self, piece: Piece, k: int, addr: XAddr) -> list[Piece]:
-        """Place up to ``k`` nodes of (detached) ``piece`` at ``addr``.
+        """Place up to ``k`` nodes of the attached ``piece`` at ``addr``.
 
         Takes a BFS-connected blob grown from the designated nodes so every
         placed node has a placed neighbour (zero intra-blob dilation), then
@@ -205,37 +270,30 @@ class LayoutState:
         residual component could be adjacent to placed nodes both at the old
         ``sigma`` and at ``addr``, breaking the single-characteristic-address
         invariant.  If the slot cannot even hold the designated nodes the
-        peel is refused and the piece is re-attached unchanged.
+        peel is refused and the piece moves, unchanged, to the back of its
+        leaf's list.
 
-        Returns the residual pieces (already attached).  ``piece`` must have
-        been detached by the caller.
+        Returns the residual pieces (already attached).
         """
         k = min(k, piece.size, self.free(addr))
-        if k < min(len(piece.designated), piece.size):
-            self.attach(piece)
+        if k < min(len(piece.designated), piece.size) or k <= 0:
+            bucket = self.pieces_at[piece.leaf]
+            bucket.remove(piece)
+            bucket.append(piece)
             return [piece]
-        if k <= 0:
-            self.attach(piece)
-            return [piece]
+        adj = self.tree.adjacency
+        nodes = piece.nodes
         blob: list[int] = []
         seen = set(piece.designated)
         queue = deque(piece.designated)
         while queue and len(blob) < k:
             v = queue.popleft()
             blob.append(v)
-            for u in self.tree.neighbors(v):
-                if u in piece.nodes and u not in seen:
+            for u in adj[v]:
+                if u in nodes and u not in seen:
                     seen.add(u)
                     queue.append(u)
-        for v in blob:
-            self.place_node(v, addr)
-        rest = piece.nodes - frozenset(blob)
-        if not rest:
-            return []
-        residuals = self.make_pieces(rest, addr)
-        for p in residuals:
-            self.attach(p)
-        return residuals
+        return self.lay_out(piece, ((blob, nodes - frozenset(blob), addr),))
 
     # ------------------------------------------------------------------
     # Inspection / invariants
@@ -249,12 +307,14 @@ class LayoutState:
     def validate(self, round_i: int | None = None) -> None:
         """Check the structural invariants; raises on violation.
 
-        Intended for tests and debug runs — O(n) per call.
+        Intended for tests and debug runs — O(n) per call: the weights are
+        recomputed in one bottom-up pass over the X-tree.
         """
+        pieces = self.all_pieces()
         # disjointness and totality
         placed = set(self.place)
         unplaced: set[int] = set()
-        for p in self.all_pieces():
+        for p in pieces:
             if p.nodes & unplaced:
                 raise AssertionError("pieces overlap")
             unplaced |= p.nodes
@@ -269,20 +329,25 @@ class LayoutState:
             for v in bucket:
                 if self.place[v] != addr:
                     raise AssertionError("slots/place mismatch")
-        # weights
-        for addr, w in self.weight.items():
-            recomputed = sum(
-                1 for v, a in self.place.items() if self._under(a, addr)
-            ) + sum(p.size for p in self.all_pieces() if self._under(p.leaf, addr))
-            if recomputed != w:
-                raise AssertionError(f"weight drift at {addr}: {w} != {recomputed}")
+        # weights: own placements and attachments, summed up level by level
+        sums = [[0] * (1 << level) for level in range(self.xtree.height + 1)]
+        for level, idx in self.place.values():
+            sums[level][idx] += 1
+        for p in pieces:
+            level, idx = p.leaf
+            sums[level][idx] += p.size
+        for level in range(self.xtree.height, 0, -1):
+            above = sums[level - 1]
+            for idx, w in enumerate(sums[level]):
+                above[idx >> 1] += w
+        recomputed = {
+            (level, idx): w for level, row in enumerate(sums) for idx, w in enumerate(row) if w
+        }
+        for addr in sorted(self.weight.keys() | recomputed.keys()):
+            w, want = self.weight.get(addr, 0), recomputed.get(addr, 0)
+            if w != want:
+                raise AssertionError(f"weight drift at {addr}: {w} != {want}")
         # piece invariants
-        for p in self.all_pieces():
+        for p in pieces:
             if len(p.designated) > 2:
                 raise AssertionError(f"piece with {len(p.designated)} designated nodes")
-
-    @staticmethod
-    def _under(addr: XAddr, anc: XAddr) -> bool:
-        """True when ``addr`` lies in the subtree rooted at ``anc``."""
-        (la, ia), (lb, ib) = addr, anc
-        return la >= lb and (ia >> (la - lb)) == ib

@@ -86,7 +86,7 @@ class _Piece:
     all separator logic runs on these.
     """
 
-    __slots__ = ("tree", "root", "parent", "children", "size", "order", "depth")
+    __slots__ = ("tree", "root", "parent", "children", "size", "order")
 
     def __init__(self, tree: BinaryTree, universe: Collection[int], root: int):
         self.tree = tree
@@ -94,27 +94,29 @@ class _Piece:
         uni = universe if isinstance(universe, (set, frozenset)) else set(universe)
         if root not in uni:
             raise ValueError(f"root {root} not in the piece universe")
+        adj = tree.adjacency
         parent: dict[int, int | None] = {root: None}
         children: dict[int, list[int]] = {}
         order: list[int] = []
-        depth: dict[int, int] = {root: 0}
         stack = [root]
+        push = stack.append
         while stack:
             v = stack.pop()
             order.append(v)
-            kids = [u for u in tree.neighbors(v) if u in uni and u != parent[v]]
+            above = parent[v]
+            kids = []
+            for u in adj[v]:
+                if u != above and u in uni:
+                    kids.append(u)
+                    parent[u] = v
+                    push(u)
             children[v] = kids
-            for u in kids:
-                parent[u] = v
-                depth[u] = depth[v] + 1
-                stack.append(u)
         if len(order) != len(uni):
             raise ValueError("piece universe is not connected")
         self.parent = parent
         self.children = children
         self.order = order
-        self.depth = depth
-        size = {v: 1 for v in order}
+        size = dict.fromkeys(order, 1)
         for v in reversed(order):
             p = parent[v]
             if p is not None:
@@ -144,16 +146,16 @@ class _Piece:
             cur = self.parent[cur]
         return path[::-1]
 
+    def depth(self, v: int) -> int:
+        """Distance from the piece's root to ``v``."""
+        return len(self.path_from_root(v)) - 1
+
     def lca(self, u: int, v: int) -> int:
         """Lowest common ancestor within the piece."""
-        while self.depth[u] > self.depth[v]:
-            u = self.parent[u]  # type: ignore[assignment]
-        while self.depth[v] > self.depth[u]:
+        ancestors = set(self.path_from_root(u))
+        while v not in ancestors:
             v = self.parent[v]  # type: ignore[assignment]
-        while u != v:
-            u = self.parent[u]  # type: ignore[assignment]
-            v = self.parent[v]  # type: ignore[assignment]
-        return u
+        return v
 
     def find1(self, start: int, delta: int) -> int:
         """The paper's ``find1``: descend into the largest subtree until the
@@ -204,6 +206,12 @@ def lemma1_split(
     piece = _Piece(tree, uni, r1)
     if len(piece.children[r1]) > 2:
         raise ValueError(f"designated root {r1} has degree > 2 inside the piece")
+    return _lemma1(piece, uni, r1, r2, delta)
+
+
+def _lemma1(piece: _Piece, uni: frozenset[int], r1: int, r2: int, delta: int) -> Separation:
+    """Lemma 1 on ``uni``, the subtree of ``piece`` below ``r1``: the
+    caller's piece already holds its parents, children and sizes."""
     u = piece.find1(r1, delta)
     z = piece.parent[u]
     assert z is not None  # find1 descends at least one step since 3n > 4*delta
@@ -267,21 +275,16 @@ def _repair_collinearity(tree: BinaryTree, sep: Separation) -> Separation:
     records how many were needed (0 almost always; see the separator stats
     bench).
     """
-    from ..trees.forest import components_after_removal
-
     s1, s2 = set(sep.s1), set(sep.s2)
     promotions = 0
     for side, s in ((sep.side1, s1), (sep.side2, s2)):
         while True:
-            bad = None
-            for comp in components_after_removal(tree, s & side, within=side):
-                if comp.n_attachment_edges > 2:
-                    bad = comp
-                    break
+            bad = _crowded_component(tree, s & side, side)
             if bad is None:
                 break
-            inside = [a for a, _ in bad.attachments[:3]]
-            s.add(_component_median(tree, bad.nodes, *inside))
+            nodes, attachments = bad
+            inside = [a for a, _ in attachments[:3]]
+            s.add(_component_median(tree, nodes, *inside))
             promotions += 1
     if promotions == 0:
         return sep
@@ -293,6 +296,54 @@ def _repair_collinearity(tree: BinaryTree, sep: Separation) -> Separation:
         cut_edges=sep.cut_edges,
         n_promotions=promotions,
     )
+
+
+def _crowded_component(
+    tree: BinaryTree, anchors: set[int], side: frozenset[int]
+) -> tuple[frozenset[int], list[tuple[int, int]]] | None:
+    """The component of ``side - anchors`` attached to ``anchors`` by more
+    than two edges, or ``None`` when ``anchors`` is collinear in ``side``.
+
+    Each attachment edge is charged to its component's top node (the one
+    nearest the tree root), found by climbing parent pointers inside the
+    component, so the components themselves are walked only when one is
+    crowded.  Among several crowded components the one with the smallest
+    node wins — the first that :func:`repro.trees.components_after_removal`
+    would list.  Returns the component's nodes and its sorted
+    ``(inside, anchor)`` edges.
+    """
+    parent = tree.parent_array
+    adj = tree.adjacency
+    edges_at: dict[int, int] = {}
+    for a in anchors:
+        for u in adj[a]:
+            if u in anchors or u not in side:
+                continue
+            top, up = u, parent[u]
+            while up != -1 and up not in anchors and up in side:
+                top, up = up, parent[up]
+            edges_at[top] = edges_at.get(top, 0) + 1
+    crowded = None
+    for top, n_edges in edges_at.items():
+        if n_edges <= 2:
+            continue
+        comp = {top}
+        edges: list[tuple[int, int]] = []
+        stack = [top]
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if u in anchors:
+                    edges.append((v, u))
+                elif u not in comp and u in side:
+                    comp.add(u)
+                    stack.append(u)
+        if crowded is None or min(comp) < min(crowded[0]):
+            crowded = (comp, edges)
+    if crowded is None:
+        return None
+    comp, edges = crowded
+    return frozenset(comp), sorted(edges)
 
 
 def _component_median(tree: BinaryTree, nodes: frozenset[int], a: int, b: int, c: int) -> int:
@@ -310,7 +361,7 @@ def _component_median(tree: BinaryTree, nodes: frozenset[int], a: int, b: int, c
     # For a tree, two of the three pairwise LCAs coincide and the third
     # (the deepest) is the median.
     candidates = [m1, m2, m3]
-    return max(candidates, key=lambda v: piece.depth[v])
+    return max(candidates, key=piece.depth)
 
 
 def _lemma2_main(
@@ -337,7 +388,7 @@ def _lemma2_main(
         return _case_both_above(piece, uni, r1, r2, delta)
     if piece.size[v] < delta:
         return _case_small_subtree(piece, uni, r1, r2, v, delta)
-    return _case_medium_subtree(tree, piece, uni, r1, r2, v, delta)
+    return _case_medium_subtree(piece, uni, r1, r2, v, delta)
 
 
 def _case_both_above(
@@ -452,13 +503,7 @@ def _case_small_subtree(
 
 
 def _case_medium_subtree(
-    tree: BinaryTree,
-    piece: _Piece,
-    uni: frozenset[int],
-    r1: int,
-    r2: int,
-    v: int,
-    delta: int,
+    piece: _Piece, uni: frozenset[int], r1: int, r2: int, v: int, delta: int
 ) -> Separation:
     """find2 stopped at ``v`` with ``delta <= size(v) <= 4*delta/3``.
 
@@ -477,7 +522,7 @@ def _case_medium_subtree(
             s2=frozenset({v, r2}),
             cut_edges=((x, v),),
         )
-    inner = lemma1_split(tree, v, r2, excess, universe=Tv)
+    inner = _lemma1(piece, frozenset(Tv), v, r2, excess)
     # inner.side2 (~excess nodes) returns to side 1; inner.side1 is our side 2.
     return Separation(
         side1=frozenset((uni - Tv) | inner.side2),

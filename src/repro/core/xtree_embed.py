@@ -357,19 +357,14 @@ class _XTreeEmbedder:
             move_leaf, state.free(move_leaf)
         ):
             return  # not enough room this round; imbalance is retried later
-        state.detach(piece)
-        for v in sorted(sep.s1):
-            state.place_node(v, stay_leaf)
-        for v in sorted(sep.s2):
-            state.place_node(v, move_leaf)
+        state.lay_out(piece, (
+            (sorted(sep.s1), sep.side1 - sep.s1, stay_leaf),
+            (sorted(sep.s2), sep.side2 - sep.s2, move_leaf),
+        ))
         if stay_leaf in budget:
             budget[stay_leaf] -= need_stay
         if move_leaf in budget:
             budget[move_leaf] -= need_move
-        for side, leaf in ((sep.side1 - sep.s1, stay_leaf), (sep.side2 - sep.s2, move_leaf)):
-            if side:
-                for p in state.make_pieces(frozenset(side), leaf):
-                    state.attach(p)
 
     def _move_whole(self, piece: Piece, leaf: XAddr) -> bool:
         """Lay the piece's designated nodes on ``leaf`` and re-attach the
@@ -381,13 +376,8 @@ class _XTreeEmbedder:
         state = self.state
         if state.free(leaf) < len(piece.designated):
             return False
-        state.detach(piece)
-        for d in piece.designated:
-            state.place_node(d, leaf)
         rest = piece.nodes - frozenset(piece.designated)
-        if rest:
-            for p in state.make_pieces(frozenset(rest), leaf):
-                state.attach(p)
+        state.lay_out(piece, ((piece.designated, rest, leaf),))
         return True
 
     # ------------------------------------------------------------------
@@ -431,8 +421,7 @@ class _XTreeEmbedder:
                 self._overflow_place(piece, (near, far), i)
         # Remaining pieces just pick a side, heaviest first onto the lighter.
         for piece in sorted(normal, key=lambda p: p.size, reverse=True):
-            state.detach(piece)
-            state.attach(piece.moved_to(self._lighter(c0, c1)))
+            state.move(piece, self._lighter(c0, c1))
         self._balance_children(c0, c1, i)
 
     def _lighter(self, c0: XAddr, c1: XAddr) -> XAddr:
@@ -487,8 +476,7 @@ class _XTreeEmbedder:
                 break
             movable = piece.sigma == parent or self.config.sideways_balance_moves
             if movable and piece.size <= remaining:
-                state.detach(piece)
-                state.attach(piece.moved_to(light))
+                state.move(piece, light)
                 remaining -= piece.size
         if remaining <= 1:
             return
@@ -525,7 +513,6 @@ class _XTreeEmbedder:
             if not pieces:
                 break
             piece = max(pieces, key=lambda p: p.size)
-            state.detach(piece)
             before = state.free(leaf)
             state.peel(piece, before, leaf)
             if state.free(leaf) == before:  # peel refused (e.g. 1 slot, 2 designated)
@@ -537,7 +524,6 @@ class _XTreeEmbedder:
                 if not usable:
                     break
                 piece = max(usable, key=lambda p: p.size)
-                state.detach(piece)
                 state.peel(piece, state.free(leaf), leaf)
 
     def _neighbor_fill(self, leaf: XAddr) -> None:
@@ -572,7 +558,6 @@ class _XTreeEmbedder:
                 if not usable:
                     break
                 piece = max(usable, key=lambda p: p.size)
-                state.detach(piece)
                 state.peel(piece, state.free(leaf), leaf)
 
     # ------------------------------------------------------------------

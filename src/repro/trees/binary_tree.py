@@ -37,7 +37,7 @@ def theorem3_guest_size(r: int) -> int:
 class BinaryTree:
     """An ``n``-node rooted tree with at most two children per node."""
 
-    __slots__ = ("_parent", "_children", "_root", "_n")
+    __slots__ = ("_parent", "_children", "_adj", "_root", "_n")
 
     def __init__(self, parent: Sequence[int]):
         """Build from a parent array; ``parent[v] == -1`` marks the root.
@@ -49,7 +49,7 @@ class BinaryTree:
         if n == 0:
             raise ValueError("a binary tree must have at least one node")
         self._n = n
-        self._parent = tuple(int(p) for p in parent)
+        self._parent = tuple(map(int, parent))
         roots = [v for v, p in enumerate(self._parent) if p == -1]
         if len(roots) != 1:
             raise ValueError(f"expected exactly one root, found {len(roots)}")
@@ -64,25 +64,20 @@ class BinaryTree:
         for v, kids in enumerate(children):
             if len(kids) > 2:
                 raise ValueError(f"node {v} has {len(kids)} children; at most 2 allowed")
-        self._children = tuple(tuple(kids) for kids in children)
+        self._children = tuple(map(tuple, children))
         self._check_connected()
+        self._adj = tuple(
+            kids if p == -1 else (p, *kids) for p, kids in zip(self._parent, self._children)
+        )
 
     def _check_connected(self) -> None:
-        """Every node must reach the root along parent pointers, cycle-free."""
-        state = [0] * self._n  # 0 unvisited, 1 on stack, 2 done
-        for start in range(self._n):
-            if state[start]:
-                continue
-            path = []
-            v = start
-            while v != -1 and state[v] == 0:
-                state[v] = 1
-                path.append(v)
-                v = self._parent[v]
-            if v != -1 and state[v] == 1:
-                raise ValueError("parent array contains a cycle")
-            for u in path:
-                state[u] = 2
+        """Every node must be reachable from the root; with one parent per
+        node and a single root, a node that is not lies on a cycle."""
+        reached = [self._root]
+        for v in reached:
+            reached.extend(self._children[v])
+        if len(reached) != self._n:
+            raise ValueError("parent array contains a cycle")
 
     # ------------------------------------------------------------------
     # Constructors
@@ -167,16 +162,19 @@ class BinaryTree:
         """The children of ``v`` (0, 1 or 2 of them)."""
         return self._children[v]
 
-    def neighbors(self, v: int) -> Iterator[int]:
+    def neighbors(self, v: int) -> tuple[int, ...]:
         """Parent (if any) followed by children."""
-        p = self._parent[v]
-        if p != -1:
-            yield p
-        yield from self._children[v]
+        return self._adj[v]
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """``adjacency[v] == neighbors(v)`` for every node, as one table —
+        what the traversal loops of the construction index directly."""
+        return self._adj
 
     def degree(self, v: int) -> int:
         """Number of tree neighbours of ``v`` (at most 3)."""
-        return len(self._children[v]) + (0 if self._parent[v] == -1 else 1)
+        return len(self._adj[v])
 
     def is_leaf(self, v: int) -> bool:
         """True when ``v`` has no children."""

@@ -73,6 +73,20 @@ class TestPieces:
         q = p.moved_to((1, 1))
         assert q.leaf == (1, 1) and q.nodes == p.nodes and q.sigma == p.sigma
 
+    def test_move_shifts_weight_between_leaves(self, state):
+        tree = state.tree
+        state.place_node(tree.root, (0, 0))
+        pieces = state.make_pieces(frozenset(tree.nodes()) - {tree.root}, (3, 0))
+        for p in pieces:
+            state.attach(p)
+        moved = state.move(pieces[0], (3, 5))
+        assert moved.leaf == (3, 5) and moved.nodes == pieces[0].nodes
+        assert state.pieces_at[(3, 5)] == [moved]
+        assert state.weight[(3, 5)] == state.weight[(1, 1)] == moved.size
+        assert state.weight[(3, 0)] == tree.n - 1 - moved.size
+        assert state.weight[(0, 0)] == tree.n
+        state.validate()
+
     def test_pop_pieces(self, state):
         tree = state.tree
         state.place_node(tree.root, (0, 0))
@@ -99,7 +113,6 @@ class TestPeel:
 
     def test_peel_places_connected_blob(self):
         tree, st, piece = self._setup()
-        st.detach(piece)
         st.peel(piece, 3, (1, 0))
         assert st.load((1, 0)) == 3
         placed = {v for v, a in st.place.items() if a == (1, 0)}
@@ -107,7 +120,6 @@ class TestPeel:
 
     def test_peel_residual_sigma(self):
         tree, st, piece = self._setup()
-        st.detach(piece)
         residuals = st.peel(piece, 3, (1, 0))
         assert len(residuals) == 1
         assert residuals[0].sigma == (1, 0)
@@ -115,7 +127,6 @@ class TestPeel:
 
     def test_peel_whole_piece(self):
         tree, st, piece = self._setup(capacity=8)
-        st.detach(piece)
         residuals = st.peel(piece, 7, (1, 0))
         assert residuals == []
         assert st.n_unplaced() == 0
@@ -129,16 +140,26 @@ class TestPeel:
         (piece,) = st.make_pieces(frozenset({1, 2, 3}), (1, 0))
         assert piece.designated == (1, 3)
         st.attach(piece)
-        st.detach(piece)
         # asking for a single slot cannot host both designated: refused
         result = st.peel(piece, 1, (1, 0))
         assert result == [piece]
         assert st.load((1, 0)) == 0
         assert piece in st.pieces_at[(1, 0)]
 
+    def test_lay_out_moves_weight_to_each_part(self):
+        tree, st, piece = self._setup()  # piece {1..7} attached at (1, 0)
+        residuals = st.lay_out(piece, (
+            ([1, 2, 3], frozenset(), (2, 0)),
+            ([4], frozenset({5, 6, 7}), (2, 1)),
+        ))
+        assert [r.nodes for r in residuals] == [frozenset({5, 6, 7})]
+        assert residuals[0].sigma == (2, 1) and residuals[0].designated == (5,)
+        assert st.weight[(2, 0)] == 3 and st.weight[(2, 1)] == 4
+        assert st.weight[(1, 0)] == 7 and st.weight[(0, 0)] == 8
+        st.validate()
+
     def test_peel_zero_k(self):
         tree, st, piece = self._setup()
-        st.detach(piece)
         result = st.peel(piece, 0, (1, 0))
         assert result == [piece]
 
