@@ -186,28 +186,28 @@ def make_workloads(r: int, rounds: int, gap: int, seed: int = 0):
 def bench_overhead(host, schedule, repeats: int) -> list[dict]:
     """Legacy vs instrumented engine (Null and Trace recorders).
 
-    Pinned to ``engine="classic"``: this gate measures what the recorder
+    Pinned to ``deliver_classic``: this gate measures what the recorder
     hooks cost the reference loop, so the vectorised kernel (benchmarked
     separately in ``bench_vector.py``) must stay out of the comparison.
     """
     repeats = max(repeats, 35)  # the 5% gate wants many paired samples; runs are ~ms
-    net = SynchronousNetwork(host, engine="classic")
-    net.deliver_scheduled(schedule)  # warm the routing tables once
+    net = SynchronousNetwork(host)
+    net.deliver_classic(schedule)  # warm the routing tables once
     expected = _stats_key(legacy_deliver_scheduled(net, schedule))
     null_rec = NullRecorder()
-    assert _stats_key(net.deliver_scheduled(schedule, recorder=null_rec)) == expected
+    assert _stats_key(net.deliver_classic(schedule, recorder=null_rec)) == expected
     trace_check = TraceRecorder()
-    traced = net.deliver_scheduled(schedule, recorder=trace_check)
+    traced = net.deliver_classic(schedule, recorder=trace_check)
     assert _stats_key(traced) == expected
     assert trace_check.link_utilisation_totals() == traced.link_traffic
 
     legacy, null, null_ratio = _best_of_pair(
         lambda: legacy_deliver_scheduled(net, schedule),
-        lambda: net.deliver_scheduled(schedule, recorder=null_rec),
+        lambda: net.deliver_classic(schedule, recorder=null_rec),
         repeats,
     )
     trace = _best_of(
-        lambda: net.deliver_scheduled(schedule, recorder=TraceRecorder()), repeats
+        lambda: net.deliver_classic(schedule, recorder=TraceRecorder()), repeats
     )
     return [
         {
@@ -231,14 +231,14 @@ def bench_overhead(host, schedule, repeats: int) -> list[dict]:
 
 def bench_sparse(host, schedule, gap: int, repeats: int) -> dict:
     """The scheduling fix: idle-gap schedules, legacy spin vs cycle jump."""
-    net = SynchronousNetwork(host, engine="classic")
-    net.deliver_scheduled(schedule)
-    assert _stats_key(net.deliver_scheduled(schedule)) == _stats_key(
+    net = SynchronousNetwork(host)
+    net.deliver_classic(schedule)
+    assert _stats_key(net.deliver_classic(schedule)) == _stats_key(
         legacy_deliver_scheduled(net, schedule)
     )
     legacy, new, ratio = _best_of_pair(
         lambda: legacy_deliver_scheduled(net, schedule),
-        lambda: net.deliver_scheduled(schedule),
+        lambda: net.deliver_classic(schedule),
         repeats,
     )
     return {

@@ -8,8 +8,8 @@ acceptance criteria name:
   path, reproduced verbatim below) vs the batched oracle with closed-form
   X-tree arithmetic;
 * **all-pairs distances** — ``all_pairs_distances`` on X(8): per-source
-  pure-Python BFS (kept as ``engine="python"``) vs the CSR multi-source
-  frontier BFS (``engine="oracle"``).
+  pure-Python BFS (kept as ``reference_all_pairs_distances``) vs the CSR
+  multi-source frontier BFS (``all_pairs_distances``).
 
 Writes ``BENCH_PR1.json`` next to the repo root so the perf trajectory of
 later scaling PRs starts from this record.  Run directly::
@@ -32,7 +32,7 @@ import numpy as np
 
 from bench_obs import _best_of
 
-from repro.analysis.distances import all_pairs_distances
+from repro.analysis.distances import all_pairs_distances, reference_all_pairs_distances
 from repro.core import theorem1_embedding
 from repro.networks import XTree
 from repro.networks.base import bfs_distance
@@ -101,12 +101,12 @@ def bench_dilation(r: int, repeats: int) -> dict:
 
 
 def bench_all_pairs(r: int, repeats: int) -> dict:
-    """all_pairs_distances on X(r): python engine vs oracle engine."""
+    """all_pairs_distances on X(r): the reference Python BFS vs the oracle."""
     xtree = XTree(r)
-    legacy = _best_of(lambda: all_pairs_distances(xtree, engine="python"), repeats)
+    legacy = _best_of(lambda: reference_all_pairs_distances(xtree), repeats)
     all_pairs_distances(xtree)  # warm the memoised oracle (CSR build)
     oracle = _best_of(lambda: all_pairs_distances(xtree), repeats)
-    assert (all_pairs_distances(xtree) == all_pairs_distances(xtree, engine="python")).all()
+    assert (all_pairs_distances(xtree) == reference_all_pairs_distances(xtree)).all()
     return {
         "name": "all_pairs_distances_xtree",
         "params": {"r": r, "n_nodes": xtree.n_nodes},

@@ -214,13 +214,13 @@ def bench_overhead(r: int, rounds: int, repeats: int) -> dict:
     """
     repeats = max(repeats, 35)  # the 5% gate wants many paired samples; runs are ~ms
     host, dense, _ = make_workloads(r, rounds, gap=1000)
-    # classic engine: this gate measures the router indirection on the
+    # deliver_classic: this gate measures the router indirection on the
     # reference loop, not the vector kernel (bench_vector.py covers that)
-    net = SynchronousNetwork(host, engine="classic")
-    net.deliver_scheduled(dense)  # warm the routing tables
+    net = SynchronousNetwork(host)
+    net.deliver_classic(dense)  # warm the routing tables
     legacy, new, ratio = _best_of_pair(
         lambda: legacy_deliver_scheduled(net, dense),
-        lambda: net.deliver_scheduled(dense),
+        lambda: net.deliver_classic(dense),
         repeats,
     )
     return {

@@ -256,9 +256,9 @@ def _route_on(t: int, program: str) -> dict:
     prog = PROGRAMS[program](tree)
     guest = simulate_on_guest(prog)
     emb, _ = embed_into_universal(tree, graph)
-    uni = simulate_on_host(prog, emb, engine="auto")
+    uni = simulate_on_host(prog, emb)
     xres = theorem1_embedding(tree)
-    xhost = simulate_on_host(prog, xres.embedding, engine="auto")
+    xhost = simulate_on_host(prog, xres.embedding)
     return {
         "t": t,
         "n": graph.n_nodes,

@@ -38,9 +38,11 @@ import random
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 from bench_obs import _best_of_pair, _stats_key, make_workloads
 
+import repro.simulate.engine as engine_mod
 from repro.core import theorem1_embedding
 from repro.networks import XTree, registry_instances
 from repro.simulate import (
@@ -49,6 +51,7 @@ from repro.simulate import (
     SynchronousNetwork,
     simulate_on_host,
 )
+from repro.simulate.vector_engine import vector_deliver_scheduled, vector_supported
 from repro.trees import make_tree, theorem1_guest_size
 
 MIN_SPEEDUP = 10.0
@@ -64,16 +67,17 @@ def bench_speedup(r: int, rounds: int, repeats: int, min_speedup: float) -> dict
     """Classic vs vector on the bench_obs dense pipelined workload."""
     repeats = max(repeats, 9)
     host, dense, _ = make_workloads(r, rounds, gap=1000)
-    classic = SynchronousNetwork(host, engine="classic")
-    vector = SynchronousNetwork(host, engine="vector")
-    classic.deliver_scheduled(dense)  # warm routing tables / dense matrices
-    vector.deliver_scheduled(dense)
-    assert _stats_key(classic.deliver_scheduled(dense)) == _stats_key(
-        vector.deliver_scheduled(dense)
+    classic = SynchronousNetwork(host)
+    vector = SynchronousNetwork(host)
+    assert vector_supported(vector, None, None, None) is None
+    classic.deliver_classic(dense)  # warm routing tables / dense matrices
+    vector_deliver_scheduled(vector, dense)
+    assert _stats_key(classic.deliver_classic(dense)) == _stats_key(
+        vector_deliver_scheduled(vector, dense)
     ), "speedup workload is not bit-identical between engines"
     classic_s, vector_s, ratio = _best_of_pair(
-        lambda: classic.deliver_scheduled(dense),
-        lambda: vector.deliver_scheduled(dense),
+        lambda: classic.deliver_classic(dense),
+        lambda: vector_deliver_scheduled(vector, dense),
         repeats,
     )
     return {
@@ -119,9 +123,10 @@ def million_schedule(n_messages: int, height: int = 8, seed: int = 0):
 
 def bench_million(n_messages: int) -> dict:
     topology, schedule = million_schedule(n_messages)
-    net = SynchronousNetwork(topology, engine="vector")
+    net = SynchronousNetwork(topology)
+    assert vector_supported(net, None, None, None) is None
     t0 = time.perf_counter()
-    stats = net.deliver_scheduled(schedule)
+    stats = vector_deliver_scheduled(net, schedule)
     wall = time.perf_counter() - t0
     completed = len(stats.delivery_cycle) == n_messages
     return {
@@ -197,11 +202,11 @@ def bench_parity_corpus() -> dict:
     n_schedules = 0
     corpus_cycles = 0
     for label, topology, schedule, cap in corpus_schedules():
-        classic = SynchronousNetwork(topology, link_capacity=cap).deliver_scheduled(
-            list(schedule), engine="classic"
+        classic = SynchronousNetwork(topology, link_capacity=cap).deliver_classic(
+            list(schedule)
         )
-        vector = SynchronousNetwork(topology, link_capacity=cap).deliver_scheduled(
-            list(schedule), engine="vector"
+        vector = vector_deliver_scheduled(
+            SynchronousNetwork(topology, link_capacity=cap), list(schedule)
         )
         if _stats_key(classic) != _stats_key(vector):
             raise AssertionError(f"parity violation on corpus schedule {label}")
@@ -218,10 +223,11 @@ def bench_parity_corpus() -> dict:
     for program_name in ("hot_spot", "permutation"):
         program = PROGRAMS[program_name](tree)
         for barrier in (True, False):
-            runs = [
-                simulate_on_host(program, embedding, barrier=barrier, engine=engine)
-                for engine in ("classic", "vector")
-            ]
+            # the dispatch predicate patched to report a blocker sends every
+            # superstep of the first run to the reference loop
+            with mock.patch.object(engine_mod, "vector_supported", lambda *a: "forced"):
+                classic = simulate_on_host(program, embedding, barrier=barrier)
+            runs = [classic, simulate_on_host(program, embedding, barrier=barrier)]
             if (
                 runs[0].per_superstep_cycles != runs[1].per_superstep_cycles
                 or runs[0].max_link_traffic != runs[1].max_link_traffic

@@ -6,8 +6,8 @@ distances on moderate-size networks.  The heavy lifting now lives in
 multi-source frontier-at-a-time BFS replace the former Python-level
 per-source loops (the HPC guide's rule: optimise the measured bottleneck —
 ``benchmarks/bench_oracle.py`` tracks the speedup).  The legacy pure-Python
-engine is kept selectable for benchmarking and as an independent reference
-implementation for the tests.
+BFS is kept as :func:`reference_all_pairs_distances`, the oracle-independent
+reference the tests and that benchmark compare against.
 """
 
 from __future__ import annotations
@@ -17,32 +17,38 @@ import numpy as np
 from ..networks.base import Topology
 from .oracle import oracle_for
 
-__all__ = ["all_pairs_distances", "distance_histogram", "eccentricities"]
+__all__ = [
+    "all_pairs_distances",
+    "reference_all_pairs_distances",
+    "distance_histogram",
+    "eccentricities",
+]
 
 
-def all_pairs_distances(topology: Topology, dtype=np.int32, *, engine: str = "oracle") -> np.ndarray:
+def all_pairs_distances(topology: Topology, dtype=np.int32) -> np.ndarray:
     """Dense ``n x n`` matrix of hop distances, indexed canonically.
 
     ``D[i, j]`` is the distance between ``node_at(i)`` and ``node_at(j)``.
     Memory is ``n**2 * itemsize``; intended for ``n`` up to a few thousand.
-
-    ``engine`` selects the implementation: ``"oracle"`` (default) runs the
-    vectorised multi-source BFS of :class:`repro.analysis.oracle.
-    DistanceOracle`; ``"python"`` runs the legacy per-source Python BFS —
-    slower, but an oracle-independent reference the tests and the
-    ``bench_oracle`` old-vs-new comparison rely on.
+    Runs the vectorised multi-source BFS of
+    :class:`repro.analysis.oracle.DistanceOracle`.
     """
-    if engine == "oracle":
-        return oracle_for(topology).all_pairs(dtype=dtype)
-    if engine != "python":
-        raise ValueError(f"unknown engine {engine!r}; expected 'oracle' or 'python'")
+    return oracle_for(topology).all_pairs(dtype=dtype)
+
+
+def reference_all_pairs_distances(topology: Topology) -> np.ndarray:
+    """:func:`all_pairs_distances` by the legacy per-source Python BFS.
+
+    Slower, but independent of the oracle: the reference the tests and
+    the ``bench_oracle`` old-vs-new comparison check it against.
+    """
     n = topology.n_nodes
     # adjacency as index lists, built once
     adj: list[list[int]] = [[] for _ in range(n)]
     for u in topology.nodes():
         iu = topology.index(u)
         adj[iu] = [topology.index(v) for v in topology.neighbors(u)]
-    out = np.full((n, n), -1, dtype=dtype)
+    out = np.full((n, n), -1, dtype=np.int32)
     for s in range(n):
         row = out[s]
         row[s] = 0

@@ -54,7 +54,7 @@ from .core.verification import (
 from .core.xtree_embed import theorem1_embedding
 from .networks.xtree import addr_to_string
 from .separators import SEPARATORS as SEPARATOR_NAMES
-from .simulate import ENGINES, PROGRAMS, ROUTERS, simulate_on_guest, simulate_on_host
+from .simulate import PROGRAMS, ROUTERS, simulate_on_guest, simulate_on_host
 from .trees.binary_tree import theorem1_guest_size
 from .trees.generators import FAMILIES, make_tree
 
@@ -177,7 +177,6 @@ def _cmd_simulate(args) -> int:
             router=router,
             faults=faults,
             ttl=args.ttl,
-            engine=args.engine,
         )
         if fault_mode:
             reports.append((name, host.report))
@@ -193,8 +192,7 @@ def _cmd_simulate(args) -> int:
         )
     print(
         f"guest: {args.family} tree, n={n}; host: X({args.height}); "
-        f"link capacity {args.link_capacity}; router {router_label}; "
-        f"engine {args.engine}"
+        f"link capacity {args.link_capacity}; router {router_label}"
         + (f"; faults {args.faults}" if args.faults else "")
         + (f"; ttl {args.ttl}" if args.ttl is not None else "")
     )
@@ -280,7 +278,6 @@ def _cmd_runtime(args) -> int:
                 policy=policy_spec,
                 max_load=config.get("max_load", 16),
                 link_capacity=config.get("link_capacity", 1),
-                engine=args.engine,
             )
             for spec in config["jobs"]:
                 rt.admit(JobSpec.from_obj(spec))
@@ -605,12 +602,6 @@ def main(argv: list[str] | None = None) -> int:
         "--router", choices=sorted(ROUTERS), default="deterministic",
         help="next-hop policy: smallest-index shortest path, or congestion-aware adaptive",
     )
-    p_sim.add_argument(
-        "--engine", choices=list(ENGINES), default="auto",
-        help="delivery engine: auto dispatches to the vectorised kernel when its "
-             "preconditions hold, classic forces the reference loop, vector "
-             "forces the kernel (error when unsupported)",
-    )
     p_sim.add_argument("--trace", metavar="PATH", help="record the host simulation and write a JSONL trace")
     p_sim.add_argument("--faults", metavar="PATH",
                        help="JSON fault schedule (see repro.simulate.faults) injected while "
@@ -648,10 +639,6 @@ def main(argv: list[str] | None = None) -> int:
                            "already exists, rewritten during and after the run")
     p_rt.add_argument("--checkpoint-every", type=int, default=10, metavar="N",
                       help="rewrite the checkpoint every N supersteps (default 10)")
-    p_rt.add_argument(
-        "--engine", choices=list(ENGINES), default="auto",
-        help="delivery engine for the shared network (see 'simulate --engine')",
-    )
     p_rt.add_argument(
         "--batch", action="store_true",
         help="co-schedule link-disjoint supersteps of different jobs into one "

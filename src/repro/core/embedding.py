@@ -146,22 +146,6 @@ class Embedding:
         """Host distance of every guest edge's image, keyed by guest edge."""
         return dict(zip(self._edge_list, self.edge_dilation_values().tolist()))
 
-    def _distance(self, a: Any, b: Any) -> int:
-        """Per-pair host distance with a doubling cutoff.
-
-        Superseded by the batched oracle path of :meth:`edge_dilations`;
-        kept as the scalar fallback (``benchmarks/bench_oracle.py`` times
-        the oracle against the original pure-BFS variant of this loop).
-        """
-        cutoff = 4
-        while True:
-            d = self.host.distance(a, b, cutoff=cutoff)
-            if d is not None:
-                return d
-            cutoff *= 2
-            if cutoff > 4 * self.host.n_nodes:  # disconnected host: bug
-                raise RuntimeError(f"no path between host nodes {a!r} and {b!r}")
-
     def dilation(self) -> int:
         """Maximum edge dilation (0 for a single-node guest)."""
         values = self.edge_dilation_values()

@@ -21,10 +21,10 @@ Three search methods, all driven by one seeded ``random.Random``:
   elite quartile, repeat until the budget is spent.  The std is floored
   at 5% of the knob range so the search never collapses prematurely.
 
-Scheduling-domain candidates run on the vectorised engine (their runs
-keep the deterministic router); routing-domain candidates force the
-classic engine, as every adaptive router does — the tuner inherits
-whichever the scenario's ``engine: "auto"`` dispatch picks.
+Scheduling-domain candidates run on the vectorised kernel (their runs
+keep the deterministic router); routing-domain candidates run on the
+classic loop, as every adaptive router does.  The tuner picks neither:
+each delivery's dispatch does.
 """
 
 from __future__ import annotations

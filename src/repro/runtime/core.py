@@ -158,7 +158,6 @@ class Runtime:
         policy: SchedulerPolicy | str | None = None,
         max_load: int = 16,
         link_capacity: int = 1,
-        engine: str = "auto",
     ):
         if max_load < 1:
             raise ValueError(f"max_load must be >= 1, got {max_load}")
@@ -167,7 +166,6 @@ class Runtime:
             host,
             link_capacity=link_capacity,
             router=router,
-            engine=engine,
         )
         self.faults = faults
         self.recorder = recorder
@@ -175,7 +173,6 @@ class Runtime:
         self.policy.bind_runtime(self)
         self.max_load = max_load
         self.link_capacity = link_capacity
-        self.engine = engine
         #: named counters — ``batch_fallback.<reason>`` records every round
         #: :meth:`step_batch` degraded to per-job stepping, so service-level
         #: batching regressions are observable instead of just slow
@@ -568,7 +565,6 @@ class Runtime:
             "cycle": self.cycle,
             "max_load": self.max_load,
             "link_capacity": self.link_capacity,
-            "engine": self.engine,
             "counters": dict(sorted(self.counters.items())),
             "policy": _policy_spec(self.policy),
             "host": _host_spec(self.host),
@@ -670,7 +666,6 @@ class Runtime:
             policy=state["policy"],
             max_load=state["max_load"],
             link_capacity=state["link_capacity"],
-            engine=state.get("engine", "auto"),
         )
         rt.counters.update(state.get("counters", {}))
         for entry in state["applied_events"]:

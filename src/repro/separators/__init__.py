@@ -21,13 +21,6 @@ span and feeds the ``separator.*`` counters.
 
 from __future__ import annotations
 
-from ..core.separators import (
-    Separation,
-    lemma1_bound,
-    lemma1_split,
-    lemma2_bound,
-    lemma2_split,
-)
 from .base import PaperSeparator, Separator, make_separator
 from .flow import DinicMaxFlow, FlowSeparator, min_vertex_cut
 
@@ -38,7 +31,6 @@ SEPARATORS: dict[str, type[Separator]] = {
 }
 
 __all__ = [
-    "Separation",
     "Separator",
     "PaperSeparator",
     "FlowSeparator",
@@ -46,8 +38,4 @@ __all__ = [
     "min_vertex_cut",
     "SEPARATORS",
     "make_separator",
-    "lemma1_bound",
-    "lemma1_split",
-    "lemma2_bound",
-    "lemma2_split",
 ]

@@ -6,7 +6,7 @@ service that absorbs heavy concurrent traffic (ROADMAP item 2):
 * :mod:`repro.service.scenario` — the versioned **scenario JSON** clients
   submit: one host network, a set of :class:`~repro.runtime.JobSpec`
   tenants, an optional :class:`~repro.simulate.FaultSchedule`, and every
-  engine/router/policy knob.  A scenario is the unit of placement and
+  router/policy knob.  A scenario is the unit of placement and
   execution; ``run_scenario`` executes one directly in-process (the
   reference the service's results are gated bit-identical against).
 * :mod:`repro.service.store` — a filesystem-backed job store and queue.

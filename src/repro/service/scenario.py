@@ -3,7 +3,7 @@
 A *scenario* is one complete, declarative :class:`~repro.runtime.Runtime`
 session: the host network, the tenant :class:`~repro.runtime.JobSpec`\\ s,
 an optional :class:`~repro.simulate.FaultSchedule` played on the global
-clock, and the engine/router/policy knobs.  It is the service's unit of
+clock, and the router/policy knobs.  It is the service's unit of
 submission, placement, execution, and recovery.
 
 The JSON schema (``version`` is required and checked — the wire format is
@@ -19,7 +19,6 @@ a compatibility promise, like checkpoints):
       "host": {"name": "xtree", "args": [3]},
       "policy": "fair",
       "router": "deterministic",
-      "engine": "auto",
       "max_load": 16,
       "link_capacity": 1,
       "batch": false,
@@ -38,6 +37,9 @@ above) or an inline :class:`repro.policy.PolicyDoc` document — a tuned
 decision tree travels inside the scenario it was tuned for, so the
 service needs no side channel to run it.  Unknown keys anywhere raise
 :class:`ValueError` — a typo'd knob must not silently run with defaults.
+Documents written for earlier builds may still carry the retired
+``engine`` field (``auto``, ``classic`` or ``vector``); it is accepted and
+ignored, because every engine gave bit-identical results.
 
 Determinism contract: a scenario fully determines its
 :class:`~repro.runtime.RuntimeResult`.  ``run_scenario`` in-process, a
@@ -57,7 +59,7 @@ from ..networks import TOPOLOGIES
 from ..policy.dsl import PolicyDoc
 from ..runtime import AdmissionError, Job, JobSpec, Runtime, RuntimeResult
 from ..runtime.policies import make_policy
-from ..simulate import ENGINES, FaultSchedule
+from ..simulate import FaultSchedule
 from ..simulate.routing import ROUTERS
 
 __all__ = ["SCENARIO_VERSION", "Scenario", "run_scenario", "drive_runtime"]
@@ -70,6 +72,8 @@ _KNOWN_KEYS = {
     "router", "engine", "max_load", "link_capacity", "batch", "trace",
     "checkpoint_every", "faults", "jobs",
 }
+#: values the retired ``engine`` field may still carry; ignored on parse
+_LEGACY_ENGINE_VALUES = ("auto", "classic", "vector")
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,6 @@ class Scenario:
     router: str | dict = "deterministic"
     #: registry name, or an inline scheduling-domain policy document (dict)
     policy: str | dict | None = None
-    engine: str = "auto"
     max_load: int = 16
     link_capacity: int = 1
     batch: bool = False
@@ -117,10 +120,6 @@ class Scenario:
         elif self.router not in ROUTERS:
             raise ValueError(
                 f"unknown router {self.router!r}: expected one of {sorted(ROUTERS)}"
-            )
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}: expected one of {ENGINES}"
             )
         if isinstance(self.policy, dict):
             doc = PolicyDoc.from_obj(self.policy)
@@ -160,6 +159,11 @@ class Scenario:
         for key in ("name", "host", "jobs"):
             if key not in obj:
                 raise ValueError(f"scenario is missing required field {key!r}")
+        if obj.get("engine", "auto") not in _LEGACY_ENGINE_VALUES:
+            raise ValueError(
+                f"unknown engine {obj['engine']!r}: expected one of "
+                f"{_LEGACY_ENGINE_VALUES}"
+            )
         host = obj["host"]
         if not isinstance(host, dict) or "name" not in host:
             raise ValueError('scenario "host" must be {"name": ..., "args": [...]}')
@@ -172,7 +176,6 @@ class Scenario:
             faults=None if faults is None else FaultSchedule.from_obj(faults),
             router=obj.get("router", "deterministic"),
             policy=obj.get("policy"),
-            engine=obj.get("engine", "auto"),
             max_load=obj.get("max_load", 16),
             link_capacity=obj.get("link_capacity", 1),
             batch=bool(obj.get("batch", False)),
@@ -204,8 +207,6 @@ class Scenario:
             d["router"] = copy.deepcopy(self.router)
         if self.policy is not None:
             d["policy"] = copy.deepcopy(self.policy)
-        if self.engine != "auto":
-            d["engine"] = self.engine
         if self.max_load != 16:
             d["max_load"] = self.max_load
         if self.link_capacity != 1:
@@ -242,7 +243,6 @@ class Scenario:
             policy=self.policy,
             max_load=self.max_load,
             link_capacity=self.link_capacity,
-            engine=self.engine,
         )
         for spec in self.jobs:
             rt.admit(spec)

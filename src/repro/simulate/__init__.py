@@ -7,7 +7,6 @@ into measured slowdown of real tree programs.
 
 from .compute import simulated_prefix, simulated_reduction
 from .engine import (
-    ENGINES,
     INTEGRITY_MAX_RETRIES,
     QUARANTINE_EWMA_DECAY,
     QUARANTINE_PROBE_AFTER,
@@ -49,7 +48,6 @@ __all__ = [
     "DeliveryStats",
     "SynchronousNetwork",
     "UnreachableError",
-    "ENGINES",
     "INTEGRITY_MAX_RETRIES",
     "RETRANSMIT_BACKOFF_CAP",
     "QUARANTINE_EWMA_DECAY",

@@ -51,7 +51,6 @@ def simulated_reduction(
     router: Router | str | None = None,
     faults: FaultSchedule | None = None,
     ttl: int | None = None,
-    engine: str = "auto",
 ) -> tuple[Any, int] | DegradedResult:
     """Run a leaves-to-root reduction on the host; return (result, cycles).
 
@@ -75,7 +74,7 @@ def simulated_reduction(
     tree = embedding.guest
     _check_values(embedding, values)
     network = SynchronousNetwork(
-        embedding.host, link_capacity=link_capacity, router=router, engine=engine
+        embedding.host, link_capacity=link_capacity, router=router
     )
     observing = recorder is not None and recorder.enabled
     fault_mode = faults is not None or ttl is not None
@@ -121,7 +120,6 @@ def simulated_prefix(
     router: Router | str | None = None,
     faults: FaultSchedule | None = None,
     ttl: int | None = None,
-    engine: str = "auto",
 ) -> tuple[list[Any], int] | DegradedResult:
     """Exclusive scan along root-to-node paths, computed distributedly.
 
@@ -139,7 +137,7 @@ def simulated_prefix(
     tree = embedding.guest
     _check_values(embedding, values)
     network = SynchronousNetwork(
-        embedding.host, link_capacity=link_capacity, router=router, engine=engine
+        embedding.host, link_capacity=link_capacity, router=router
     )
     observing = recorder is not None and recorder.enabled
     fault_mode = faults is not None or ttl is not None

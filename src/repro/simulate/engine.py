@@ -42,19 +42,12 @@ __all__ = [
     "DeliveryStats",
     "SynchronousNetwork",
     "UnreachableError",
-    "ENGINES",
     "INTEGRITY_MAX_RETRIES",
     "RETRANSMIT_BACKOFF_CAP",
     "QUARANTINE_EWMA_DECAY",
     "QUARANTINE_THRESHOLD",
     "QUARANTINE_PROBE_AFTER",
 ]
-
-#: delivery engine selectors: ``auto`` dispatches to the vectorised kernel
-#: whenever its preconditions hold (see :mod:`repro.simulate.vector_engine`)
-#: and falls back to the classic loop otherwise; ``classic`` forces the
-#: reference loop; ``vector`` forces the kernel and raises when it cannot run
-ENGINES = ("auto", "classic", "vector")
 
 #: integrity protocol (byzantine link faults, see
 #: :meth:`SynchronousNetwork.corrupt_link`): how many times a message may
@@ -194,15 +187,11 @@ class SynchronousNetwork:
         link_capacity: int = 1,
         failed_links: Iterable[tuple[Node, Node]] | None = None,
         router: Router | str | None = None,
-        engine: str = "auto",
     ):
         if link_capacity < 1:
             raise ValueError(f"link capacity must be >= 1, got {link_capacity}")
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
         self.topology = topology
         self.link_capacity = link_capacity
-        self.engine = engine
         self.router = make_router(router).bind(self)
         self.failed: set[frozenset] = set()
         #: latency faults: link -> extra cycles per crossing (slow, not dead)
@@ -568,7 +557,6 @@ class SynchronousNetwork:
         recorder: Recorder | None = None,
         faults: "FaultSchedule | None" = None,
         ttl: int | None = None,
-        engine: str | None = None,
     ) -> DeliveryStats:
         """Deliver all ``messages``, injected simultaneously at cycle 1.
 
@@ -582,7 +570,6 @@ class SynchronousNetwork:
             recorder=recorder,
             faults=faults,
             ttl=ttl,
-            engine=engine,
         )
 
     def deliver_scheduled(
@@ -593,7 +580,6 @@ class SynchronousNetwork:
         faults: "FaultSchedule | None" = None,
         ttl: int | None = None,
         fault_offset: int = 0,
-        engine: str | None = None,
     ) -> DeliveryStats:
         """Deliver messages with per-message injection cycles.
 
@@ -663,28 +649,34 @@ class SynchronousNetwork:
         Without ``faults``/``ttl`` the semantics are exactly historical:
         an unreachable destination raises :class:`UnreachableError`.
 
-        ``engine`` overrides the network's configured engine for this one
-        delivery (``"auto"`` / ``"classic"`` / ``"vector"``): ``auto``
-        dispatches to the struct-of-arrays kernel
-        (:mod:`repro.simulate.vector_engine`) whenever its preconditions
-        hold and the classic loop otherwise; ``vector`` raises
-        :class:`ValueError` when the kernel cannot run; ``classic`` always
-        uses the reference loop.  Both engines return bit-identical
-        :class:`DeliveryStats`.
+        The delivery runs on the struct-of-arrays kernel
+        (:func:`~repro.simulate.vector_engine.vector_deliver_scheduled`)
+        when :func:`~repro.simulate.vector_engine.vector_supported` finds
+        no blocker, and on :meth:`deliver_classic`, the reference loop,
+        otherwise.  Both return bit-identical :class:`DeliveryStats`.
         """
-        mode = self.engine if engine is None else engine
-        if mode not in ENGINES:
-            raise ValueError(f"unknown engine {mode!r}; choose from {ENGINES}")
         rec = recorder if recorder is not None and recorder.enabled else None
-        if mode != "classic":
-            why = vector_supported(self, rec, faults, ttl)
-            if why is None:
-                return vector_deliver_scheduled(self, schedule)
-            if mode == "vector":
-                raise ValueError(
-                    f"engine='vector' cannot run this delivery: {why}; "
-                    "use engine='auto' to fall back to the classic loop"
-                )
+        if vector_supported(self, rec, faults, ttl) is None:
+            return vector_deliver_scheduled(self, schedule)
+        return self.deliver_classic(
+            schedule, recorder=rec, faults=faults, ttl=ttl, fault_offset=fault_offset
+        )
+
+    def deliver_classic(
+        self,
+        schedule: list[tuple[int, Message]],
+        *,
+        recorder: Recorder | None = None,
+        faults: "FaultSchedule | None" = None,
+        ttl: int | None = None,
+        fault_offset: int = 0,
+    ) -> DeliveryStats:
+        """The reference loop :meth:`deliver_scheduled` falls back to.
+
+        Same arguments and semantics, one message at a time; the vector
+        kernel is diffed against it (``tests/test_vector_engine.py``).
+        """
+        rec = recorder if recorder is not None and recorder.enabled else None
         router = self.router
         adaptive = router.adaptive
         # events after the offset, in application order; cycle-0 events of

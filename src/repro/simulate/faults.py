@@ -167,6 +167,9 @@ class FaultEvent:
     def from_dict(cls, entry: dict) -> "FaultEvent":
         """Parse one event entry (no version gating — see
         :meth:`FaultSchedule.from_obj` for the document-level rules)."""
+        for key in ("cycle", "action", "u"):
+            if key not in entry:
+                raise ValueError(f"fault event is missing required field {key!r}")
         return cls(
             cycle=entry["cycle"],
             action=entry["action"],
@@ -235,6 +238,8 @@ class FaultSchedule:
                     f"unsupported fault-schedule version {version!r} "
                     f"(this build reads 1 and {FAULT_SCHEDULE_VERSION})"
                 )
+            if "events" not in obj:
+                raise ValueError("fault schedule is missing required field 'events'")
             entries = obj["events"]
         else:
             version = 1

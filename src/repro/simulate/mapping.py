@@ -77,7 +77,6 @@ def simulate_on_host(
     router: Router | str | None = None,
     faults: FaultSchedule | None = None,
     ttl: int | None = None,
-    engine: str = "auto",
 ) -> ExecutionStats | DegradedResult:
     """Execute ``program`` on ``embedding.host`` and return cycle counts.
 
@@ -110,16 +109,11 @@ def simulate_on_host(
     wrapping the :class:`ExecutionStats` with a
     :class:`~repro.simulate.faults.FaultReport` — undeliverable messages
     land in the report's ``failed`` map instead of raising or hanging.
-
-    ``engine`` selects the delivery engine (see
-    :data:`repro.simulate.engine.ENGINES`): the default ``"auto"``
-    dispatches each superstep to the vectorised kernel when its
-    preconditions hold and the classic loop otherwise.
     """
     if program.tree is not embedding.guest and program.tree.parent_array != embedding.guest.parent_array:
         raise ValueError("program and embedding use different guest trees")
     network = SynchronousNetwork(
-        embedding.host, link_capacity=link_capacity, router=router, engine=engine
+        embedding.host, link_capacity=link_capacity, router=router
     )
     host_name = getattr(embedding.host, "name", type(embedding.host).__name__)
     observing = recorder is not None and recorder.enabled
@@ -194,7 +188,6 @@ def simulate_on_guest(
     link_capacity: int = 1,
     recorder: Recorder | None = None,
     router: Router | str | None = None,
-    engine: str = "auto",
 ) -> ExecutionStats:
     """Execute the program on the guest tree itself (the reference machine).
 
@@ -238,5 +231,4 @@ def simulate_on_guest(
         link_capacity=link_capacity,
         recorder=recorder,
         router=router,
-        engine=engine,
     )

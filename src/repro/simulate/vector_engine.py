@@ -1,6 +1,6 @@
 """Struct-of-arrays fast path for the synchronous network engine.
 
-The classic :meth:`~repro.simulate.engine.SynchronousNetwork.deliver_scheduled`
+The classic :meth:`~repro.simulate.engine.SynchronousNetwork.deliver_classic`
 loop advances one Python ``Message`` object at a time: per cycle it walks
 every node's deque, calls ``next_hop`` per message, and resolves link
 contention with per-node dicts.  The paper's simulations are
@@ -32,7 +32,8 @@ max queue — gated by the Hypothesis parity suite
 The kernel covers the engine's *fast-path preconditions* only (checked by
 :func:`vector_supported`): deterministic routing, no recorder listening,
 no faults/TTL, no failed or slowed links, and a topology small enough for
-the dense tables.  Everything else falls back to the classic loop, which
+the dense tables.  Everything else runs on the classic loop,
+:meth:`~repro.simulate.engine.SynchronousNetwork.deliver_classic`, which
 remains the reference implementation.
 """
 
@@ -126,10 +127,11 @@ def vector_deliver_scheduled(
     """Run one fault-free, deterministic, unobserved delivery on the kernel.
 
     Semantically identical to the classic
-    :meth:`~repro.simulate.engine.SynchronousNetwork.deliver_scheduled`
-    fast path; callers go through the engine's dispatch, not this function
-    directly.  Raises :class:`~repro.simulate.engine.UnreachableError` for
-    a disconnected destination, exactly like the classic loop.
+    :meth:`~repro.simulate.engine.SynchronousNetwork.deliver_classic`
+    fast path, and run by ``deliver_scheduled`` whenever
+    :func:`vector_supported` finds no blocker.  Raises
+    :class:`~repro.simulate.engine.UnreachableError` for a disconnected
+    destination, exactly like the classic loop.
     """
     from .engine import DeliveryStats, UnreachableError
 

@@ -46,32 +46,16 @@ class TestSimulate:
         )
         assert rc == 0
 
-    def test_simulate_engine_flag(self, capsys):
-        outs = []
-        for engine in ("classic", "vector", "auto"):
-            rc = main(
-                ["simulate", "--height", "2", "--program", "reduction",
-                 "--engine", engine]
-            )
-            out = capsys.readouterr().out
-            assert rc == 0
-            assert f"engine {engine}" in out
-            # both engines must report the same cycle table
-            outs.append(out.split("\n", 1)[1])
-        assert outs[0] == outs[1] == outs[2]
-
-    def test_simulate_engine_vector_rejects_trace(self, tmp_path):
-        # forcing the kernel under a recorder is a contradiction: the
-        # dispatch refuses instead of silently dropping the trace
-        with pytest.raises(ValueError, match="engine='vector'"):
-            main(
-                ["simulate", "--height", "1", "--program", "reduction",
-                 "--engine", "vector", "--trace", str(tmp_path / "t.jsonl")]
-            )
-
-    def test_simulate_engine_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--height", "1", "--engine", "turbo"])
+    def test_simulate_traced_matches_untraced(self, capsys, tmp_path):
+        # the untraced run takes the vector kernel, the traced one the
+        # reference loop: both must print the same cycle table
+        args = ["simulate", "--height", "2", "--program", "reduction"]
+        tables = []
+        for extra in ([], ["--trace", str(tmp_path / "t.jsonl")]):
+            assert main(args + extra) == 0
+            lines = capsys.readouterr().out.splitlines()[1:]
+            tables.append([l for l in lines if not l.startswith("wrote trace")])
+        assert tables[0] == tables[1]
 
 
 class TestParser:

@@ -88,6 +88,16 @@ class TestFaultSchedule:
         )
         assert s.events[0].u == (2, 1) and s.events[0].v is None
 
+    @pytest.mark.parametrize("key", ["cycle", "action", "u", "events"])
+    def test_missing_field_named(self, key):
+        # a wire document missing a required key is a ValueError naming it
+        # (the service answers 400), never a bare KeyError
+        entry = {"cycle": 3, "action": "fail_node", "u": [2, 1]}
+        doc = {"version": 1, "events": [entry]}
+        (doc if key == "events" else entry).pop(key)
+        with pytest.raises(ValueError, match=f"missing required field '{key}'"):
+            FaultSchedule.from_obj(doc)
+
     def test_compose_and_shift(self):
         a = FaultSchedule.single_link(0, 1, fail_at=1)
         b = FaultSchedule.single_link(2, 3, fail_at=4)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.distances import all_pairs_distances
+from repro.analysis.distances import all_pairs_distances, reference_all_pairs_distances
 from repro.analysis.oracle import DistanceOracle, oracle_for
 from repro.networks import (
     Butterfly,
@@ -112,7 +112,7 @@ def test_registry_covers_every_topology_class():
 @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
 def test_oracle_matches_reference_engine(name):
     topology = registry_instances()[name]
-    reference = all_pairs_distances(topology, engine="python")
+    reference = reference_all_pairs_distances(topology)
     oracle = DistanceOracle(topology)
     assert (oracle.all_pairs() == reference).all()
     # batched pair queries agree on every pair, including (i, i)
@@ -128,11 +128,8 @@ def test_oracle_matches_reference_engine(name):
 def test_all_pairs_distances_engines_agree():
     for topology in registry_instances().values():
         assert (
-            all_pairs_distances(topology)
-            == all_pairs_distances(topology, engine="python")
+            all_pairs_distances(topology) == reference_all_pairs_distances(topology)
         ).all()
-    with pytest.raises(ValueError, match="unknown engine"):
-        all_pairs_distances(XTree(2), engine="bogus")
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +161,7 @@ def test_row_cache_lru_bounded(monkeypatch):
     assert not r9.flags.writeable  # cached rows are frozen
     # rows() reuses the cache and survives batches larger than the cache
     batch = oracle.rows(np.arange(10))
-    ref = all_pairs_distances(g, engine="python")
+    ref = reference_all_pairs_distances(g)
     assert (batch == ref[:10]).all()
 
 

@@ -393,6 +393,21 @@ class TestCheckpointRestore:
         assert Runtime.restore(legacy).run().as_dict() == full
         assert Runtime.restore(state).run().as_dict() == full
 
+    @pytest.mark.parametrize("legacy_engine", ["auto", "classic", "vector"])
+    def test_legacy_engine_key_ignored(self, legacy_engine):
+        # earlier builds stamped the delivery-engine choice into every
+        # checkpoint; all engines gave bit-identical results, so restore
+        # ignores it and new checkpoints no longer carry it
+        full = two_job_runtime().run().as_dict()
+        rt = two_job_runtime()
+        for _ in range(3):
+            rt.step()
+        state = json.loads(json.dumps(rt.checkpoint()))
+        assert "engine" not in state
+        legacy = dict(state, engine=legacy_engine)
+        assert Runtime.restore(legacy).run().as_dict() == full
+        assert Runtime.restore(state).run().as_dict() == full
+
     def test_restore_rejects_unknown_version(self):
         state = two_job_runtime().checkpoint()
         state["version"] = 99

@@ -118,6 +118,16 @@ class TestScenario:
         with pytest.raises(ValueError, match="checkpoint_every"):
             Scenario.from_obj(doc(checkpoint_every=0))
 
+    @pytest.mark.parametrize("legacy", ["auto", "classic", "vector"])
+    def test_legacy_engine_field_ignored(self, legacy):
+        # the retired engine selector only picked between bit-identical
+        # delivery paths: old documents still parse, to the same scenario
+        sc = Scenario.from_obj(doc(engine=legacy))
+        assert sc == Scenario.from_obj(BASE_DOC)
+        assert "engine" not in sc.as_dict()
+        assert run_scenario(sc).as_dict() == run_scenario(
+            Scenario.from_obj(BASE_DOC)).as_dict()
+
     def test_duplicate_job_names_rejected(self):
         jobs = [dict(BASE_DOC["jobs"][0]), dict(BASE_DOC["jobs"][0])]
         with pytest.raises(ValueError, match="duplicate job names"):
@@ -355,6 +365,16 @@ class TestApi:
         assert lines, "trace endpoint returned nothing"
         kinds = {rec.get("kind") for rec in lines}
         assert "inject" in kinds or "deliver" in kinds
+
+    def test_malformed_fault_schedule_is_400(self, service):
+        hot_spot = json.loads((SCENARIOS / "hot_spot.json").read_text())
+        event = {"cycle": 1, "action": "fail_node"}
+        for faults, field in (({"version": 1}, "events"),
+                              ({"events": [event]}, "u")):
+            with pytest.raises(ServiceError) as exc:
+                service.submit(dict(hot_spot, faults=faults))
+            assert exc.value.status == 400
+            assert f"missing required field '{field}'" in str(exc.value)
 
     def test_error_contract(self, service):
         with pytest.raises(ServiceError) as exc:

@@ -2,11 +2,12 @@
 
 The vector kernel (:mod:`repro.simulate.vector_engine`) must return
 *bit-identical* :class:`~repro.simulate.engine.DeliveryStats` to the
-classic reference loop on every delivery it accepts — these tests are the
-gate: random schedules over every registry topology, the adversarial
-programs through real embeddings, dispatch/fallback behaviour, the dense
-next-hop tables against the classic neighbour scan, and the runtime's
-cross-job batching split.
+classic reference loop (``SynchronousNetwork.deliver_classic``) on every
+delivery it accepts — these tests are the gate: random schedules over
+every registry topology, the adversarial programs through real
+embeddings, dispatch/fallback behaviour, the dense next-hop tables
+against the classic neighbour scan, and the runtime's cross-job batching
+split.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.networks import XTree, registry_instances
 from repro.obs import NullRecorder, TraceRecorder
 from repro.runtime import JobSpec, Runtime
 from repro.simulate import (
-    ENGINES,
     PROGRAMS,
     Message,
     SynchronousNetwork,
@@ -32,6 +32,7 @@ from repro.simulate import (
     simulated_reduction,
 )
 from repro.simulate.faults import FaultSchedule
+from repro.simulate.vector_engine import vector_deliver_scheduled, vector_supported
 from repro.trees import make_tree
 
 TOPOS = registry_instances(2)
@@ -54,10 +55,22 @@ def assert_stats_equal(a, b):
 def both_engines(topology, schedule, link_capacity=1):
     classic = SynchronousNetwork(topology, link_capacity=link_capacity)
     vector = SynchronousNetwork(topology, link_capacity=link_capacity)
+    assert vector_supported(vector, None, None, None) is None
     return (
-        classic.deliver_scheduled(list(schedule), engine="classic"),
-        vector.deliver_scheduled(list(schedule), engine="vector"),
+        classic.deliver_classic(list(schedule)),
+        vector_deliver_scheduled(vector, list(schedule)),
     )
+
+
+def classic_then_vector(monkeypatch, run):
+    """``run()`` twice: on the reference loop (the dispatch predicate
+    patched to report a blocker), then as dispatched, on the kernel."""
+    import repro.simulate.engine as engine_mod
+
+    with monkeypatch.context() as m:
+        m.setattr(engine_mod, "vector_supported", lambda *args: "forced")
+        classic = run()
+    return classic, run()
 
 
 @st.composite
@@ -128,11 +141,11 @@ class TestScheduleParity:
         a, b = list(topology.nodes())[:2]
         net = SynchronousNetwork(topology)
         with pytest.raises(ValueError, match="duplicate msg_id"):
-            net.deliver_scheduled(
-                [(0, Message(0, a, b)), (1, Message(0, b, a))], engine="vector"
+            vector_deliver_scheduled(
+                net, [(0, Message(0, a, b)), (1, Message(0, b, a))]
             )
         with pytest.raises(ValueError, match="non-negative"):
-            net.deliver_scheduled([(-1, Message(0, a, b))], engine="vector")
+            vector_deliver_scheduled(net, [(-1, Message(0, a, b))])
 
 
 class TestProgramParity:
@@ -140,47 +153,35 @@ class TestProgramParity:
 
     @pytest.mark.parametrize("program", sorted(PROGRAMS))
     @pytest.mark.parametrize("barrier", [True, False])
-    def test_supersteps_bit_identical(self, program, barrier):
+    def test_supersteps_bit_identical(self, program, barrier, monkeypatch):
         tree = make_tree("random", 48, seed=3)  # 16*(2^2-1): Theorem 1 size
         embedding = theorem1_embedding(tree).embedding
-        runs = [
-            simulate_on_host(
-                PROGRAMS[program](embedding.guest),
-                embedding,
-                barrier=barrier,
-                engine=engine,
-            )
-            for engine in ("classic", "vector")
-        ]
+        runs = classic_then_vector(
+            monkeypatch,
+            lambda: simulate_on_host(
+                PROGRAMS[program](embedding.guest), embedding, barrier=barrier
+            ),
+        )
         assert runs[0].total_cycles == runs[1].total_cycles
         assert runs[0].per_superstep_cycles == runs[1].per_superstep_cycles
         assert runs[0].max_link_traffic == runs[1].max_link_traffic
         assert runs[0].max_queue == runs[1].max_queue
 
-    def test_compute_results_identical(self):
+    def test_compute_results_identical(self, monkeypatch):
         tree = make_tree("random", 48, seed=5)
         embedding = theorem1_embedding(tree).embedding
         values = list(range(tree.n))
-        assert simulated_reduction(
-            embedding, values, engine="classic"
-        ) == simulated_reduction(embedding, values, engine="vector")
-        assert simulated_prefix(
-            embedding, values, engine="classic"
-        ) == simulated_prefix(embedding, values, engine="vector")
+        for compute in (simulated_reduction, simulated_prefix):
+            classic, vector = classic_then_vector(
+                monkeypatch, lambda: compute(embedding, values)
+            )
+            assert classic == vector
 
 
 class TestDispatch:
     def _schedule(self, topology):
         a, b = list(topology.nodes())[:2]
         return [(0, Message(0, a, b))]
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            SynchronousNetwork(TOPOS["xtree"], engine="simd")
-        net = SynchronousNetwork(TOPOS["xtree"])
-        with pytest.raises(ValueError, match="unknown engine"):
-            net.deliver_scheduled(self._schedule(TOPOS["xtree"]), engine="simd")
-        assert set(ENGINES) == {"auto", "classic", "vector"}
 
     def test_auto_uses_vector_when_supported(self, monkeypatch):
         import repro.simulate.engine as engine_mod
@@ -198,8 +199,7 @@ class TestDispatch:
 
     def test_auto_falls_back_silently(self, monkeypatch):
         """Recorder / faults / ttl / adaptive router / failed links all
-        force the classic loop under engine='auto' (and raise under
-        engine='vector')."""
+        force the classic loop, and the dispatch predicate names each."""
         import repro.simulate.engine as engine_mod
 
         monkeypatch.setattr(
@@ -221,16 +221,24 @@ class TestDispatch:
             (SynchronousNetwork(topology, router="adaptive"), {}),
             (SynchronousNetwork(topology, failed_links=[(u, v)]), {}),
         ]
-        for net, kwargs in cases:
+        blockers = ["recorder", "TTL", "FaultSchedule", "adaptive", "failed"]
+        for (net, kwargs), blocker in zip(cases, blockers):
             stats = net.deliver_scheduled(list(schedule), **kwargs)
             assert stats.n_messages == 1
-            with pytest.raises(ValueError, match="engine='vector' cannot run"):
-                net.deliver_scheduled(list(schedule), engine="vector", **kwargs)
+            why = vector_supported(
+                net, kwargs.get("recorder"), kwargs.get("faults"), kwargs.get("ttl")
+            )
+            assert blocker in why, why
 
-    def test_null_recorder_still_vectorises(self):
+    def test_null_recorder_still_vectorises(self, monkeypatch):
+        monkeypatch.setattr(
+            SynchronousNetwork,
+            "deliver_classic",
+            lambda *a, **k: pytest.fail("NullRecorder delivery took the classic loop"),
+        )
         topology = TOPOS["xtree"]
         stats = SynchronousNetwork(topology).deliver_scheduled(
-            self._schedule(topology), recorder=NullRecorder(), engine="vector"
+            self._schedule(topology), recorder=NullRecorder()
         )
         assert stats.delivery_cycle == {0: 1}
 
@@ -241,11 +249,8 @@ class TestDispatch:
         topology = TOPOS["xtree"]
         schedule = self._schedule(topology)
         net = SynchronousNetwork(topology)
-        with pytest.raises(ValueError, match="VECTOR_MAX_NODES"):
-            net.deliver_scheduled(list(schedule), engine="vector")
-        classic = SynchronousNetwork(topology).deliver_scheduled(
-            list(schedule), engine="classic"
-        )
+        assert "VECTOR_MAX_NODES" in vector_supported(net, None, None, None)
+        classic = SynchronousNetwork(topology).deliver_classic(list(schedule))
         assert_stats_equal(net.deliver_scheduled(list(schedule)), classic)
 
 
@@ -380,18 +385,8 @@ class TestBlockerAggregation:
         assert reason.count(";") >= 6, reason
 
     def test_supported_when_clean(self):
-        from repro.simulate.vector_engine import vector_supported
-
         net = SynchronousNetwork(TOPOS["xtree"])
         assert vector_supported(net, None, None, None) is None
-
-    def test_vector_error_lists_every_blocker(self):
-        topology = TOPOS["xtree"]
-        net = SynchronousNetwork(topology, router="adaptive")
-        with pytest.raises(ValueError, match="adaptive.*recorder|recorder.*adaptive"):
-            net.deliver_scheduled(
-                self._msg(topology), recorder=TraceRecorder(), engine="vector"
-            )
 
     def test_bound_is_inclusive(self, monkeypatch):
         # a topology of exactly VECTOR_MAX_NODES nodes still vectorises
@@ -399,13 +394,11 @@ class TestBlockerAggregation:
 
         topology = TOPOS["xtree"]
         monkeypatch.setattr(vec_mod, "VECTOR_MAX_NODES", topology.n_nodes)
-        stats = SynchronousNetwork(topology).deliver_scheduled(
-            self._msg(topology), engine="vector"
-        )
-        assert stats.n_messages == 1
+        net = SynchronousNetwork(topology)
+        assert vector_supported(net, None, None, None) is None
+        assert vector_deliver_scheduled(net, self._msg(topology)).n_messages == 1
         below = topology.n_nodes - 1
         monkeypatch.setattr(vec_mod, "VECTOR_MAX_NODES", below)
-        with pytest.raises(ValueError, match=rf"VECTOR_MAX_NODES = {below}\)"):
-            SynchronousNetwork(topology).deliver_scheduled(
-                self._msg(topology), engine="vector"
-            )
+        assert f"VECTOR_MAX_NODES = {below})" in vector_supported(
+            net, None, None, None
+        )
