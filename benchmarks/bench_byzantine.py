@@ -13,7 +13,7 @@ backoff, EWMA-driven link quarantine) plus one regression anchor:
 * **byzantine-free bit-identity** — the PR 7 reference scenarios re-run
   on this build must reproduce the makespans committed in
   ``BENCH_PR7.json`` exactly: the protocol must be invisible when no
-  byzantine event exists (the fast path is untouched).
+  byzantine event exists (the non-byzantine path is untouched).
 * **1% corruption overhead** — every link of the host corrupts each
   crossing with probability 0.01; the hotspot workload must still
   complete every message at most ``MAX_BYZANTINE_SLOWDOWN`` (2.0x) the

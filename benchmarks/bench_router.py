@@ -1,6 +1,6 @@
-"""Adaptive-routing benchmark: hot-spot makespan and zero-cost default (PR 3).
+"""Adaptive-routing benchmark: hot-spot makespan and unchanged default.
 
-Two families of measurements:
+Three measurements:
 
 * **hot-spot makespan** — the acceptance gate: on adversarial workloads
   (every node bombarding one hot destination; bit-reversal permutations)
@@ -9,11 +9,10 @@ Two families of measurements:
   ``MIN_HOTSPOT_IMPROVEMENT_PCT`` (15%) on every gated workload.  Cycle
   counts are exact and machine-independent — they double as the regression
   record ``benchmarks/check_regression.py`` tracks in CI.
-* **deterministic default unchanged** — the refactor gate: with the
-  default router the engine must produce ``DeliveryStats`` *bit-identical*
-  to ``legacy_deliver_scheduled`` (the pre-router loop, imported from
-  ``bench_obs``) on a randomised corpus, and stay within
-  ``MAX_DETERMINISTIC_OVERHEAD_PCT`` (5%) of its wall-clock time.
+* **deterministic default unchanged** — the refactor gate: the default
+  router and the explicitly named deterministic one must produce
+  ``DeliveryStats`` *bit-identical* to the reference loop
+  (``SynchronousNetwork.deliver_classic``) on a randomised corpus.
 * **detour under faults** — ``detour_faulted_hotspot``: with two of the
   hot node's incident links failed mid-delivery (a
   :class:`~repro.simulate.faults.FaultSchedule`), ``detour_budget=2``
@@ -49,11 +48,10 @@ import argparse
 import json
 import random
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_obs import _best_of_pair, _stats_key, legacy_deliver_scheduled, make_workloads
+from bench_obs import _stats_key
 
 from repro.core import theorem1_embedding
 from repro.networks import Hypercube, XTree
@@ -69,7 +67,6 @@ from repro.simulate.mapping import simulate_on_host
 from repro.trees import make_tree, theorem1_guest_size
 
 MIN_HOTSPOT_IMPROVEMENT_PCT = 15.0
-MAX_DETERMINISTIC_OVERHEAD_PCT = 5.0
 MIN_DETOUR_IMPROVEMENT_PCT = 8.0
 
 #: interior X-tree hot nodes (level, position) per height — picked off the
@@ -174,7 +171,7 @@ def bench_detour_faulted(r: int, *, gated: bool) -> dict:
 
 
 def check_deterministic_identity(n_schedules: int, seed: int = 0) -> dict:
-    """Default router == explicit deterministic == pre-router legacy loop.
+    """Default router == explicit deterministic == the reference loop.
 
     Random multi-hop schedules over an X-tree and a hypercube; every
     ``DeliveryStats`` field must match bit-for-bit (the refactor gate).
@@ -192,8 +189,8 @@ def check_deterministic_identity(n_schedules: int, seed: int = 0) -> dict:
             named = SynchronousNetwork(host, router="deterministic").deliver_scheduled(
                 schedule
             )
-            legacy = legacy_deliver_scheduled(SynchronousNetwork(host), schedule)
-            if not (_stats_key(default) == _stats_key(named) == _stats_key(legacy)):
+            reference = SynchronousNetwork(host).deliver_classic(schedule)
+            if not (_stats_key(default) == _stats_key(named) == _stats_key(reference)):
                 return {"name": "deterministic_identity", "checked": checked,
                         "identical": False, "gated": True}
             checked += 1
@@ -205,35 +202,7 @@ def check_deterministic_identity(n_schedules: int, seed: int = 0) -> dict:
     }
 
 
-def bench_overhead(r: int, rounds: int, repeats: int) -> dict:
-    """Router-indirection cost with the default policy vs the legacy loop.
-
-    The engine keeps its direct ``next_hop`` fast path unless an adaptive
-    router is installed; this times the residual cost (one local bool per
-    message-cycle) on the same dense workload ``bench_obs`` gates on.
-    """
-    repeats = max(repeats, 35)  # the 5% gate wants many paired samples; runs are ~ms
-    host, dense, _ = make_workloads(r, rounds, gap=1000)
-    # deliver_classic: this gate measures the router indirection on the
-    # reference loop, not the vector kernel (bench_vector.py covers that)
-    net = SynchronousNetwork(host)
-    net.deliver_classic(dense)  # warm the routing tables
-    legacy, new, ratio = _best_of_pair(
-        lambda: legacy_deliver_scheduled(net, dense),
-        lambda: net.deliver_classic(dense),
-        repeats,
-    )
-    return {
-        "name": "deterministic_overhead",
-        "params": {"messages": len(dense), "host": host.name},
-        "legacy_s": legacy,
-        "new_s": new,
-        "overhead_pct": (ratio - 1.0) * 100.0,
-        "gated": True,
-    }
-
-
-def run(smoke: bool = False, repeats: int = 5) -> dict:
+def run(smoke: bool = False) -> dict:
     results = [
         bench_hotspot(
             "hypercube_hotspot", Hypercube(6), hotspot_schedule(Hypercube(6), 0),
@@ -268,8 +237,6 @@ def run(smoke: bool = False, repeats: int = 5) -> dict:
             bench_detour_faulted(6, gated=True),
         ]
     results.append(check_deterministic_identity(n_schedules=5 if smoke else 20))
-    results.append(bench_overhead(r=3 if smoke else 4, rounds=4 if smoke else 8,
-                                  repeats=repeats))
 
     ok = True
     for res in results:
@@ -279,14 +246,11 @@ def run(smoke: bool = False, repeats: int = 5) -> dict:
             ok &= res["improvement_pct"] >= res.get("gate_pct", MIN_HOTSPOT_IMPROVEMENT_PCT)
         if "identical" in res:
             ok &= res["identical"]
-        if "overhead_pct" in res:
-            ok &= res["overhead_pct"] <= MAX_DETERMINISTIC_OVERHEAD_PCT
     return {
         "bench": "router (PR 3)",
         "smoke": smoke,
         "python": sys.version.split()[0],
         "min_hotspot_improvement_pct": MIN_HOTSPOT_IMPROVEMENT_PCT,
-        "max_deterministic_overhead_pct": MAX_DETERMINISTIC_OVERHEAD_PCT,
         "results": results,
         "all_pass": ok,
     }
@@ -295,7 +259,6 @@ def run(smoke: bool = False, repeats: int = 5) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="small instances for CI")
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument(
         "--out",
         type=Path,
@@ -303,7 +266,7 @@ def main(argv=None) -> int:
         help="where to write the JSON record",
     )
     args = parser.parse_args(argv)
-    record = run(smoke=args.smoke, repeats=args.repeats)
+    record = run(smoke=args.smoke)
     for res in record["results"]:
         if "no_detour_cycles" in res:
             print(
@@ -317,23 +280,16 @@ def main(argv=None) -> int:
                 f"det {res['deterministic_cycles']:5d}  ada {res['adaptive_cycles']:5d}  "
                 f"improvement {res['improvement_pct']:+6.1f}%"
             )
-        elif "identical" in res:
+        else:
             print(f"{res['name']:<24} {str(res.get('params', '')):<42} "
                   f"identical: {res['identical']}")
-        else:
-            print(
-                f"{res['name']:<24} {str(res['params']):<42} "
-                f"legacy {res['legacy_s'] * 1e3:8.2f} ms   new {res['new_s'] * 1e3:8.2f} ms   "
-                f"overhead {res['overhead_pct']:+6.2f}%"
-            )
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {args.out}")
     if not record["all_pass"]:
         print(
             f"FAIL: a gated workload missed its bar "
             f"(>= {MIN_HOTSPOT_IMPROVEMENT_PCT}% hot-spot improvement, "
-            f"bit-identical deterministic stats, "
-            f"<= {MAX_DETERMINISTIC_OVERHEAD_PCT}% overhead)"
+            f"bit-identical deterministic stats)"
         )
         return 1
     return 0

@@ -132,7 +132,7 @@ def bench_single_job_overhead(r: int, repeats: int) -> dict:
 
     A full-size capacity-16 guest running ``neighbor_exchange`` — the
     densest per-superstep pattern a tree program has, and the same
-    steady-state workload ``bench_obs`` gates its overhead on.  Dense
+    steady-state workload ``bench_obs`` times its trace recorder on.  Dense
     supersteps are where engine cycles actually go, so the gate measures
     the scheduling layer rather than fixed per-superstep bookkeeping on
     near-empty padded-chain supersteps.  Embedding and program are

@@ -1,11 +1,11 @@
 """Vector-engine benchmark: speedup gate, 10^6-message run, parity corpus (PR 6).
 
-Three measurements for the struct-of-arrays fast path
+Three measurements for the struct-of-arrays kernel
 (:mod:`repro.simulate.vector_engine`):
 
-* **speedup gate** — classic vs vector engine on the dense pipelined
-  ``neighbor_exchange`` workload ``bench_obs`` gates on (one size up in
-  full mode); timed interleaved with the GC paused and gated on the
+* **speedup gate** — the reference loop vs the vector kernel on the dense
+  pipelined ``neighbor_exchange`` workload ``bench_obs`` builds (one size
+  up in full mode); timed interleaved with the GC paused and gated on the
   median of per-pair ratios (see ``bench_obs._best_of_pair``).  Full runs
   must clear ``MIN_SPEEDUP`` (10x); smoke runs gate at the conservative
   ``MIN_SPEEDUP_SMOKE`` because CI runners are slow and the smoke
@@ -64,9 +64,9 @@ CORPUS_TOPOLOGIES = ("xtree", "hypercube", "complete-binary-tree", "grid2d")
 # Speedup gate
 # ----------------------------------------------------------------------
 def bench_speedup(r: int, rounds: int, repeats: int, min_speedup: float) -> dict:
-    """Classic vs vector on the bench_obs dense pipelined workload."""
+    """Reference loop vs kernel on the bench_obs dense pipelined workload."""
     repeats = max(repeats, 9)
-    host, dense, _ = make_workloads(r, rounds, gap=1000)
+    host, dense = make_workloads(r, rounds)
     classic = SynchronousNetwork(host)
     vector = SynchronousNetwork(host)
     assert vector_supported(vector, None, None, None) is None

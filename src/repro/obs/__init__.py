@@ -6,9 +6,8 @@ how the library *sees* them.  Three independent facilities:
 
 * :class:`Recorder` / :class:`TraceRecorder` — per-cycle time series and
   per-message lifecycle events out of the network engine
-  (``SynchronousNetwork.deliver_scheduled``); the :class:`NullRecorder`
-  default is near-free (one predicate per event site, gated < 5% by
-  ``benchmarks/bench_obs.py``).
+  (``SynchronousNetwork.deliver_scheduled``); a :class:`NullRecorder` is
+  treated as no recorder, so the delivery still runs on the vector kernel.
 * :func:`span` / :func:`span_summary` — wall-clock timing of verification,
   simulation and oracle stages.
 * :func:`counter_inc` / :func:`counters` — named counters (e.g. the

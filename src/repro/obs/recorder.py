@@ -18,9 +18,9 @@ emits two kinds of signals through a :class:`Recorder`:
   of every active cycle.
 
 The default :class:`NullRecorder` keeps ``enabled = False``; the engine
-hoists that flag into a single local ``None`` check, so an uninstrumented
-delivery pays one predicate per event site and nothing else (the overhead
-is measured by ``benchmarks/bench_obs.py`` and gated at < 5%).
+normalises it to ``None`` at entry, so an unobserved delivery still runs
+on the vector kernel, and the reference loop pays one predicate per event
+site and nothing else.
 
 :class:`TraceRecorder` has two capture modes:
 

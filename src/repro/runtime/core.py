@@ -681,8 +681,7 @@ class Runtime:
             # probe entry), then the probe cycles and EWMA overlay on top
             for u, v, probe in integrity.get("quarantined", ()):
                 u, v = node_from_json(u), node_from_json(v)
-                if frozenset((u, v)) not in rt.network.failed:
-                    rt.network.fail_link(u, v)
+                rt.network.fail_link(u, v)
                 rt.network.quarantined[frozenset((u, v))] = probe
             for u, v, ewma in integrity.get("ewma", ()):
                 link = frozenset((node_from_json(u), node_from_json(v)))

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any, Hashable
 
 from ..networks.base import Topology, bfs_distances_from
 from ..obs import Recorder
+from .faults import FaultEvent
 from .routing import Router, make_router
 from .vector_engine import (
     fits_dense_tables,
@@ -34,8 +35,8 @@ from .vector_engine import (
     vector_supported,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .faults import FaultEvent, FaultSchedule
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from .faults import FaultSchedule
 
 __all__ = [
     "Message",
@@ -175,9 +176,9 @@ class SynchronousNetwork:
 
     ``router`` selects the next-hop policy (:mod:`repro.simulate.routing`):
     ``None`` / ``"deterministic"`` keep the historical smallest-index
-    shortest-path policy on the engine's direct fast path; ``"adaptive"``
-    (or any :class:`~repro.simulate.routing.Router` instance) routes each
-    hop through the policy object and feeds the engine's per-cycle link
+    shortest-path policy (:meth:`next_hop`); ``"adaptive"`` (or any
+    :class:`~repro.simulate.routing.Router` instance) routes each hop
+    through the policy object and feeds the engine's per-cycle link
     utilisation and queue occupancy back into it after every active cycle.
     """
 
@@ -210,6 +211,8 @@ class SynchronousNetwork:
         #: the fault-free classic path; ``False`` marks "topology too large"
         self._dense_nh = None
         self._dense_labels: list[Node] | None = None
+        #: label -> canonical index, built by the first delivery
+        self._label_index: dict[Node, int] | None = None
         #: True while deliver_scheduled runs — bare fail/heal calls are then
         #: rejected (use a FaultSchedule for mid-delivery faults)
         self._delivering = False
@@ -220,8 +223,9 @@ class SynchronousNetwork:
     # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------
-    def fail_link(self, u: Node, v: Node) -> None:
-        """Take the (bidirectional) link ``{u, v}`` down.
+    def fail_link(self, u: Node, v: Node) -> bool:
+        """Take the (bidirectional) link ``{u, v}`` down; False when it was
+        down already (then the call only cancels a quarantine probe heal).
 
         Must name an actual topology edge.  Routing tables are invalidated
         *incrementally*: only destinations whose cached distances actually
@@ -229,13 +233,14 @@ class SynchronousNetwork:
         stays exact, so unrelated traffic keeps its warm caches across
         faults.
         """
-        self._check_not_delivering("fail_link")
-        if v not in set(self.topology.neighbors(u)):
-            raise ValueError(f"{u!r} -- {v!r} is not a link of {self.topology.name}")
-        self.failed.add(frozenset((u, v)))
+        link = self._check_link(u, v, "fail_link")
         # an explicit failure outranks a quarantine: cancel the probe heal
-        self.quarantined.pop(frozenset((u, v)), None)
+        self.quarantined.pop(link, None)
+        if link in self.failed:
+            return False
+        self.failed.add(link)
         self._invalidate(u, v, healed=False)
+        return True
 
     def restore_link(self, u: Node, v: Node) -> None:
         """Bring a previously failed link back up.
@@ -248,27 +253,22 @@ class SynchronousNetwork:
         more.  Tables the link cannot improve (``|dist(u) - dist(v)| <= 1``)
         are kept.
         """
-        self._check_not_delivering("heal_link")
-        if v not in set(self.topology.neighbors(u)):
-            raise ValueError(f"{u!r} -- {v!r} is not a link of {self.topology.name}")
+        link = self._check_link(u, v, "heal_link")
         # a heal restores full function: latency and byzantine faults clear
         # too, and a quarantined link is pardoned outright (no probe needed)
-        link = frozenset((u, v))
         self.link_delays.pop(link, None)
         self.link_corruption.pop(link, None)
         self.link_flaky.pop(link, None)
         self.quarantined.pop(link, None)
         self.corruption_ewma.pop(link, None)
-        if link not in self.failed:
-            return  # already live: nothing changed, keep every warm table
-        self.failed.discard(link)
-        self._invalidate(u, v, healed=True)
+        self._revive_link(u, v)
 
     #: alias: fault-injection scripts read ``fail_link`` / ``heal_link``
     heal_link = restore_link
 
     def _revive_link(self, u: Node, v: Node) -> None:
-        """Quarantine probe heal: restore *routability* only.
+        """Restore *routability* only: the tail of :meth:`restore_link`, and
+        the quarantine probe heal.
 
         Unlike :meth:`restore_link` this keeps the link's byzantine state
         (corruption/flaky rates): the probe optimistically readmits the
@@ -277,7 +277,7 @@ class SynchronousNetwork:
         """
         link = frozenset((u, v))
         if link not in self.failed:
-            return
+            return  # already live: nothing changed, keep every warm table
         self.failed.discard(link)
         self._invalidate(u, v, healed=True)
 
@@ -295,18 +295,8 @@ class SynchronousNetwork:
         independent of forwarding order.  ``rate=0`` restores honest
         behaviour; :meth:`heal_link` also clears it.
         """
-        self._check_not_delivering("corrupt_link")
-        if v not in set(self.topology.neighbors(u)):
-            raise ValueError(f"{u!r} -- {v!r} is not a link of {self.topology.name}")
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"corruption rate must be in [0, 1], got {rate}")
-        link = frozenset((u, v))
-        if rate == 0.0:
-            self.link_corruption.pop(link, None)
-            if link not in self.link_flaky:
-                self.corruption_ewma.pop(link, None)
-        else:
-            self.link_corruption[link] = (rate, seed)
+        link = self._check_link(u, v, "corrupt_link")
+        self._set_rate(self.link_corruption, "corruption rate", link, rate, seed)
 
     def flaky_link(self, u: Node, v: Node, rate: float, seed: int = 0) -> None:
         """Make the (bidirectional) link *flaky*: each crossing silently
@@ -318,18 +308,22 @@ class SynchronousNetwork:
         retransmit path as a detected corruption).  ``rate=0`` restores
         honest behaviour; :meth:`heal_link` also clears it.
         """
-        self._check_not_delivering("flaky_link")
-        if v not in set(self.topology.neighbors(u)):
-            raise ValueError(f"{u!r} -- {v!r} is not a link of {self.topology.name}")
+        link = self._check_link(u, v, "flaky_link")
+        self._set_rate(self.link_flaky, "drop rate", link, rate, seed)
+
+    def _set_rate(
+        self, table: dict, what: str, link: frozenset, rate: float, seed: int
+    ) -> None:
+        """Set (``rate > 0``) or clear one byzantine rate of a link; its
+        corruption EWMA is forgotten once the link is honest on both counts."""
         if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"drop rate must be in [0, 1], got {rate}")
-        link = frozenset((u, v))
+            raise ValueError(f"{what} must be in [0, 1], got {rate}")
         if rate == 0.0:
-            self.link_flaky.pop(link, None)
-            if link not in self.link_corruption:
+            table.pop(link, None)
+            if link not in self.link_corruption and link not in self.link_flaky:
                 self.corruption_ewma.pop(link, None)
         else:
-            self.link_flaky[link] = (rate, seed)
+            table[link] = (rate, seed)
 
     def delay_link(self, u: Node, v: Node, delay: int) -> None:
         """Make the (bidirectional) link slow: every crossing now takes
@@ -341,22 +335,23 @@ class SynchronousNetwork:
         repair is warranted — a slow link delivers, just late.  ``delay=0``
         restores full speed; :meth:`heal_link` also clears a delay.
         """
-        self._check_not_delivering("delay_link")
-        if v not in set(self.topology.neighbors(u)):
-            raise ValueError(f"{u!r} -- {v!r} is not a link of {self.topology.name}")
+        link = self._check_link(u, v, "delay_link")
         if delay < 0:
             raise ValueError(f"link delay must be >= 0 extra cycles, got {delay}")
         if delay == 0:
-            self.link_delays.pop(frozenset((u, v)), None)
+            self.link_delays.pop(link, None)
         else:
-            self.link_delays[frozenset((u, v))] = delay
+            self.link_delays[link] = delay
 
-    def fail_node(self, node: Node) -> None:
-        """Take a whole processor down: fail every live incident link."""
+    def fail_node(self, node: Node) -> list[tuple[Node, Node]]:
+        """Take a whole processor down: fail every live incident link, and
+        return those links."""
         if not self.topology.has_node(node):
             raise ValueError(f"{node!r} is not a node of {self.topology.name}")
-        for v in list(self.live_neighbors(node)):
-            self.fail_link(node, v)
+        links = [(node, v) for v in self.live_neighbors(node)]
+        for u, v in links:
+            self.fail_link(u, v)
+        return links
 
     def heal_node(self, node: Node) -> None:
         """Bring a processor back: heal every incident link.
@@ -371,14 +366,15 @@ class SynchronousNetwork:
             if frozenset((node, v)) in self.failed:
                 self.restore_link(node, v)
 
-    def _check_not_delivering(self, what: str) -> None:
-        """Reject bare fault calls while a delivery is running.
+    def _check_link(self, u: Node, v: Node, what: str) -> frozenset:
+        """The link ``{u, v}`` for the direct fault call ``what``.
 
-        Before the fault subsystem existed, calling ``fail_link`` from a
-        recorder hook (or any other callback reached mid-delivery) silently
-        left queued messages routed via whatever tables they had already
-        consulted that cycle — neither the old nor the new routes, and not
-        reproducible.  Mid-delivery faults must go through a
+        Must name a topology edge, and is rejected while a delivery is
+        running: before the fault subsystem existed, calling ``fail_link``
+        from a recorder hook (or any other callback reached mid-delivery)
+        silently left queued messages routed via whatever tables they had
+        already consulted that cycle — neither the old nor the new routes,
+        and not reproducible.  Mid-delivery faults must go through a
         :class:`~repro.simulate.faults.FaultSchedule`, which the engine
         applies at well-defined cycle boundaries.
         """
@@ -390,6 +386,9 @@ class SynchronousNetwork:
                 "boundaries (direct calls would leave in-flight messages on "
                 "stale routes)"
             )
+        if v not in self.topology.neighbors(u):
+            raise ValueError(f"{u!r} -- {v!r} is not a link of {self.topology.name}")
+        return frozenset((u, v))
 
     def _apply_fault_event(self, ev: "FaultEvent") -> list[tuple[Node, Node]]:
         """Apply one schedule event; return the links that newly failed.
@@ -403,18 +402,8 @@ class SynchronousNetwork:
         try:
             newly_failed: list[tuple[Node, Node]] = []
             if ev.action == "fail_link":
-                if frozenset((ev.u, ev.v)) not in self.failed:
-                    self.fail_link(ev.u, ev.v)
+                if self.fail_link(ev.u, ev.v):
                     newly_failed.append((ev.u, ev.v))
-                elif ev.v not in set(self.topology.neighbors(ev.u)):
-                    raise ValueError(
-                        f"{ev.u!r} -- {ev.v!r} is not a link of {self.topology.name}"
-                    )
-                else:
-                    # failing an already-down link is a no-op, except that
-                    # an explicit fail on a quarantined link cancels its
-                    # probe heal (the failure outranks the quarantine)
-                    self.quarantined.pop(frozenset((ev.u, ev.v)), None)
             elif ev.action == "heal_link":
                 self.restore_link(ev.u, ev.v)
             elif ev.action == "delay_link":
@@ -424,11 +413,7 @@ class SynchronousNetwork:
             elif ev.action == "flaky_link":
                 self.flaky_link(ev.u, ev.v, ev.rate, ev.seed)
             elif ev.action == "fail_node":
-                if not self.topology.has_node(ev.u):
-                    raise ValueError(f"{ev.u!r} is not a node of {self.topology.name}")
-                for v in list(self.live_neighbors(ev.u)):
-                    self.fail_link(ev.u, v)
-                    newly_failed.append((ev.u, v))
+                newly_failed = self.fail_node(ev.u)
             else:  # heal_node
                 self.heal_node(ev.u)
             return newly_failed
@@ -600,10 +585,10 @@ class SynchronousNetwork:
         default ``None`` / :class:`~repro.obs.NullRecorder` path costs one
         predicate per event site.
 
-        Every ``msg_id`` in the schedule must be unique: ``delivery_cycle``
-        and the trace event chains are keyed by it, so a duplicate would
-        silently overwrite an earlier delivery record.  Duplicates raise
-        :class:`ValueError` before anything is injected.
+        Every ``msg_id`` in the schedule must be unique (``delivery_cycle``
+        and the trace event chains are keyed by it), every injection cycle
+        non-negative and every endpoint a host node; otherwise
+        :class:`ValueError`, naming the message, before anything is injected.
 
         **Fault-tolerant mode** — active when ``faults`` and/or ``ttl`` is
         given (see :mod:`repro.simulate.faults`):
@@ -675,6 +660,8 @@ class SynchronousNetwork:
 
         Same arguments and semantics, one message at a time; the vector
         kernel is diffed against it (``tests/test_vector_engine.py``).
+        Every message takes the one forwarding path below; the byzantine
+        integrity protocol lives in :class:`_Integrity`.
         """
         rec = recorder if recorder is not None and recorder.enabled else None
         router = self.router
@@ -700,55 +687,28 @@ class SynchronousNetwork:
             self.link_corruption or self.link_flaky or self.quarantined
         ) or any(e.action in ("corrupt_link", "flaky_link") for e in fev)
         fault_mode = faults is not None or ttl is not None or byz
-        # messages crossing a slow link, keyed by the cycle they arrive
-        in_transit: dict[int, list[tuple[Node, tuple[int, Message]]]] = {}
         stats = DeliveryStats(cycles=0, n_messages=len(schedule))
+        inject_list, messages, _, _, _ = self._split_schedule(schedule, stats)
+        integ = _Integrity(self, stats, rec, fault_offset, messages) if byz else None
+        if rec is not None:
+            for inject, m in schedule:
+                if m.src == m.dst:  # delivered free at injection
+                    rec.on_inject(inject, m)
+                    rec.on_delivered(inject, m, m.dst)
+        # pending[k] holds the (seq, message) pairs injected after cycle k;
+        # seq, the position among routed messages, is the FIFO tie-break
+        pending: dict[int, list[tuple[int, Message]]] = defaultdict(list)
+        for seq, (inject, m) in enumerate(zip(inject_list, messages)):
+            pending[inject].append((seq, m))
+        seq = len(messages)
         # queues[node] holds (seq, message) tuples in FIFO order
         queues: dict[Node, deque[tuple[int, Message]]] = defaultdict(deque)
-        pending: dict[int, list[tuple[int, Message]]] = defaultdict(list)
+        # messages crossing a slow link, keyed by the cycle they arrive
+        in_transit: dict[int, list[tuple[Node, tuple[int, Message]]]] = {}
         # fault-mode bookkeeping: injection cycle per message (TTL) and the
         # computed-but-unsent next hop of queued messages (reroute events)
         inject_at: dict[int, int] = {}
         planned: dict[int, tuple[Node, Node, Message]] = {}
-        # integrity protocol (byzantine mode only): the payload word each
-        # routed message currently carries, its pristine value (simulator
-        # ground truth), the checksum injected at source, retransmission
-        # attempts, the per-message byzantine-crossing counter salting the
-        # coins, and the backoff pool of retransmissions keyed by the
-        # cycle they re-enter their source queue
-        word: dict[int, int] = {}
-        orig_word: dict[int, int] = {}
-        checksum: dict[int, int] = {}
-        attempts: dict[int, int] = {}
-        crossings: dict[int, int] = {}
-        retrans: dict[int, list[Message]] = {}
-        to_quarantine: list[frozenset] = []
-        seq = 0
-        last_self = 0
-        seen_ids: set[int] = set()
-        for inject, m in schedule:
-            if inject < 0:
-                raise ValueError("injection cycle must be non-negative")
-            if m.msg_id in seen_ids:
-                raise ValueError(
-                    f"duplicate msg_id {m.msg_id} in schedule: delivery stats "
-                    "and traces are keyed by msg_id, so ids must be unique"
-                )
-            seen_ids.add(m.msg_id)
-            if m.src == m.dst:
-                stats.delivery_cycle[m.msg_id] = inject
-                last_self = max(last_self, inject)
-                if rec is not None:
-                    rec.on_inject(inject, m)
-                    rec.on_delivered(inject, m, m.dst)
-                continue
-            if byz:
-                w = _payload_word(m)
-                word[m.msg_id] = orig_word[m.msg_id] = w
-                checksum[m.msg_id] = _checksum(w)
-            pending[inject].append((seq, m))
-            seq += 1
-
         if adaptive:
             router.begin_delivery()
             cycle_links: Counter = Counter()
@@ -769,35 +729,8 @@ class SynchronousNetwork:
         link_capacity = self.link_capacity
         link_traffic = stats.link_traffic
         delivery_cycle = stats.delivery_cycle
-        topo_index = self.topology.index
+        flipped = integ.flipped if integ is not None else ()
         max_queue = 0
-        fast = not fault_mode and not adaptive and rec is None and not delayed
-
-        def _integrity_reject(m: Message, at: Node, cycle: int) -> None:
-            # corrupted at arrival, or dropped in transit by a flaky link:
-            # schedule a pristine retransmission from source after
-            # exponential backoff, or fail the message with reason
-            # "integrity" once retries exhaust — a *detected-wrong-data*
-            # failure, distinct from the fail-stop "ttl"/"partitioned"
-            nonlocal in_network
-            mid = m.msg_id
-            attempt = attempts.get(mid, 0) + 1
-            if attempt > INTEGRITY_MAX_RETRIES:
-                stats.failed[mid] = "integrity"
-                planned.pop(mid, None)
-                in_network -= 1
-                for state in (word, orig_word, checksum, attempts, crossings):
-                    state.pop(mid, None)
-                if rec is not None:
-                    rec.on_dropped(cycle, m, at, "integrity")
-                return
-            attempts[mid] = attempt
-            stats.n_retransmits += 1
-            word[mid] = orig_word[mid]
-            back = min(1 << (attempt - 1), RETRANSMIT_BACKOFF_CAP)
-            retrans.setdefault(cycle + back, []).append(m)
-            if rec is not None:
-                rec.on_retransmit(cycle, m, attempt)
         self._delivering = True
         try:
             while in_network or inj_ptr < n_inj:
@@ -823,40 +756,14 @@ class SynchronousNetwork:
                     if rec is not None:
                         rec.on_fault(cycle, ev.action, ev.u, ev.v)
                     if newly_failed and planned:
-                        dead = {frozenset(l) for l in newly_failed}
-                        for msg_id, (at, hop, msg) in list(planned.items()):
-                            if frozenset((at, hop)) in dead:
-                                del planned[msg_id]
-                                stats.n_reroutes += 1
-                                if rec is not None:
-                                    rec.on_reroute(cycle, msg, at)
-                if byz:
-                    if self.quarantined and min(self.quarantined.values()) - fault_offset <= cycle:
-                        # probe heals due at this boundary: optimistically
-                        # readmit the link to the route set (its byzantine
-                        # state is kept — still corrupting means the EWMA
-                        # climbs and it re-quarantines)
-                        due = sorted(
-                            (
-                                l
-                                for l, c in self.quarantined.items()
-                                if c - fault_offset <= cycle
-                            ),
-                            key=lambda l: sorted(map(topo_index, l)),
-                        )
-                        for link in due:
-                            del self.quarantined[link]
-                            u, v = sorted(link, key=topo_index)
-                            self._revive_link(u, v)
-                            if rec is not None:
-                                rec.on_quarantine(cycle, u, v, "probe_heal")
-                    if retrans and min(retrans) <= cycle:
-                        for t in sorted(k for k in retrans if k <= cycle):
-                            for m in retrans.pop(t):
-                                # a retransmitted copy re-enters at the back
-                                # of its source FIFO with a fresh sequence
-                                queues[m.src].append((seq, m))
-                                seq += 1
+                        dead = {frozenset(link) for link in newly_failed}
+                        _reroute(planned, dead, cycle, stats, rec)
+                if integ is not None:
+                    for m in integ.at_boundary(cycle):
+                        # a retransmitted copy re-enters at the back of its
+                        # source FIFO with a fresh sequence
+                        queues[m.src].append((seq, m))
+                        seq += 1
                 moved_any = False
                 arrivals: dict[Node, list[tuple[int, Message]]] = defaultdict(list)
                 for node in list(queues):
@@ -867,131 +774,69 @@ class SynchronousNetwork:
                         max_queue = len(q)
                     sent_per_link: dict[Node, int] = defaultdict(int)
                     kept: deque[tuple[int, Message]] = deque()
-                    if fast:
-                        # the common configuration (deterministic router, no
-                        # recorder, no faults) forwards with zero bookkeeping
-                        # beyond the stats — branch-identical to the
-                        # uninstrumented engine the overhead gates compare to
-                        while q:
-                            s, m = q.popleft()
-                            hop = next_hop(node, m.dst)
-                            if sent_per_link[hop] < link_capacity:
-                                sent_per_link[hop] += 1
-                                key = (node, hop)
-                                link_traffic[key] = link_traffic.get(key, 0) + 1
-                                arrivals[hop].append((s, m))
-                            else:
-                                kept.append((s, m))
-                        queues[node] = kept
-                        continue
                     while q:
                         s, m = q.popleft()
-                        if fault_mode:
-                            if ttl is not None and cycle - inject_at[m.msg_id] > ttl:
-                                stats.failed[m.msg_id] = "ttl"
-                                planned.pop(m.msg_id, None)
-                                in_network -= 1
+                        if ttl is not None and cycle - inject_at[m.msg_id] > ttl:
+                            stats.failed[m.msg_id] = "ttl"
+                            planned.pop(m.msg_id, None)
+                            in_network -= 1
+                            if rec is not None:
+                                rec.on_dropped(cycle, m, node, "ttl")
+                            continue
+                        try:
+                            hop = (
+                                router.next_hop(node, m.dst, m.msg_id)
+                                if adaptive
+                                else next_hop(node, m.dst)
+                            )
+                        except UnreachableError:
+                            if not fault_mode:
+                                raise
+                            planned.pop(m.msg_id, None)
+                            if fi < n_fev or self.quarantined:
+                                # a future event (or a quarantine probe
+                                # heal) may reconnect it: wait
+                                kept.append((s, m))
                                 if rec is not None:
-                                    rec.on_dropped(cycle, m, node, "ttl")
-                                continue
-                            try:
-                                if adaptive:
-                                    hop = router.next_hop(node, m.dst, m.msg_id)
-                                else:
-                                    hop = next_hop(node, m.dst)
-                            except UnreachableError:
-                                if fi < n_fev or self.quarantined:
-                                    # a future event (or a quarantine probe
-                                    # heal) may reconnect it: wait
-                                    planned.pop(m.msg_id, None)
-                                    kept.append((s, m))
-                                    if rec is not None:
-                                        rec.on_queued(cycle, m, node)
-                                    continue
+                                    rec.on_queued(cycle, m, node)
+                            else:
                                 stats.failed[m.msg_id] = "partitioned"
-                                planned.pop(m.msg_id, None)
                                 in_network -= 1
                                 if rec is not None:
                                     rec.on_dropped(cycle, m, node, "partitioned")
-                                continue
-                        elif adaptive:
-                            hop = router.next_hop(node, m.dst, m.msg_id)
-                        else:
-                            hop = next_hop(node, m.dst)
-                        if sent_per_link[hop] < link_capacity:
-                            sent_per_link[hop] += 1
-                            key = (node, hop)
-                            link_traffic[key] = link_traffic.get(key, 0) + 1
-                            if adaptive:
-                                cycle_links[key] += 1
-                            lost = False
-                            if byz:
-                                link = frozenset(key)
-                                fl = self.link_flaky.get(link)
-                                co = self.link_corruption.get(link)
-                                if fl is not None or co is not None:
-                                    mid = m.msg_id
-                                    k = crossings.get(mid, 0) + 1
-                                    crossings[mid] = k
-                                    a = topo_index(node)
-                                    b = topo_index(hop)
-                                    if a > b:
-                                        a, b = b, a
-                                    bad = False
-                                    if fl is not None and _byz_coin(
-                                        fl[1], 1, a, b, mid, k
-                                    ) < fl[0] * _TWO64:
-                                        # flaky link: the crossing is lost in
-                                        # transit; an abstracted NACK timeout
-                                        # drives the same retransmit path as
-                                        # a detected corruption
-                                        lost = True
-                                        bad = True
-                                    elif co is not None and _byz_coin(
-                                        co[1], 2, a, b, mid, k
-                                    ) < co[0] * _TWO64:
-                                        # corrupting link: XOR a nonzero
-                                        # seeded pattern into the word
-                                        word[mid] ^= _byz_coin(
-                                            co[1], 3, a, b, mid, k
-                                        ) or 1
-                                        bad = True
-                                    ew = QUARANTINE_EWMA_DECAY * self.corruption_ewma.get(
-                                        link, 0.0
-                                    )
-                                    if bad:
-                                        ew += 1.0 - QUARANTINE_EWMA_DECAY
-                                    self.corruption_ewma[link] = ew
-                                    if (
-                                        ew >= QUARANTINE_THRESHOLD
-                                        and link not in to_quarantine
-                                    ):
-                                        to_quarantine.append(link)
-                            if fault_mode:
-                                moved_any = True
-                                planned.pop(m.msg_id, None)
-                            if rec is not None:
-                                rec.on_hop(cycle, m, node, hop)
-                            if lost:
-                                _integrity_reject(m, hop, cycle)
-                                continue
-                            d = (
-                                self.link_delays.get(frozenset((node, hop)), 0)
-                                if delayed
-                                else 0
-                            )
-                            if d:
-                                # slow link: the message left the sender but
-                                # arrives d cycles late (latency fault)
-                                in_transit.setdefault(cycle + d, []).append((hop, (s, m)))
-                            else:
-                                arrivals[hop].append((s, m))
-                        else:
+                            continue
+                        if sent_per_link[hop] >= link_capacity:
                             kept.append((s, m))
                             if fault_mode:
                                 planned[m.msg_id] = (node, hop, m)
                             if rec is not None:
                                 rec.on_queued(cycle, m, node)
+                            continue
+                        sent_per_link[hop] += 1
+                        key = (node, hop)
+                        link_traffic[key] = link_traffic.get(key, 0) + 1
+                        if adaptive:
+                            cycle_links[key] += 1
+                        if fault_mode:
+                            moved_any = True
+                            planned.pop(m.msg_id, None)
+                        if rec is not None:
+                            rec.on_hop(cycle, m, node, hop)
+                        if byz:
+                            link = frozenset(key)
+                            if (
+                                link in self.link_flaky or link in self.link_corruption
+                            ) and integ.crossing_lost(m, node, hop, link):
+                                if integ.reject(m, hop, cycle):
+                                    in_network -= 1
+                                continue
+                        d = self.link_delays.get(frozenset(key), 0) if delayed else 0
+                        if d:
+                            # slow link: the message left the sender but
+                            # arrives d cycles late (latency fault)
+                            in_transit.setdefault(cycle + d, []).append((hop, (s, m)))
+                        else:
+                            arrivals[hop].append((s, m))
                     queues[node] = kept
                 if delayed and in_transit:
                     # slow-link crossings finishing this cycle join the
@@ -1004,72 +849,24 @@ class SynchronousNetwork:
                             arrivals[hop].append(sm)
                 for node, arrived in arrivals.items():
                     for s, m in arrived:
-                        if m.dst == node:
-                            if byz:
-                                mid = m.msg_id
-                                w = word.get(mid)
-                                if w is not None:
-                                    if _checksum(w) != checksum[mid]:
-                                        # end-to-end integrity check failed:
-                                        # NACK — never deliver wrong data
-                                        stats.n_corrupted += 1
-                                        if rec is not None:
-                                            rec.on_corrupt(cycle, m, node)
-                                        _integrity_reject(m, node, cycle)
-                                        continue
-                                    if w != orig_word[mid]:
-                                        # corrupted AND the checksum
-                                        # collided: wrong data delivered
-                                        # silently — the ground-truth
-                                        # counter benchmarks gate at zero
-                                        stats.n_silent_corruptions += 1
-                                    for state in (
-                                        word,
-                                        orig_word,
-                                        checksum,
-                                        attempts,
-                                        crossings,
-                                    ):
-                                        state.pop(mid, None)
+                        if m.dst != node:
+                            queues[node].append((s, m))
+                        elif m.msg_id in flipped and integ.corrupted(m, node, cycle):
+                            # end-to-end check failed: NACK, never deliver
+                            # wrong data
+                            if integ.reject(m, node, cycle):
+                                in_network -= 1
+                        else:
                             delivery_cycle[m.msg_id] = cycle
                             in_network -= 1
                             if rec is not None:
                                 rec.on_delivered(cycle, m, node)
-                        else:
-                            queues[node].append((s, m))
                 # keep FIFO fairness stable: re-sort merged queues by sequence
                 for node in arrivals:
                     if queues[node]:
                         queues[node] = deque(sorted(queues[node]))
-                if to_quarantine:
-                    # links whose corruption EWMA crossed the threshold this
-                    # cycle leave the route set at the cycle end — the same
-                    # incremental invalidation as a scheduled link failure —
-                    # and get a probe heal QUARANTINE_PROBE_AFTER cycles out
-                    for link in to_quarantine:
-                        if link in self.failed:
-                            continue
-                        u, v = sorted(link, key=topo_index)
-                        self._applying_fault = True
-                        try:
-                            self.fail_link(u, v)
-                        finally:
-                            self._applying_fault = False
-                        self.quarantined[link] = (
-                            cycle + fault_offset + QUARANTINE_PROBE_AFTER
-                        )
-                        self.corruption_ewma.pop(link, None)
-                        stats.n_quarantined += 1
-                        if rec is not None:
-                            rec.on_quarantine(cycle, u, v, "quarantined")
-                        if planned:
-                            for msg_id, (at, php, msg) in list(planned.items()):
-                                if frozenset((at, php)) == link:
-                                    del planned[msg_id]
-                                    stats.n_reroutes += 1
-                                    if rec is not None:
-                                        rec.on_reroute(cycle, msg, at)
-                    to_quarantine.clear()
+                if integ is not None and integ.to_quarantine:
+                    integ.quarantine(cycle, planned)
                 if rec is not None:
                     rec.on_cycle_end(cycle, queues, in_network)
                 if adaptive:
@@ -1078,29 +875,17 @@ class SynchronousNetwork:
                 if fault_mode and in_network and not moved_any:
                     # whole network stalled: every queued message is waiting
                     # on a future heal (or doomed).  Fast-forward to whatever
-                    # can change the picture — the next injection or the next
-                    # fault event — or, with neither left, drop the stragglers
-                    # as partitioned so the run terminates with a report.
-                    targets = []
-                    if inj_ptr < n_inj:
-                        targets.append(inj_cycles[inj_ptr])
-                    if fi < n_fev:
-                        targets.append(fev[fi].cycle - fault_offset - 1)
-                    if in_transit:
-                        # messages on slow links are progress, just late:
-                        # jump to the earliest arrival instead of dropping
-                        targets.append(min(in_transit) - 1)
-                    if retrans:
-                        # messages backing off before retransmission: jump
-                        # to the earliest re-injection boundary
-                        targets.append(min(retrans) - 1)
-                    if self.quarantined:
-                        # a probe heal can reconnect waiting messages
-                        targets.append(
-                            min(self.quarantined.values()) - fault_offset - 1
-                        )
-                    if targets:
-                        cycle = max(cycle, min(targets))
+                    # can change the picture or, with nothing left, drop the
+                    # stragglers as partitioned so the run terminates with a
+                    # report.
+                    target = _stall_target(
+                        inj_cycles[inj_ptr] if inj_ptr < n_inj else None,
+                        fev[fi].cycle - fault_offset if fi < n_fev else None,
+                        in_transit,
+                        integ,
+                    )
+                    if target is not None:
+                        cycle = max(cycle, target)
                     else:
                         for node in list(queues):
                             for s, m in queues[node]:
@@ -1113,7 +898,228 @@ class SynchronousNetwork:
         finally:
             self._delivering = False
         stats.max_queue = max_queue
-        # the phase lasts until the final delivery, including a self-message
-        # "delivered free" at a late scheduled cycle
-        stats.cycles = max(cycle, last_self)
+        stats.cycles = max(cycle, stats.cycles)
         return stats
+
+    def _split_schedule(
+        self, schedule: list[tuple[int, Message]], stats: DeliveryStats
+    ) -> tuple[list, ...]:
+        """Validate ``schedule`` in one pass, for both delivery engines (see
+        :meth:`deliver_scheduled` for the :class:`ValueError` cases), and
+        deliver its self-messages free into ``stats``.
+
+        Returns the routed messages' injection cycles, messages, ids and
+        endpoint indices as parallel lists in schedule order.
+        """
+        if self._label_index is None:
+            # dict lookups beat per-message topology.index calls
+            self._label_index = {
+                label: i for i, label in enumerate(self.topology.nodes())
+            }
+        index = self._label_index
+        delivery_cycle = stats.delivery_cycle
+        last_self = 0
+        routed = ([], [], [], [], [])
+        inject_list, messages, msg_ids, src, dst = routed
+        seen: set[int] = set()
+        for inject, m in schedule:
+            if inject < 0:
+                raise ValueError("injection cycle must be non-negative")
+            mid = m.msg_id
+            if mid in seen:
+                raise ValueError(
+                    f"duplicate msg_id {mid} in schedule: delivery stats "
+                    "and traces are keyed by msg_id, so ids must be unique"
+                )
+            seen.add(mid)
+            if m.src == m.dst and m.src in index:
+                delivery_cycle[mid] = inject
+                if inject > last_self:
+                    last_self = inject
+                continue
+            try:
+                src.append(index[m.src])
+                dst.append(index[m.dst])
+            except KeyError:
+                label = m.src if m.src not in index else m.dst
+                raise ValueError(
+                    f"msg_id {mid}: {label!r} is not a node of {self.topology.name}"
+                ) from None
+            inject_list.append(inject)
+            messages.append(m)
+            msg_ids.append(mid)
+        # the phase lasts at least until the last self-message's delivery
+        stats.cycles = last_self
+        return routed
+
+
+# ----------------------------------------------------------------------
+# Delivery helpers
+# ----------------------------------------------------------------------
+def _reroute(planned: dict, dead: set, cycle: int, stats: DeliveryStats, rec) -> None:
+    """Queued messages planned across a ``dead`` link stay at their sender
+    and re-route against the updated tables on their next forwarding."""
+    for msg_id, (at, hop, msg) in list(planned.items()):
+        if frozenset((at, hop)) in dead:
+            del planned[msg_id]
+            stats.n_reroutes += 1
+            if rec is not None:
+                rec.on_reroute(cycle, msg, at)
+
+
+def _stall_target(next_inject, next_event, in_transit, integ) -> int | None:
+    """Where a stalled network fast-forwards to: the next injection cycle,
+    or the cycle before the next fault event, slow-link landing,
+    retransmission or probe heal, whichever is first; ``None`` if none."""
+    targets = [] if next_inject is None else [next_inject]
+    if next_event is not None:
+        targets.append(next_event - 1)
+    if in_transit:
+        targets.append(min(in_transit) - 1)
+    if integ is not None and integ.retrans:
+        targets.append(min(integ.retrans) - 1)
+    if integ is not None and integ.net.quarantined:
+        targets.append(min(integ.net.quarantined.values()) - integ.fault_offset - 1)
+    return min(targets, default=None)
+
+
+class _Carried:
+    """A routed message's integrity record: the payload word it carries, its
+    pristine value (ground truth), the checksum injected at source, and its
+    retransmissions and byzantine crossings so far (crossings salt coins)."""
+
+    __slots__ = ("word", "pristine", "checksum", "attempts", "crossings")
+
+    def __init__(self, m: Message):
+        self.word = self.pristine = _payload_word(m)
+        self.checksum = _checksum(self.word)
+        self.attempts = self.crossings = 0
+
+
+class _Integrity:
+    """The end-to-end integrity protocol of one byzantine-mode delivery
+    (semantics in :meth:`SynchronousNetwork.deliver_scheduled`).  The
+    network keeps ``quarantined`` and ``corruption_ewma``, which
+    checkpoints read; everything per-message lives here."""
+
+    def __init__(self, network, stats: DeliveryStats, rec, fault_offset: int, routed):
+        self.net = network
+        self.stats = stats
+        self.rec = rec
+        self.fault_offset = fault_offset
+        self.index = network.topology.index
+        self.carried = {m.msg_id: _Carried(m) for m in routed}
+        #: messages whose word a corrupting link flipped since their last
+        #: (re)transmission: only those can fail the end-to-end check
+        self.flipped: set[int] = set()
+        #: retransmissions keyed by the cycle they re-enter their source queue
+        self.retrans: dict[int, list[Message]] = {}
+        #: links whose EWMA crossed the threshold this cycle
+        self.to_quarantine: list[frozenset] = []
+
+    def at_boundary(self, cycle: int) -> list[Message]:
+        """Probe-heal the quarantined links due at this boundary, then return
+        the retransmissions whose backoff has ended, in order.
+
+        A probe readmits the link to the route set but keeps its byzantine
+        state: one that still corrupts climbs its EWMA and re-quarantines.
+        """
+        quarantined = self.net.quarantined
+        index = self.index
+        due = sorted(
+            (link for link, c in quarantined.items() if c - self.fault_offset <= cycle),
+            key=lambda link: sorted(map(index, link)),
+        )
+        for link in due:
+            del quarantined[link]
+            u, v = sorted(link, key=index)
+            self.net._revive_link(u, v)
+            if self.rec is not None:
+                self.rec.on_quarantine(cycle, u, v, "probe_heal")
+        retrans = self.retrans
+        return [m for t in sorted(t for t in retrans if t <= cycle) for m in retrans.pop(t)]
+
+    def crossing_lost(self, m: Message, node: Node, hop: Node, link: frozenset) -> bool:
+        """One crossing of the byzantine ``link``: the seeded coins may lose
+        the message (flaky) or flip its word (corrupting); either feeds the
+        link's EWMA.  True when the message was lost in transit."""
+        net = self.net
+        flaky = net.link_flaky.get(link)
+        corrupt = net.link_corruption.get(link)
+        mid = m.msg_id
+        carried = self.carried[mid]
+        carried.crossings += 1
+        k = carried.crossings
+        a, b = sorted((self.index(node), self.index(hop)))
+        lost = bad = False
+        if flaky is not None and _byz_coin(flaky[1], 1, a, b, mid, k) < flaky[0] * _TWO64:
+            lost = bad = True
+        elif corrupt is not None and _byz_coin(
+            corrupt[1], 2, a, b, mid, k
+        ) < corrupt[0] * _TWO64:
+            # XOR a nonzero seeded pattern into the word
+            carried.word ^= _byz_coin(corrupt[1], 3, a, b, mid, k) or 1
+            self.flipped.add(mid)
+            bad = True
+        ewma = QUARANTINE_EWMA_DECAY * net.corruption_ewma.get(link, 0.0)
+        if bad:
+            ewma += 1.0 - QUARANTINE_EWMA_DECAY
+        net.corruption_ewma[link] = ewma
+        if ewma >= QUARANTINE_THRESHOLD and link not in self.to_quarantine:
+            self.to_quarantine.append(link)
+        return lost
+
+    def corrupted(self, m: Message, node: Node, cycle: int) -> bool:
+        """The end-to-end check at the destination of a flipped word: True,
+        and counted, when the checksum catches it."""
+        carried = self.carried[m.msg_id]
+        if _checksum(carried.word) != carried.checksum:
+            self.stats.n_corrupted += 1
+            if self.rec is not None:
+                self.rec.on_corrupt(cycle, m, node)
+            return True
+        if carried.word != carried.pristine:
+            # the checksum collided: wrong data delivered silently — the
+            # ground-truth counter benchmarks gate at zero
+            self.stats.n_silent_corruptions += 1
+        return False
+
+    def reject(self, m: Message, at: Node, cycle: int) -> bool:
+        """NACK a corrupted or lost message: retransmit it pristine from
+        source after exponential backoff or, with retries spent, fail it
+        with reason ``"integrity"`` and return True."""
+        mid = m.msg_id
+        carried = self.carried[mid]
+        carried.attempts += 1
+        if carried.attempts > INTEGRITY_MAX_RETRIES:
+            self.stats.failed[mid] = "integrity"
+            if self.rec is not None:
+                self.rec.on_dropped(cycle, m, at, "integrity")
+            return True
+        self.stats.n_retransmits += 1
+        carried.word = carried.pristine
+        self.flipped.discard(mid)
+        back = min(1 << (carried.attempts - 1), RETRANSMIT_BACKOFF_CAP)
+        self.retrans.setdefault(cycle + back, []).append(m)
+        if self.rec is not None:
+            self.rec.on_retransmit(cycle, m, carried.attempts)
+        return False
+
+    def quarantine(self, cycle: int, planned: dict) -> None:
+        """Fail the links whose EWMA crossed the threshold this cycle through
+        the scheduled-event applier, schedule their probe heals, and reroute
+        the messages planned across them."""
+        net = self.net
+        absolute = cycle + self.fault_offset
+        for link in self.to_quarantine:
+            if link in net.failed:
+                continue
+            u, v = sorted(link, key=self.index)
+            net._apply_fault_event(FaultEvent(absolute, "fail_link", u, v))
+            net.quarantined[link] = absolute + QUARANTINE_PROBE_AFTER
+            net.corruption_ewma.pop(link, None)
+            self.stats.n_quarantined += 1
+            if self.rec is not None:
+                self.rec.on_quarantine(cycle, u, v, "quarantined")
+            _reroute(planned, {link}, cycle, self.stats, self.rec)
+        self.to_quarantine.clear()

@@ -13,8 +13,8 @@ This module extracts the policy behind a small :class:`Router` protocol:
 
 * :class:`ShortestPathRouter` — the historical policy, bit-identical to
   :meth:`SynchronousNetwork.next_hop` (it *is* that method, behind the
-  protocol).  The engine keeps its direct fast path when this router is
-  selected, so the refactor costs nothing when adaptivity is off.
+  protocol).  The engine calls that method directly for any
+  non-adaptive router, and the vector kernel serves it too.
 * :class:`AdaptiveRouter` — congestion-aware: among the live neighbours
   that make equal progress towards the destination it picks the one with
   the lowest recent load, scored from an EWMA over the engine's own
@@ -51,14 +51,14 @@ class Router:
     """Next-hop policy protocol the engine drives.
 
     ``adaptive = False`` routers are pure functions of ``(node, dst)`` and
-    the current failure set; the engine then routes through its own
-    :meth:`~repro.simulate.engine.SynchronousNetwork.next_hop` fast path
+    the current failure set; the engine then calls its own
+    :meth:`~repro.simulate.engine.SynchronousNetwork.next_hop` directly
     and skips every feedback hook.  ``adaptive = True`` routers receive
     :meth:`begin_delivery` once per delivery and :meth:`end_cycle` after
     every active cycle with the engine's per-cycle state.
     """
 
-    #: when False the engine uses its built-in shortest-path fast path
+    #: when False the engine calls its built-in shortest-path next_hop
     adaptive: bool = False
     network = None
 

@@ -1,6 +1,6 @@
-"""Struct-of-arrays fast path for the synchronous network engine.
+"""Struct-of-arrays delivery kernel for the synchronous network engine.
 
-The classic :meth:`~repro.simulate.engine.SynchronousNetwork.deliver_classic`
+The reference :meth:`~repro.simulate.engine.SynchronousNetwork.deliver_classic`
 loop advances one Python ``Message`` object at a time: per cycle it walks
 every node's deque, calls ``next_hop`` per message, and resolves link
 contention with per-node dicts.  The paper's simulations are
@@ -29,12 +29,12 @@ max queue — gated by the Hypothesis parity suite
 (``tests/test_vector_engine.py``) and the 40+-schedule corpus in
 ``benchmarks/bench_vector.py``.
 
-The kernel covers the engine's *fast-path preconditions* only (checked by
-:func:`vector_supported`): deterministic routing, no recorder listening,
-no faults/TTL, no failed or slowed links, and a topology small enough for
-the dense tables.  Everything else runs on the classic loop,
+The kernel serves the deliveries :func:`vector_supported` admits:
+deterministic routing, no recorder listening, no faults/TTL, no failed or
+slowed links, and a topology small enough for the dense tables.
+Everything else runs on the reference loop,
 :meth:`~repro.simulate.engine.SynchronousNetwork.deliver_classic`, which
-remains the reference implementation.
+the kernel is diffed against.
 """
 
 from __future__ import annotations
@@ -71,14 +71,12 @@ def vector_supported(network: "SynchronousNetwork", rec, faults, ttl) -> str | N
     """``None`` when the kernel can run this delivery, else *every* reason not.
 
     ``rec`` is the engine's *normalised* recorder (``None`` unless a real,
-    enabled recorder is listening).  The conditions mirror the classic
-    loop's own ``fast`` flag plus the vector-specific table bound: any
-    non-adaptive router routes through the engine's deterministic
-    ``next_hop`` on the classic path too, so adaptivity — not the concrete
-    router class — is what matters.
+    enabled recorder is listening).  Any non-adaptive router routes
+    through the engine's deterministic ``next_hop`` on the reference loop
+    too, so adaptivity — not the concrete router class — is what matters.
 
     All blockers are reported at once (joined with ``"; "``), so a caller
-    forced onto the classic loop sees the whole distance to the fast path
+    forced onto the reference loop sees the whole distance to the kernel
     instead of fixing preconditions one error message at a time.
     """
     blockers = []
@@ -110,62 +108,25 @@ def vector_supported(network: "SynchronousNetwork", rec, faults, ttl) -> str | N
     return "; ".join(blockers)
 
 
-def _index_of(network: "SynchronousNetwork") -> dict:
-    """Label -> canonical index, memoised on the network (dict lookups beat
-    per-message ``topology.index`` calls at schedule-parse volume)."""
-    cache = getattr(network, "_vector_index_of", None)
-    if cache is None:
-        topo = network.topology
-        cache = {label: i for i, label in enumerate(topo.nodes())}
-        network._vector_index_of = cache
-    return cache
-
-
 def vector_deliver_scheduled(
     network: "SynchronousNetwork", schedule: list
 ) -> "DeliveryStats":
     """Run one fault-free, deterministic, unobserved delivery on the kernel.
 
-    Semantically identical to the classic
-    :meth:`~repro.simulate.engine.SynchronousNetwork.deliver_classic`
-    fast path, and run by ``deliver_scheduled`` whenever
-    :func:`vector_supported` finds no blocker.  Raises
-    :class:`~repro.simulate.engine.UnreachableError` for a disconnected
-    destination, exactly like the classic loop.
+    Semantically identical to the reference loop
+    :meth:`~repro.simulate.engine.SynchronousNetwork.deliver_classic`, and
+    run by ``deliver_scheduled`` whenever :func:`vector_supported` finds no
+    blocker.  The schedule is validated by the same pass as the reference
+    loop's.  Raises :class:`~repro.simulate.engine.UnreachableError` for a
+    disconnected destination, exactly like the reference loop.
     """
     from .engine import DeliveryStats, UnreachableError
 
     topo = network.topology
-    idx_of = _index_of(network)
     stats = DeliveryStats(cycles=0, n_messages=len(schedule))
-    delivery_cycle = stats.delivery_cycle
-    last_self = 0
-    seen_ids: set[int] = set()
-    inj_list: list[int] = []
-    mid_list: list[int] = []
-    src_list: list[int] = []
-    dst_list: list[int] = []
-    for inject, m in schedule:
-        if inject < 0:
-            raise ValueError("injection cycle must be non-negative")
-        if m.msg_id in seen_ids:
-            raise ValueError(
-                f"duplicate msg_id {m.msg_id} in schedule: delivery stats "
-                "and traces are keyed by msg_id, so ids must be unique"
-            )
-        seen_ids.add(m.msg_id)
-        if m.src == m.dst:
-            delivery_cycle[m.msg_id] = inject
-            if inject > last_self:
-                last_self = inject
-            continue
-        inj_list.append(inject)
-        mid_list.append(m.msg_id)
-        src_list.append(idx_of[m.src])
-        dst_list.append(idx_of[m.dst])
+    inj_list, _, mid_list, src_list, dst_list = network._split_schedule(schedule, stats)
     m_total = len(inj_list)
     if m_total == 0:
-        stats.cycles = last_self
         return stats
 
     oracle = oracle_for(topo)
@@ -277,10 +238,10 @@ def vector_deliver_scheduled(
     finally:
         network._delivering = False
 
-    stats.cycles = max(clock, last_self)
+    stats.cycles = max(clock, stats.cycles)
     stats.max_queue = max_queue
     mids = np.asarray(mid_list, dtype=np.int64)[seq]
-    delivery_cycle.update(zip(mids.tolist(), done_cycle.tolist()))
+    stats.delivery_cycle.update(zip(mids.tolist(), done_cycle.tolist()))
     used = np.flatnonzero(traffic)
     if used.size:
         labels = oracle._labels

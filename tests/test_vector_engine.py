@@ -1,4 +1,4 @@
-"""Parity gate for the struct-of-arrays engine fast path.
+"""Parity gate for the struct-of-arrays delivery kernel.
 
 The vector kernel (:mod:`repro.simulate.vector_engine`) must return
 *bit-identical* :class:`~repro.simulate.engine.DeliveryStats` to the
@@ -146,6 +146,26 @@ class TestScheduleParity:
             )
         with pytest.raises(ValueError, match="non-negative"):
             vector_deliver_scheduled(net, [(-1, Message(0, a, b))])
+
+    @pytest.mark.parametrize(
+        "src, dst", [((9, 9), (0, 0)), ((0, 0), (9, 9)), ((9, 9), (9, 9))]
+    )
+    def test_endpoint_not_a_node_raises_before_injection(self, src, dst):
+        """Both engines reject a label outside the host, naming the message
+        and the label, before the valid message ahead of it is injected."""
+        topology = XTree(3)
+        schedule = [(0, Message(0, (1, 0), (2, 3))), (0, Message(1, src, dst))]
+        error = r"msg_id 1: \(9, 9\) is not a node of xtree"
+        with pytest.raises(ValueError, match=error):
+            SynchronousNetwork(topology).deliver_scheduled(list(schedule))
+        with pytest.raises(ValueError, match=error):
+            vector_deliver_scheduled(SynchronousNetwork(topology), list(schedule))
+        recorder = TraceRecorder()
+        with pytest.raises(ValueError, match=error):
+            SynchronousNetwork(topology).deliver_classic(
+                list(schedule), recorder=recorder
+            )
+        assert recorder.events == []
 
 
 class TestProgramParity:
