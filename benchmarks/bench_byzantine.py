@@ -2,7 +2,7 @@
 
 Four gated measurements of the engine's end-to-end integrity protocol
 (per-message checksum, NACK + source retransmit with exponential
-backoff, EWMA-driven link quarantine) plus one regression anchor:
+backoff, EWMA-driven link quarantine) plus two anchored records:
 
 * **zero silent corruption** — a seeded corpus of byzantine deliveries
   (corrupt and flaky links, rates 5%..100%, many coin seeds, two hosts).
@@ -11,9 +11,10 @@ backoff, EWMA-driven link quarantine) plus one regression anchor:
   ``n_silent_corruptions`` ground-truth counter (payload word changed
   but the CRC still matched) must be zero across the whole corpus.
 * **byzantine-free bit-identity** — the PR 7 reference scenarios re-run
-  on this build must reproduce the makespans committed in
-  ``BENCH_PR7.json`` exactly: the protocol must be invisible when no
-  byzantine event exists (the non-byzantine path is untouched).
+  on this build must reproduce their makespans exactly: the protocol
+  must be invisible when no byzantine event exists (the non-byzantine
+  path is untouched).  ``benchmarks/anchors.json`` holds them, the same
+  values as bench_service's ``scenario_reference_makespans``.
 * **1% corruption overhead** — every link of the host corrupts each
   crossing with probability 0.01; the hotspot workload must still
   complete every message at most ``MAX_BYZANTINE_SLOWDOWN`` (2.0x) the
@@ -24,33 +25,31 @@ backoff, EWMA-driven link quarantine) plus one regression anchor:
   message with the structured ``"integrity"`` reason.
 * **recoverable scenario anchor** — ``scenarios/byzantine.json``
   completes (exit 0) with corruption detected and retransmitted; its
-  makespan is the deterministic regression metric.
+  makespan is anchored.
 
-Writes ``BENCH_PR9.json`` at the repo root.  Run::
+Run with the other gate modules::
 
-    PYTHONPATH=src python benchmarks/bench_byzantine.py [--smoke] [--out PATH]
+    python benchmarks/gates.py [--full]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
+from functools import partial
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_router import hotspot_schedule  # noqa: E402
-from bench_service import FAULT_DOC, PLAIN_DOC  # noqa: E402
+from bench_router import hotspot_schedule
+from bench_service import FAULT_DOC, PLAIN_DOC
 
-from repro.networks import XTree  # noqa: E402
-from repro.service import Scenario, run_scenario  # noqa: E402
-from repro.simulate import (  # noqa: E402
+from repro.networks import XTree
+from repro.service import Scenario, run_scenario
+from repro.simulate import (
     FaultEvent,
     FaultSchedule,
     Message,
     SynchronousNetwork,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 MAX_BYZANTINE_SLOWDOWN = 2.0
 
@@ -112,31 +111,25 @@ def bench_silent_corruption_corpus(smoke: bool) -> dict:
 
 
 def bench_byzantine_free_bit_identity() -> dict:
-    """The PR 7 scenario makespans must be untouched by the protocol."""
-    anchors = json.loads((REPO / "BENCH_PR7.json").read_text())
-    ref = next(
-        r for r in anchors["results"]
-        if r["name"] == "scenario_reference_makespans"
-    )
+    """The service reference scenarios' makespans must be untouched by
+    the protocol.
+
+    The anchor comparison is the gate: ``makespans`` is anchored to the
+    values bench_service's ``scenario_reference_makespans`` is anchored
+    to, and any difference fails the gate runner."""
     plain = run_scenario(Scenario.from_obj(PLAIN_DOC)).makespan
     faulted = run_scenario(Scenario.from_obj(FAULT_DOC)).makespan
     long_run = run_scenario(
         Scenario.from_json(REPO / "scenarios" / "long_run.json")
     ).makespan
     got = {"plain": plain, "faulted": faulted, "long_run": long_run}
-    want = {
-        "plain": ref["plain_makespan_cycles"],
-        "faulted": ref["faulted_makespan_cycles"],
-        "long_run": ref["long_run_makespan_cycles"],
-    }
     return {
         "name": "byzantine_free_bit_identity",
-        "params": {"scenarios": sorted(got), "anchor": "BENCH_PR7.json"},
+        "params": {"scenarios": sorted(got)},
         "makespans": got,
-        "anchor_makespans": want,
-        "gate": "byzantine-free makespans equal the PR 7 anchors exactly",
-        "gated": True,
-        "passed": got == want,
+        "gate": "byzantine-free makespans equal the anchored reference makespans exactly",
+        "gated": False,
+        "passed": True,
     }
 
 
@@ -219,65 +212,12 @@ def bench_recoverable_scenario() -> dict:
     }
 
 
-def run(smoke: bool = False) -> dict:
-    results = [
-        bench_silent_corruption_corpus(smoke),
-        bench_byzantine_free_bit_identity(),
-        bench_low_rate_overhead(),
-        bench_storm_termination(),
-        bench_recoverable_scenario(),
+def run(smoke: bool = False) -> list:
+    """The cases at smoke or full size, as callables for ``gates.py``."""
+    return [
+        partial(bench_silent_corruption_corpus, smoke),
+        bench_byzantine_free_bit_identity,
+        bench_low_rate_overhead,
+        bench_storm_termination,
+        bench_recoverable_scenario,
     ]
-    return {
-        "bench": "byzantine integrity (PR 9)",
-        "smoke": smoke,
-        "python": sys.version.split()[0],
-        "max_byzantine_slowdown": MAX_BYZANTINE_SLOWDOWN,
-        "results": results,
-        "all_pass": all(res["passed"] for res in results if res["gated"]),
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small corpus for CI")
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=REPO / "BENCH_PR9.json",
-        help="where to write the JSON record",
-    )
-    args = parser.parse_args(argv)
-    record = run(smoke=args.smoke)
-    for res in record["results"]:
-        status = "pass" if res["passed"] else "FAIL"
-        if res["name"] == "silent_corruption_corpus":
-            detail = (
-                f"{res['params']['runs']} runs: {res['n_corrupted_detected']} "
-                f"detected, {res['n_retransmits']} retransmits, "
-                f"{res['n_silent_corruptions']} silent"
-            )
-        elif res["name"] == "byzantine_free_bit_identity":
-            detail = ", ".join(
-                f"{k} {v}" for k, v in sorted(res["makespans"].items())
-            )
-        elif res["name"] == "low_rate_corruption_overhead":
-            detail = (
-                f"base {res['fault_free_cycles']} -> {res['byzantine_cycles']} "
-                f"cycles (x{res['slowdown']:.2f}), "
-                f"{res['n_retransmits']} retransmits"
-            )
-        else:
-            detail = (
-                f"makespan {res['makespan_cycles']}, corrupted "
-                f"{res['n_corrupted']}, reasons "
-                f"{res.get('failure_reasons', [])}"
-            )
-        print(f"{res['name']:<32} [{status}]  {detail}")
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    return 0 if record["all_pass"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -2,8 +2,7 @@
 
 Three families of measurements, all on exact deterministic cycle counts
 (seeded adaptive router, scripted :class:`~repro.simulate.faults.FaultSchedule`),
-so the record doubles as a regression commitment for
-``benchmarks/check_regression.py``:
+so ``benchmarks/anchors.json`` fixes every one of them:
 
 * **single-link dynamic fault** — the acceptance gate: a link on the hot
   path fails *while messages are in flight* (cycle 3, never healed).  The
@@ -25,19 +24,15 @@ so the record doubles as a regression commitment for
   must end with the unreachable messages in ``DeliveryStats.failed``
   (reason ``partitioned``), never hang, and still deliver the rest.
 
-Run::
+Run with the other gate modules::
 
-    python benchmarks/bench_faults.py [--smoke] [--out BENCH_PR4.json]
+    python benchmarks/gates.py [--full]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
+from functools import partial
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_router import hotspot_schedule
 
 from repro.networks import Hypercube, XTree
@@ -73,6 +68,7 @@ def bench_single_fault(name, host, schedule, u, v, params, *, fail_at=3, gated=T
         "n_reroutes": hurt.n_reroutes,
         "complete": hurt.complete,
         "gated": gated,
+        "passed": hurt.complete and hurt.cycles / base.cycles <= MAX_FAULT_SLOWDOWN,
     }
 
 
@@ -127,8 +123,12 @@ def bench_hot_degradation(host, hot, incident, params, *, fail_at=3):
                 "escape_margin": _ESCAPE_MARGIN,
                 "n_reroutes": hurt.n_reroutes,
                 "complete": hurt.complete and escaped.complete,
-                "gated": True,  # gate = completion + escape never loses
+                "gated": True,  # complete within 2x; escape never loses (asserted)
                 "gate": "complete_and_escape<=funnel",
+                "passed": (
+                    hurt.complete and escaped.complete
+                    and hurt.cycles / base.cycles <= MAX_FAULT_SLOWDOWN
+                ),
             }
         )
         assert escaped.complete, f"escape run lost messages at k={k}"
@@ -172,6 +172,7 @@ def bench_chaos_sweep(host, schedule, rates, params, *, seed=0, heal_after=8):
                 "complete": hurt.complete,
                 "gated": True,  # gate = completion only; makespan recorded
                 "gate": "complete",
+                "passed": hurt.complete,
             }
         )
     return rows
@@ -211,107 +212,49 @@ def bench_partition_probe():
         "structured_termination": terminated_clean,
         "gated": True,
         "gate": "structured_termination",
+        "passed": terminated_clean,
     }
 
 
-def run(smoke: bool = False) -> dict:
+def run(smoke: bool = False) -> list:
+    """The cases at smoke or full size, as callables for ``gates.py``."""
     xt4, hc6 = XTree(4), Hypercube(6)
-    results = [
-        bench_single_fault(
-            "xtree_hotspot_single_fault", xt4,
+    cases = [
+        partial(
+            bench_single_fault, "xtree_hotspot_single_fault", xt4,
             hotspot_schedule(xt4, _XTREE_HOT[4]),
             (2, 1), _XTREE_HOT[4],
             {"r": 4, "hot": list(_XTREE_HOT[4]), "fail": [[2, 1], [3, 3]]},
         ),
-        bench_single_fault(
-            "hypercube_hotspot_single_fault", hc6, hotspot_schedule(hc6, 0),
-            1, 0, {"dim": 6, "hot": 0, "fail": [1, 0]},
+        partial(
+            bench_single_fault, "hypercube_hotspot_single_fault", hc6,
+            hotspot_schedule(hc6, 0), 1, 0, {"dim": 6, "hot": 0, "fail": [1, 0]},
         ),
-        *bench_chaos_sweep(
-            xt4, hotspot_schedule(xt4, _XTREE_HOT[4]),
+        partial(
+            bench_chaos_sweep, xt4, hotspot_schedule(xt4, _XTREE_HOT[4]),
             rates=(0.2,) if smoke else (0.1, 0.2, 0.4),
             params={"r": 4, "hot": list(_XTREE_HOT[4])},
         ),
-        bench_partition_probe(),
+        bench_partition_probe,
     ]
     if not smoke:
         xt6, hc8 = XTree(6), Hypercube(8)
         hot6 = _XTREE_HOT[6]
-        results += [
-            *bench_hot_degradation(
-                xt6, hot6,
+        cases += [
+            partial(
+                bench_hot_degradation, xt6, hot6,
                 [((3, 3), hot6), ((4, 6), hot6), ((4, 8), hot6)],
                 {"r": 6, "hot": list(hot6)},
             ),
-            bench_single_fault(
-                "xtree_hotspot_single_fault", xt6,
+            partial(
+                bench_single_fault, "xtree_hotspot_single_fault", xt6,
                 hotspot_schedule(xt6, _XTREE_HOT[6]),
                 (3, 3), _XTREE_HOT[6],
                 {"r": 6, "hot": list(_XTREE_HOT[6]), "fail": [[3, 3], [4, 7]]},
             ),
-            bench_single_fault(
-                "hypercube_hotspot_single_fault", hc8, hotspot_schedule(hc8, 0),
-                1, 0, {"dim": 8, "hot": 0, "fail": [1, 0]},
+            partial(
+                bench_single_fault, "hypercube_hotspot_single_fault", hc8,
+                hotspot_schedule(hc8, 0), 1, 0, {"dim": 8, "hot": 0, "fail": [1, 0]},
             ),
         ]
-
-    ok = True
-    for res in results:
-        if not res.get("gated"):
-            continue
-        if res.get("gate") == "structured_termination":
-            ok &= res["structured_termination"]
-        elif res.get("gate") == "complete":
-            ok &= res["complete"]
-        else:
-            ok &= res["complete"] and res["slowdown"] <= MAX_FAULT_SLOWDOWN
-    return {
-        "bench": "faults (PR 4)",
-        "smoke": smoke,
-        "python": sys.version.split()[0],
-        "max_fault_slowdown": MAX_FAULT_SLOWDOWN,
-        "results": results,
-        "all_pass": ok,
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true", help="small instances for CI")
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_PR4.json",
-        help="where to write the JSON record",
-    )
-    args = parser.parse_args(argv)
-    record = run(smoke=args.smoke)
-    for res in record["results"]:
-        if "slowdown" in res:
-            print(
-                f"{res['name']:<30} {str(res['params']):<58} "
-                f"base {res['fault_free_cycles']:5d}  faulted {res['faulted_cycles']:5d}  "
-                f"x{res['slowdown']:.2f}  reroutes {res['n_reroutes']:3d}  "
-                f"complete {res['complete']}"
-            )
-        else:
-            print(
-                f"{res['name']:<30} {str(res['params']):<58} "
-                f"cycles {res['total_cycles']:3d}  failed {res['n_failed']} "
-                f"({','.join(res['failure_reasons'])})  "
-                f"structured {res['structured_termination']}"
-            )
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    if not record["all_pass"]:
-        print(
-            f"FAIL: a gated workload missed its bar (complete delivery under "
-            f"single-link faults within {MAX_FAULT_SLOWDOWN}x fault-free "
-            f"makespan; structured termination on partition)"
-        )
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return cases

@@ -5,23 +5,22 @@ run against an untraced one on a dense pipelined ``neighbor_exchange``
 workload, for the record (no gate): what full capture costs the reference
 loop.  The traced run must return *identical* ``DeliveryStats``, and its
 per-cycle link utilisation must sum to ``link_traffic``; both are
-asserted.  Writes ``BENCH_PR2.json`` at the repo root and (``--trace-out``)
-a sample JSONL trace for the CI artifact.
+asserted.  ``write_sample_trace`` writes the sample JSONL trace CI keeps
+as an artifact.
 
 The timing helpers here (``_best_of``, ``_best_of_pair``) and the workload
-builder (``make_workloads``) are shared with the other benches.  Run::
+builder (``make_workloads``) are shared with the other benches.  Run with
+the other gate modules::
 
-    python benchmarks/bench_obs.py [--smoke] [--out BENCH_PR2.json]
+    python benchmarks/gates.py [--full]
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import statistics
-import json
-import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from repro.core import theorem1_embedding
@@ -100,8 +99,9 @@ def make_workloads(r: int, rounds: int, seed: int = 0):
     return emb.host, schedule
 
 
-def bench_trace(host, schedule, repeats: int) -> dict:
+def bench_trace(r: int, rounds: int, repeats: int) -> dict:
     """Traced vs untraced reference loop: identical stats, and the cost."""
+    host, schedule = make_workloads(r, rounds)
     net = SynchronousNetwork(host)
     expected = _stats_key(net.deliver_classic(schedule))  # also warms the tables
     trace_check = TraceRecorder()
@@ -116,62 +116,25 @@ def bench_trace(host, schedule, repeats: int) -> dict:
     return {
         "name": "trace_recorder_overhead",
         "params": {"messages": len(schedule), "host": host.name},
-        "untraced_s": untraced_s,
-        "traced_s": traced_s,
-        "overhead_pct": (ratio - 1.0) * 100.0,
         "gated": False,
+        "passed": True,
+        "timing": {
+            "untraced_s": untraced_s,
+            "traced_s": traced_s,
+            "overhead_pct": (ratio - 1.0) * 100.0,
+        },
     }
 
 
-def write_sample_trace(host, schedule, path: Path) -> None:
+def write_sample_trace(path: Path, smoke: bool) -> None:
     """One fully-traced run, exported as the CI's JSONL artifact."""
+    host, schedule = make_workloads(2 if smoke else 3, 2)
     rec = TraceRecorder()
     rec.begin_phase("bench_obs sample")
     SynchronousNetwork(host).deliver_scheduled(schedule, recorder=rec)
     rec.to_jsonl(path)
 
 
-def run(smoke: bool = False, repeats: int = 5) -> dict:
-    host, dense = make_workloads(r=3 if smoke else 4, rounds=4 if smoke else 8)
-    return {
-        "bench": "obs (PR 2)",
-        "smoke": smoke,
-        "python": sys.version.split()[0],
-        "results": [bench_trace(host, dense, repeats)],
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true", help="small instances for CI")
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_PR2.json",
-        help="where to write the JSON record",
-    )
-    parser.add_argument(
-        "--trace-out", type=Path, default=None,
-        help="also write a sample JSONL trace of the workload",
-    )
-    args = parser.parse_args(argv)
-    record = run(smoke=args.smoke, repeats=args.repeats)
-    for res in record["results"]:
-        print(
-            f"{res['name']:<26} {res['params']}  "
-            f"untraced {res['untraced_s'] * 1e3:8.2f} ms   "
-            f"traced {res['traced_s'] * 1e3:8.2f} ms   "
-            f"overhead {res['overhead_pct']:+6.2f}%"
-        )
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    if args.trace_out is not None:
-        host, dense = make_workloads(2 if record["smoke"] else 3, 2)
-        write_sample_trace(host, dense, args.trace_out)
-        print(f"wrote {args.trace_out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def run(smoke: bool = False) -> list:
+    """The cases at smoke or full size, as callables for ``gates.py``."""
+    return [partial(bench_trace, 3 if smoke else 4, 4 if smoke else 8, 5)]

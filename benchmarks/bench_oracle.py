@@ -11,22 +11,16 @@ acceptance criteria name:
   pure-Python BFS (kept as ``reference_all_pairs_distances``) vs the CSR
   multi-source frontier BFS (``all_pairs_distances``).
 
-Writes ``BENCH_PR1.json`` next to the repo root so the perf trajectory of
-later scaling PRs starts from this record.  Run directly::
+The smoke sizes only warn below the >= 5x acceptance threshold; the full
+sizes gate it.  Run with the other gate modules::
 
-    python benchmarks/bench_oracle.py [--smoke] [--out BENCH_PR1.json]
-
-``--smoke`` shrinks the instances for CI; the full run gates the >= 5x
-acceptance threshold.
+    python benchmarks/gates.py [--full]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from collections import Counter
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 
@@ -82,7 +76,7 @@ def _oracle_dilation_check(emb) -> tuple[int, dict[int, int]]:
     return int(values.max()), dict(zip(uniq.tolist(), counts.tolist()))
 
 
-def bench_dilation(r: int, repeats: int) -> dict:
+def bench_dilation(r: int, repeats: int, *, gated: bool) -> dict:
     """verify_theorem1's dilation check: old per-pair BFS vs batched oracle."""
     tree = make_tree("random", theorem1_guest_size(r), seed=0)
     emb = theorem1_embedding(tree).embedding
@@ -94,13 +88,13 @@ def bench_dilation(r: int, repeats: int) -> dict:
     return {
         "name": "theorem1_dilation_check",
         "params": {"r": r, "n_guest": tree.n},
-        "old_s": legacy,
-        "new_s": oracle,
-        "speedup": legacy / oracle,
+        "gated": gated,
+        "passed": legacy / oracle >= REQUIRED_SPEEDUP,
+        "timing": {"old_s": legacy, "new_s": oracle, "speedup": legacy / oracle},
     }
 
 
-def bench_all_pairs(r: int, repeats: int) -> dict:
+def bench_all_pairs(r: int, repeats: int, *, gated: bool) -> dict:
     """all_pairs_distances on X(r): the reference Python BFS vs the oracle."""
     xtree = XTree(r)
     legacy = _best_of(lambda: reference_all_pairs_distances(xtree), repeats)
@@ -110,55 +104,15 @@ def bench_all_pairs(r: int, repeats: int) -> dict:
     return {
         "name": "all_pairs_distances_xtree",
         "params": {"r": r, "n_nodes": xtree.n_nodes},
-        "old_s": legacy,
-        "new_s": oracle,
-        "speedup": legacy / oracle,
+        "gated": gated,
+        "passed": legacy / oracle >= REQUIRED_SPEEDUP,
+        "timing": {"old_s": legacy, "new_s": oracle, "speedup": legacy / oracle},
     }
 
 
-def run(smoke: bool = False, repeats: int = 3) -> dict:
-    """Execute both benchmarks; the experiments harness hooks in here."""
-    dilation_r = 5 if smoke else 7
-    all_pairs_r = 6 if smoke else 8
-    results = [
-        bench_dilation(dilation_r, repeats),
-        bench_all_pairs(all_pairs_r, repeats),
+def run(smoke: bool = False) -> list:
+    """The cases at smoke or full size, as callables for ``gates.py``."""
+    return [
+        partial(bench_dilation, 5 if smoke else 7, 3, gated=not smoke),
+        partial(bench_all_pairs, 6 if smoke else 8, 3, gated=not smoke),
     ]
-    return {
-        "bench": "oracle (PR 1)",
-        "smoke": smoke,
-        "python": sys.version.split()[0],
-        "required_speedup": REQUIRED_SPEEDUP,
-        "results": results,
-        "all_pass": all(res["speedup"] >= REQUIRED_SPEEDUP for res in results),
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true", help="small instances for CI")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_PR1.json",
-        help="where to write the JSON record",
-    )
-    args = parser.parse_args(argv)
-    record = run(smoke=args.smoke, repeats=args.repeats)
-    for res in record["results"]:
-        print(
-            f"{res['name']:<28} {res['params']}  "
-            f"old {res['old_s'] * 1e3:9.2f} ms   new {res['new_s'] * 1e3:8.3f} ms   "
-            f"speedup {res['speedup']:7.1f}x"
-        )
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    if not record["all_pass"]:
-        print(f"WARNING: some speedups below the {REQUIRED_SPEEDUP}x acceptance threshold")
-        return 0 if record["smoke"] else 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

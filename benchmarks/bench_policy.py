@@ -1,8 +1,7 @@
 """Policy-DSL benchmark: tuned decision trees vs built-in baselines (PR 8).
 
 Four families of measurements, all exact cycle counts (deterministic and
-machine-independent — the regression record ``check_regression.py``
-tracks in CI):
+machine-independent, so ``benchmarks/anchors.json`` fixes them):
 
 * **tuned hot-spot gate** — the acceptance gate: the committed
   ``policies/hot_spot_router.json`` (tuned by ``repro.policy.tune``
@@ -34,19 +33,19 @@ tracks in CI):
 
 Workloads are the committed ``scenarios/hot_spot_terminal.json`` /
 ``scenarios/hot_spot_interior.json`` pair — small enough that the full
-record and the ``--smoke`` record coincide.
+and the smoke sizes coincide.
 
-Run::
+Run with the other gate modules::
 
-    python benchmarks/bench_policy.py [--smoke] [--out BENCH_PR8.json]
+    python benchmarks/gates.py [--full]
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
-import sys
+import tempfile
+from functools import partial
 from pathlib import Path
 
 from repro.policy import PolicyDoc, TEMPLATES, tune
@@ -189,7 +188,7 @@ def bench_tune_reproducibility(budget: int) -> dict:
     }
 
 
-def bench_checkpoint_roundtrip(tmp: Path) -> dict:
+def bench_checkpoint_roundtrip() -> dict:
     """Interrupt a tuned-policy run at a checkpoint; the resumed run must
     be bit-identical to the uninterrupted one."""
     from repro.runtime import Runtime
@@ -202,9 +201,10 @@ def bench_checkpoint_roundtrip(tmp: Path) -> dict:
 
     rt = sc.build_runtime()
     rt.step()  # partial progress, then freeze and thaw
-    ckpt = tmp / "policy_ckpt.json"
-    rt.checkpoint_json(ckpt)
-    resumed = Runtime.restore_json(ckpt)
+    with tempfile.TemporaryDirectory(prefix="bench-policy-") as tmp:
+        ckpt = Path(tmp) / "policy_ckpt.json"
+        rt.checkpoint_json(ckpt)
+        resumed = Runtime.restore_json(ckpt)
     while resumed.step() is not None:
         pass
     identical = resumed.result().as_dict() == reference
@@ -219,69 +219,11 @@ def bench_checkpoint_roundtrip(tmp: Path) -> dict:
     }
 
 
-def run(tmp: Path, smoke: bool = False) -> dict:
-    results = [
-        bench_tuned_hotspot(),
-        bench_noop_parity(),
-        bench_tune_reproducibility(budget=4),
-        bench_checkpoint_roundtrip(tmp),
+def run(smoke: bool = False) -> list:
+    """The cases, as callables for ``gates.py``; both sizes are the same."""
+    return [
+        bench_tuned_hotspot,
+        bench_noop_parity,
+        partial(bench_tune_reproducibility, budget=4),
+        bench_checkpoint_roundtrip,
     ]
-    return {
-        "bench": "policy (PR 8)",
-        "smoke": smoke,
-        "python": sys.version.split()[0],
-        "results": results,
-        "all_pass": all(res["passed"] for res in results if res["gated"]),
-    }
-
-
-def main(argv=None) -> int:
-    import tempfile
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="accepted for CI symmetry; the full record is "
-                             "already smoke-sized")
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=REPO / "BENCH_PR8.json",
-        help="where to write the JSON record",
-    )
-    args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="bench-policy-") as tmp:
-        record = run(Path(tmp), smoke=args.smoke)
-    for res in record["results"]:
-        status = "pass" if res["passed"] else "FAIL"
-        if res["name"] == "tuned_hotspot_gate":
-            detail = (
-                f"terminal det {res['deterministic_terminal_cycles']} / "
-                f"ada {res['adaptive_terminal_cycles']} / "
-                f"tuned {res['tuned_terminal_cycles']} "
-                f"(closure {res['terminal_closure']:.0%}); "
-                f"total tuned {res['tuned_total_cycles']}"
-            )
-        elif res["name"] == "noop_tree_parity":
-            detail = (
-                f"routing identical={res['routing_identical']}, "
-                f"scheduling identical={res['scheduling_identical']}"
-            )
-        elif res["name"] == "tune_reproducibility":
-            detail = (
-                f"logs identical={res['logs_identical']}, committed "
-                f"objective {res['committed_objective_cycles']} "
-                f"(provenance match={res['provenance_matches']})"
-            )
-        else:
-            detail = (
-                f"resumed {res['resumed_makespan_cycles']} cycles, "
-                f"bit_identical={res['bit_identical']}"
-            )
-        print(f"{res['name']:<32} [{status}]  {detail}")
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    return 0 if record["all_pass"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -7,8 +7,8 @@ Three measurements:
   the congestion-aware :class:`~repro.simulate.routing.AdaptiveRouter`
   must cut the deterministic router's makespan by at least
   ``MIN_HOTSPOT_IMPROVEMENT_PCT`` (15%) on every gated workload.  Cycle
-  counts are exact and machine-independent — they double as the regression
-  record ``benchmarks/check_regression.py`` tracks in CI.
+  counts are exact and machine-independent, so ``benchmarks/anchors.json``
+  fixes them.
 * **deterministic default unchanged** — the refactor gate: the default
   router and the explicitly named deterministic one must produce
   ``DeliveryStats`` *bit-identical* to the reference loop
@@ -20,8 +20,7 @@ Three measurements:
   ``MIN_DETOUR_IMPROVEMENT_PCT`` (8%) — bounded sideways detours pay off
   exactly when faults break the minimal routes' symmetry.
 
-Workloads (the ``--smoke`` sizes are also part of the full record, so a
-CI smoke run can match them against the committed full record):
+Workloads (the smoke sizes are also part of the full sizes):
 
 * ``hypercube_hotspot`` — all nodes send to node 0 of a hypercube at
   once.  log(n) equal-length routes exist per source; the deterministic
@@ -37,20 +36,16 @@ CI smoke run can match them against the committed full record):
   run through the Theorem 1 embedding, pipelined: the end-to-end path the
   CLI exercises (guest hot node -> 16-node image block -> host routes).
 
-Run::
+Run with the other gate modules::
 
-    python benchmarks/bench_router.py [--smoke] [--out BENCH_PR3.json]
+    python benchmarks/gates.py [--full]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import random
-import sys
-from pathlib import Path
+from functools import partial
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_obs import _stats_key
 
 from repro.core import theorem1_embedding
@@ -99,13 +94,15 @@ def bench_hotspot(name: str, host, schedule, params: dict, *, gated: bool) -> di
     det = SynchronousNetwork(host, router="deterministic").deliver_scheduled(schedule)
     ada = SynchronousNetwork(host, router="adaptive").deliver_scheduled(schedule)
     assert set(det.delivery_cycle) == set(ada.delivery_cycle), "adaptive lost messages"
+    improvement = (det.cycles - ada.cycles) / det.cycles * 100.0
     return {
         "name": name,
         "params": params,
         "deterministic_cycles": det.cycles,
         "adaptive_cycles": ada.cycles,
-        "improvement_pct": (det.cycles - ada.cycles) / det.cycles * 100.0,
+        "improvement_pct": improvement,
         "gated": gated,
+        "passed": improvement >= MIN_HOTSPOT_IMPROVEMENT_PCT,
     }
 
 
@@ -120,13 +117,15 @@ def bench_embedded_hotspot(r: int, seed: int, *, gated: bool) -> dict:
     prog = hot_spot_program(tree, rounds=2, seed=seed)
     det = simulate_on_host(prog, emb, router="deterministic").total_cycles
     ada = simulate_on_host(prog, emb, router="adaptive").total_cycles
+    improvement = (det - ada) / det * 100.0
     return {
         "name": "embedded_hotspot",
         "params": {"r": r, "rounds": 2, "seed": seed, "n": tree.n},
         "deterministic_cycles": det,
         "adaptive_cycles": ada,
-        "improvement_pct": (det - ada) / det * 100.0,
+        "improvement_pct": improvement,
         "gated": gated,
+        "passed": improvement >= MIN_HOTSPOT_IMPROVEMENT_PCT,
     }
 
 
@@ -158,15 +157,17 @@ def bench_detour_faulted(r: int, *, gated: bool) -> dict:
         stats = net.deliver_scheduled(schedule, faults=faults)
         assert stats.complete, f"detour workload lost messages (budget={budget})"
         cycles[budget] = stats.cycles
+    improvement = (cycles[0] - cycles[2]) / cycles[0] * 100.0
     return {
         "name": "detour_faulted_hotspot",
         "params": {"r": r, "hot": list(hot), "detour_budget": 2,
                    "fail": [[list(parent), list(hot)], [list(cross_left), list(hot)]]},
         "no_detour_cycles": cycles[0],
         "detour_cycles": cycles[2],
-        "improvement_pct": (cycles[0] - cycles[2]) / cycles[0] * 100.0,
+        "improvement_pct": improvement,
         "gate_pct": MIN_DETOUR_IMPROVEMENT_PCT,
         "gated": gated,
+        "passed": improvement >= MIN_DETOUR_IMPROVEMENT_PCT,
     }
 
 
@@ -178,6 +179,7 @@ def check_deterministic_identity(n_schedules: int, seed: int = 0) -> dict:
     """
     rng = random.Random(seed)
     checked = 0
+    identical = True
     for host in (XTree(4), Hypercube(6)):
         nodes = list(host.nodes())
         for _ in range(n_schedules):
@@ -190,110 +192,52 @@ def check_deterministic_identity(n_schedules: int, seed: int = 0) -> dict:
                 schedule
             )
             reference = SynchronousNetwork(host).deliver_classic(schedule)
-            if not (_stats_key(default) == _stats_key(named) == _stats_key(reference)):
-                return {"name": "deterministic_identity", "checked": checked,
-                        "identical": False, "gated": True}
+            identical &= _stats_key(default) == _stats_key(named) == _stats_key(reference)
             checked += 1
     return {
         "name": "deterministic_identity",
         "params": {"schedules": checked},
-        "identical": True,
+        "identical": identical,
         "gated": True,
+        "passed": identical,
     }
 
 
-def run(smoke: bool = False) -> dict:
-    results = [
-        bench_hotspot(
-            "hypercube_hotspot", Hypercube(6), hotspot_schedule(Hypercube(6), 0),
-            {"dim": 6, "hot": 0}, gated=True,
+def run(smoke: bool = False) -> list:
+    """The cases at smoke or full size, as callables for ``gates.py``."""
+    cases = [
+        partial(
+            bench_hotspot, "hypercube_hotspot", Hypercube(6),
+            hotspot_schedule(Hypercube(6), 0), {"dim": 6, "hot": 0}, gated=True,
         ),
-        bench_hotspot(
-            "hypercube_bitrev", Hypercube(6), bitrev_schedule(Hypercube(6), 6),
-            {"dim": 6}, gated=True,
+        partial(
+            bench_hotspot, "hypercube_bitrev", Hypercube(6),
+            bitrev_schedule(Hypercube(6), 6), {"dim": 6}, gated=True,
         ),
-        bench_hotspot(
-            "xtree_hotspot", XTree(4), hotspot_schedule(XTree(4), _XTREE_HOT[4]),
+        partial(
+            bench_hotspot, "xtree_hotspot", XTree(4),
+            hotspot_schedule(XTree(4), _XTREE_HOT[4]),
             {"r": 4, "hot": list(_XTREE_HOT[4])}, gated=False,  # too small to matter
         ),
-        bench_embedded_hotspot(3, seed=2, gated=True),
-        bench_detour_faulted(5, gated=True),
+        partial(bench_embedded_hotspot, 3, seed=2, gated=True),
+        partial(bench_detour_faulted, 5, gated=True),
     ]
     if not smoke:
-        results += [
-            bench_hotspot(
-                "hypercube_hotspot", Hypercube(8), hotspot_schedule(Hypercube(8), 0),
-                {"dim": 8, "hot": 0}, gated=True,
+        cases += [
+            partial(
+                bench_hotspot, "hypercube_hotspot", Hypercube(8),
+                hotspot_schedule(Hypercube(8), 0), {"dim": 8, "hot": 0}, gated=True,
             ),
-            bench_hotspot(
-                "hypercube_bitrev", Hypercube(8), bitrev_schedule(Hypercube(8), 8),
-                {"dim": 8}, gated=True,
+            partial(
+                bench_hotspot, "hypercube_bitrev", Hypercube(8),
+                bitrev_schedule(Hypercube(8), 8), {"dim": 8}, gated=True,
             ),
-            bench_hotspot(
-                "xtree_hotspot", XTree(6), hotspot_schedule(XTree(6), _XTREE_HOT[6]),
+            partial(
+                bench_hotspot, "xtree_hotspot", XTree(6),
+                hotspot_schedule(XTree(6), _XTREE_HOT[6]),
                 {"r": 6, "hot": list(_XTREE_HOT[6])}, gated=True,
             ),
-            bench_embedded_hotspot(5, seed=2, gated=True),
-            bench_detour_faulted(6, gated=True),
+            partial(bench_embedded_hotspot, 5, seed=2, gated=True),
+            partial(bench_detour_faulted, 6, gated=True),
         ]
-    results.append(check_deterministic_identity(n_schedules=5 if smoke else 20))
-
-    ok = True
-    for res in results:
-        if not res.get("gated"):
-            continue
-        if "improvement_pct" in res:
-            ok &= res["improvement_pct"] >= res.get("gate_pct", MIN_HOTSPOT_IMPROVEMENT_PCT)
-        if "identical" in res:
-            ok &= res["identical"]
-    return {
-        "bench": "router (PR 3)",
-        "smoke": smoke,
-        "python": sys.version.split()[0],
-        "min_hotspot_improvement_pct": MIN_HOTSPOT_IMPROVEMENT_PCT,
-        "results": results,
-        "all_pass": ok,
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true", help="small instances for CI")
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_PR3.json",
-        help="where to write the JSON record",
-    )
-    args = parser.parse_args(argv)
-    record = run(smoke=args.smoke)
-    for res in record["results"]:
-        if "no_detour_cycles" in res:
-            print(
-                f"{res['name']:<24} {str(res['params']):<42} "
-                f"b=0 {res['no_detour_cycles']:5d}  b=2 {res['detour_cycles']:5d}  "
-                f"improvement {res['improvement_pct']:+6.1f}%"
-            )
-        elif "improvement_pct" in res:
-            print(
-                f"{res['name']:<24} {str(res['params']):<42} "
-                f"det {res['deterministic_cycles']:5d}  ada {res['adaptive_cycles']:5d}  "
-                f"improvement {res['improvement_pct']:+6.1f}%"
-            )
-        else:
-            print(f"{res['name']:<24} {str(res.get('params', '')):<42} "
-                  f"identical: {res['identical']}")
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    if not record["all_pass"]:
-        print(
-            f"FAIL: a gated workload missed its bar "
-            f"(>= {MIN_HOTSPOT_IMPROVEMENT_PCT}% hot-spot improvement, "
-            f"bit-identical deterministic stats)"
-        )
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return cases + [partial(check_deterministic_identity, n_schedules=5 if smoke else 20)]

@@ -19,17 +19,15 @@ Three gated measurements:
   interleaved with the cyclic GC paused (median of per-pair ratios, as
   in ``bench_obs``).  Gate: the runtime's scheduling layer costs <= 5%.
 
-Writes ``BENCH_PR5.json`` at the repo root.  Run::
+Run with the other gate modules::
 
-    PYTHONPATH=src python benchmarks/bench_runtime.py [--smoke] [--out PATH]
+    python benchmarks/gates.py [--full]
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
-from pathlib import Path
+from functools import partial
 
 from bench_obs import _best_of_pair
 
@@ -172,67 +170,19 @@ def bench_single_job_overhead(r: int, repeats: int) -> dict:
     return {
         "name": "single_job_runtime_overhead",
         "params": {"r": r, "program": spec.program, "repeats": repeats},
-        "direct_s": direct_s,
-        "runtime_s": runtime_s,
-        "overhead_pct": overhead_pct,
         "makespan_cycles": direct_cycles,
         "gate": f"overhead<={MAX_RUNTIME_OVERHEAD_PCT}%",
         "gated": True,
         "passed": overhead_pct <= MAX_RUNTIME_OVERHEAD_PCT,
+        "timing": {"direct_s": direct_s, "runtime_s": runtime_s, "overhead_pct": overhead_pct},
     }
 
 
-def run(smoke: bool = False, repeats: int = 30) -> dict:
+def run(smoke: bool = False) -> list:
+    """The cases at smoke or full size, as callables for ``gates.py``."""
     r = 4
-    repeats = max(10, repeats // 3) if smoke else max(repeats, 30)
-    results = [
-        bench_online_vs_offline(r),
-        bench_checkpoint_identity(r, cuts=(1, 4) if smoke else (1, 4, 9, 15)),
-        bench_single_job_overhead(r, repeats),
+    return [
+        partial(bench_online_vs_offline, r),
+        partial(bench_checkpoint_identity, r, cuts=(1, 4) if smoke else (1, 4, 9, 15)),
+        partial(bench_single_job_overhead, r, 10 if smoke else 30),
     ]
-    return {
-        "bench": "runtime (PR 5)",
-        "smoke": smoke,
-        "python": sys.version.split()[0],
-        "max_runtime_overhead_pct": MAX_RUNTIME_OVERHEAD_PCT,
-        "results": results,
-        "all_pass": all(res["passed"] for res in results if res["gated"]),
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true", help="small instances for CI")
-    parser.add_argument("--repeats", type=int, default=30)
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_PR5.json",
-        help="where to write the JSON record",
-    )
-    args = parser.parse_args(argv)
-    record = run(smoke=args.smoke, repeats=args.repeats)
-    for res in record["results"]:
-        status = "pass" if res["passed"] else "FAIL"
-        if res["name"] == "online_vs_offline_repair":
-            detail = (
-                f"online {res['online_makespan_cycles']} vs offline "
-                f"{res['offline_total_cycles']} cycles "
-                f"(saves {res['saving_pct']:.1f}%, {res['repairs']} repairs, "
-                f"{res['migrated']} migrated)"
-            )
-        elif res["name"] == "checkpoint_restore_identity":
-            detail = f"identical at cuts {res['params']['cuts']}: {res['identical_at_cut']}"
-        else:
-            detail = (
-                f"direct {res['direct_s'] * 1e3:.2f} ms vs runtime "
-                f"{res['runtime_s'] * 1e3:.2f} ms (overhead {res['overhead_pct']:+.2f}%)"
-            )
-        print(f"{res['name']:<30} [{status}]  {detail}")
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    return 0 if record["all_pass"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -3,14 +3,14 @@
 Three gated measurements:
 
 * **concurrent load, bit-identical** — N concurrent scenario submissions
-  (default 120; ``--smoke`` 12) over the REST API against a 2-shard
+  (120; 12 at smoke size) over the REST API against a 2-shard
   worker fleet, mixing plain and node-death-fault scenarios.  Gate:
   every job completes, both shards execute work, and every per-job
   ``RuntimeResult`` — per-message delivery cycles included — is
   *bit-identical* to a direct in-process ``run_scenario`` of the same
-  document.  The summed makespan is the deterministic regression metric
-  (``fleet_total_makespan_cycles``): HTTP, placement, worker processes
-  and checkpointing must all be invisible in the numbers.
+  document.  The summed makespan (``fleet_total_makespan_cycles``) is
+  anchored: HTTP, placement, worker processes and checkpointing must all
+  be invisible in the numbers.
 * **killed-worker recovery** — submit the ``scenarios/long_run.json``
   workhorse, SIGKILL its worker mid-run (checkpoint on disk, no result
   yet), run fleet recovery, and let the requeued job resume — typically
@@ -21,17 +21,16 @@ Three gated measurements:
   shards never exceeds the heaviest single scenario.  Gate: balanced
   placement under the load-16-derived weight signal.
 
-Writes ``BENCH_PR7.json`` at the repo root.  Run::
+Run with the other gate modules::
 
-    PYTHONPATH=src python benchmarks/bench_service.py [--smoke] [--out PATH]
+    python benchmarks/gates.py [--full]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
+import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -75,25 +74,26 @@ FAULT_DOC = {
 }
 
 
-def bench_concurrent_load(root: Path, n: int, shards: int) -> dict:
+def bench_concurrent_load(n: int, shards: int) -> dict:
     """N concurrent HTTP submissions, each verified bit-identical."""
     half = n // 2
     scenarios = (
         scenario_variants(Scenario.from_obj(PLAIN_DOC), n - half)
         + scenario_variants(Scenario.from_obj(FAULT_DOC), half)
     )
-    fleet = Fleet(root / "load", n_shards=shards)
-    fleet.start()
-    server = ApiServer(fleet)
-    server.serve_background()
-    try:
-        client = ServiceClient(server.address)
-        report = run_load(
-            client, scenarios, concurrency=min(32, n), timeout=600, verify=True
-        )
-    finally:
-        server.shutdown()
-        fleet.stop()
+    with tempfile.TemporaryDirectory(prefix="bench-service-") as root:
+        fleet = Fleet(Path(root), n_shards=shards)
+        fleet.start()
+        server = ApiServer(fleet)
+        server.serve_background()
+        try:
+            client = ServiceClient(server.address)
+            report = run_load(
+                client, scenarios, concurrency=min(32, n), timeout=600, verify=True
+            )
+        finally:
+            server.shutdown()
+            fleet.stop()
     used_shards = len(report.jobs_per_shard)
     passed = report.ok and used_shards >= min(shards, 2)
     return {
@@ -105,39 +105,40 @@ def bench_concurrent_load(root: Path, n: int, shards: int) -> dict:
         "n_mismatched": report.n_mismatched,
         "shards_used": used_shards,
         "jobs_per_shard": report.as_dict()["jobs_per_shard"],
-        "wall_s": report.as_dict()["wall_s"],
         "gate": "all done, >=2 shards used, 0 mismatches vs direct runs",
         "gated": True,
         "passed": passed,
+        "timing": {"wall_s": report.as_dict()["wall_s"]},
     }
 
 
-def bench_killed_worker_recovery(root: Path) -> dict:
+def bench_killed_worker_recovery() -> dict:
     """SIGKILL mid-job; the resumed job must match the uninterrupted run."""
     sc = Scenario.from_json(REPO / "scenarios" / "long_run.json")
     ref = run_scenario(sc).as_dict()
-    fleet = Fleet(root / "recover", n_shards=2)
-    fleet.start()
-    try:
-        jid = fleet.submit(sc)
-        store = fleet.store
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            rec = store.read_meta(jid)
-            if rec.status == "running" and store.checkpoint_path(jid).exists():
-                break
-            time.sleep(0.002)
-        else:
-            raise RuntimeError("job never reached running-with-checkpoint")
-        killed_shard = rec.shard
-        fleet.kill_worker(killed_shard)
-        finished_early = store.read_result(jid) is not None
-        requeued = fleet.recover()
-        fleet.wait([jid], timeout=120)
-        final = store.read_meta(jid)
-        result = store.read_result(jid)
-    finally:
-        fleet.stop()
+    with tempfile.TemporaryDirectory(prefix="bench-service-") as root:
+        fleet = Fleet(Path(root), n_shards=2)
+        fleet.start()
+        try:
+            jid = fleet.submit(sc)
+            store = fleet.store
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                rec = store.read_meta(jid)
+                if rec.status == "running" and store.checkpoint_path(jid).exists():
+                    break
+                time.sleep(0.002)
+            else:
+                raise RuntimeError("job never reached running-with-checkpoint")
+            killed_shard = rec.shard
+            fleet.kill_worker(killed_shard)
+            finished_early = store.read_result(jid) is not None
+            requeued = fleet.recover()
+            fleet.wait([jid], timeout=120)
+            final = store.read_meta(jid)
+            result = store.read_result(jid)
+        finally:
+            fleet.stop()
     identical = result.get("result") == ref
     passed = (
         not finished_early
@@ -162,10 +163,8 @@ def bench_killed_worker_recovery(root: Path) -> dict:
     }
 
 
-def bench_placement_balance(root: Path, n: int) -> dict:
+def bench_placement_balance(n: int) -> dict:
     """Unequal-weight submissions stay balanced across shards."""
-    fleet = Fleet(root / "placement", n_shards=2)
-    # no workers: placement only, so queue weights are exactly inspectable
     light = Scenario.from_obj(PLAIN_DOC)      # weight 8
     heavy = Scenario.from_obj({
         **PLAIN_DOC,
@@ -174,9 +173,12 @@ def bench_placement_balance(root: Path, n: int) -> dict:
                   "capacity": 16, "height": 3}],
     })                                        # weight 16
     max_weight = max(light.weight, heavy.weight)
-    for i in range(n):
-        fleet.submit(heavy if i % 3 == 0 else light)
-    weights = [fleet.store.outstanding_weight(s) for s in range(2)]
+    with tempfile.TemporaryDirectory(prefix="bench-service-") as root:
+        # no workers: placement only, so queue weights are exactly inspectable
+        fleet = Fleet(Path(root), n_shards=2)
+        for i in range(n):
+            fleet.submit(heavy if i % 3 == 0 else light)
+        weights = [fleet.store.outstanding_weight(s) for s in range(2)]
     gap = abs(weights[0] - weights[1])
     return {
         "name": "occupancy_placement_balance",
@@ -190,9 +192,7 @@ def bench_placement_balance(root: Path, n: int) -> dict:
 
 
 def bench_reference_makespans() -> dict:
-    """Deterministic per-scenario makespans — the scale-invariant anchor
-    ``check_regression.py`` compares across smoke and full runs (the
-    concurrent-load row's params include ``n``, so smoke CI skips it)."""
+    """Deterministic per-scenario makespans, the same at every size."""
     plain = run_scenario(Scenario.from_obj(PLAIN_DOC)).makespan
     faulted = run_scenario(Scenario.from_obj(FAULT_DOC)).makespan
     long_run = run_scenario(
@@ -210,68 +210,11 @@ def bench_reference_makespans() -> dict:
     }
 
 
-def run(root: Path, smoke: bool = False, n: int | None = None) -> dict:
-    n_load = n if n is not None else (12 if smoke else 120)
-    results = [
-        bench_reference_makespans(),
-        bench_concurrent_load(root, n_load, shards=2),
-        bench_killed_worker_recovery(root),
-        bench_placement_balance(root, 8 if smoke else 30),
+def run(smoke: bool = False) -> list:
+    """The cases at smoke or full size, as callables for ``gates.py``."""
+    return [
+        bench_reference_makespans,
+        partial(bench_concurrent_load, 12 if smoke else 120, shards=2),
+        bench_killed_worker_recovery,
+        partial(bench_placement_balance, 8 if smoke else 30),
     ]
-    return {
-        "bench": "service (PR 7)",
-        "smoke": smoke,
-        "python": sys.version.split()[0],
-        "results": results,
-        "all_pass": all(res["passed"] for res in results if res["gated"]),
-    }
-
-
-def main(argv=None) -> int:
-    import tempfile
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="12 submissions instead of 120 for CI")
-    parser.add_argument("-n", type=int, default=None, dest="n",
-                        help="override the submission count")
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=REPO / "BENCH_PR7.json",
-        help="where to write the JSON record",
-    )
-    args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="bench-service-") as root:
-        record = run(Path(root), smoke=args.smoke, n=args.n)
-    for res in record["results"]:
-        status = "pass" if res["passed"] else "FAIL"
-        if res["name"] == "concurrent_load_bit_identity":
-            detail = (
-                f"{res['n_done']}/{res['params']['n']} done on "
-                f"{res['shards_used']} shards, {res['n_mismatched']} mismatched, "
-                f"{res['fleet_total_makespan_cycles']} total cycles "
-                f"in {res['wall_s']:.1f}s"
-            )
-        elif res["name"] == "scenario_reference_makespans":
-            detail = (
-                f"plain {res['plain_makespan_cycles']}, faulted "
-                f"{res['faulted_makespan_cycles']}, long_run "
-                f"{res['long_run_makespan_cycles']} cycles"
-            )
-        elif res["name"] == "killed_worker_recovery":
-            detail = (
-                f"killed shard {res['killed_shard']}, resumed on "
-                f"{res['resumed_shard']} (migrated={res['migrated']}), "
-                f"attempt {res['attempts']}, bit_identical={res['bit_identical']}"
-            )
-        else:
-            detail = f"shard weights {res['shard_weights']} (gap {res['weight_gap']})"
-        print(f"{res['name']:<32} [{status}]  {detail}")
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    return 0 if record["all_pass"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

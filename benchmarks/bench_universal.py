@@ -24,40 +24,35 @@ Five gated measurements of the flow-based separator engine
   embedding with zero spanning defect and measured dilation/load.
 * **universal routing** — real workloads routed on G_n with the
   vectorised engine (the quotient-distance closed form feeds the dense
-  next-hop tables); host cycles are the deterministic regression
-  metric, with slowdown vs the X(t-5) host on the same guest.
+  next-hop tables); host cycles are anchored, with slowdown vs the
+  X(t-5) host on the same guest.
 
-Writes ``BENCH_PR10.json`` at the repo root.  Run::
+Run with the other gate modules::
 
-    PYTHONPATH=src python benchmarks/bench_universal.py [--smoke] [--out PATH]
+    python benchmarks/gates.py [--full]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
+from functools import partial
 
-REPO = Path(__file__).resolve().parent.parent
-
-from repro.core.separators import lemma2_bound  # noqa: E402
-from repro.core.universal import embed_into_universal, spanning_defect  # noqa: E402
-from repro.core.xtree_embed import theorem1_embedding  # noqa: E402
-from repro.networks.universal import (  # noqa: E402
+from repro.core.separators import lemma2_bound
+from repro.core.universal import embed_into_universal, spanning_defect
+from repro.core.xtree_embed import theorem1_embedding
+from repro.networks.universal import (
     PAPER_DEGREE_BOUND,
     UniversalGraph,
     universal_graph_size,
 )
-from repro.separators import FlowSeparator  # noqa: E402
-from repro.simulate import (  # noqa: E402
+from repro.separators import FlowSeparator
+from repro.simulate import (
     PROGRAMS,
     VECTOR_MAX_NODES,
     simulate_on_guest,
     simulate_on_host,
 )
-from repro.trees.binary_tree import theorem1_guest_size  # noqa: E402
-from repro.trees.generators import make_tree  # noqa: E402
+from repro.trees.binary_tree import theorem1_guest_size
+from repro.trees.generators import make_tree
 
 #: tree families the separator sweeps cover (structurally diverse: dense
 #: random, path-like, heavy-spined, and skewed shapes)
@@ -272,7 +267,7 @@ def _route_on(t: int, program: str) -> dict:
 
 
 def bench_universal_route_small() -> dict:
-    """Smoke-stable regression anchor: t=7 routing cycles (deterministic)."""
+    """t=7 routing cycles, the same at every size (deterministic)."""
     rows = {prog: _route_on(7, prog) for prog in ("reduction", "leaf_gossip")}
     out = {
         "name": "universal_route_small",
@@ -308,74 +303,13 @@ def bench_universal_route_large() -> dict:
     }
 
 
-def run(smoke: bool = False) -> dict:
-    results = [
-        bench_paper_bit_identity(smoke),
-        bench_flow_contract(smoke),
-        bench_flow_embedding_quality(smoke),
-        bench_universal_degree(smoke),
-        bench_universal_route_small(),
+def run(smoke: bool = False) -> list:
+    """The cases at smoke or full size, as callables for ``gates.py``."""
+    cases = [
+        partial(bench_paper_bit_identity, smoke),
+        partial(bench_flow_contract, smoke),
+        partial(bench_flow_embedding_quality, smoke),
+        partial(bench_universal_degree, smoke),
+        bench_universal_route_small,
     ]
-    if not smoke:
-        results.append(bench_universal_route_large())
-    return {
-        "bench": "separator engine + universal graph (PR 10)",
-        "smoke": smoke,
-        "python": sys.version.split()[0],
-        "results": results,
-        "all_pass": all(res["passed"] for res in results if res["gated"]),
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="small sweep for CI")
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=REPO / "BENCH_PR10.json",
-        help="where to write the JSON record",
-    )
-    args = parser.parse_args(argv)
-    record = run(smoke=args.smoke)
-    for res in record["results"]:
-        status = "pass" if res["passed"] else "FAIL"
-        if res["name"] == "paper_separator_bit_identity":
-            detail = f"{res['n_embeddings']} embeddings, {res['n_mismatches']} mismatches"
-        elif res["name"] == "flow_separator_contract":
-            detail = (
-                f"{res['n_splits']} splits: {res['n_structural_failures']} "
-                f"structural, {res['n_balance_violations']} balance, "
-                f"{res['n_size_violations']} size violations"
-            )
-        elif res["name"] == "flow_embedding_quality":
-            detail = ", ".join(
-                f"{fam} d{v['flow_dilation']}/{v['paper_dilation']}"
-                for fam, v in sorted(res["per_family"].items())
-            )
-        elif res["name"] == "universal_degree_and_spanning":
-            detail = (
-                f"t={res['params']['t']}, n={res['n_vertices']}, degree "
-                f"{res['max_degree']}/{res['degree_bound']}, defect "
-                f"{res['spanning_defect']}, dilation {res['dilation']}"
-            )
-        elif res["name"] == "universal_route_small":
-            detail = ", ".join(
-                f"{p} {res[f'{p}_universal_cycles']}c (x{res[f'{p}_slowdown']})"
-                for p in res["params"]["programs"]
-            )
-        else:
-            detail = (
-                f"n={res['n_vertices']}: {res['reduction_universal_cycles']} "
-                f"cycles (x{res['universal_slowdown']} guest, "
-                f"{res['speedup_vs_xtree']}x vs X-tree)"
-            )
-        print(f"{res['name']:<32} [{status}]  {detail}")
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    return 0 if record["all_pass"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return cases if smoke else cases + [bench_universal_route_large]

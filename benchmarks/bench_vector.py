@@ -14,30 +14,28 @@ Three measurements for the struct-of-arrays kernel
   waves on a 511-node X-tree, spaced past the single-wave makespan so the
   network stays in steady state) must *complete* on the vector engine;
   wall time and throughput are recorded, the deterministic makespan is
-  tracked as a ``*_cycles`` regression metric.  Smoke mode runs the same
-  wave construction at 10^5 messages.
+  anchored.  The smoke size runs the same wave construction at 10^5
+  messages.
 * **parity corpus** — 40+ schedules spanning the four core topologies
   (X-tree, hypercube, complete binary tree, grid), the adversarial
   hot-spot/permutation programs, and barrier + pipelined
   ``simulate_on_host`` supersteps: classic and vector stats must be
   *bit-identical* field by field; a SHA-256 over the canonical classic
   stats is recorded so the corpus itself is tamper-evident, and the
-  summed corpus makespan is a tracked ``*_cycles`` metric.
+  summed corpus makespan is anchored.
 
-Writes ``BENCH_PR6.json`` at the repo root.  Run::
+Run with the other gate modules::
 
-    python benchmarks/bench_vector.py [--smoke] [--out BENCH_PR6.json]
+    python benchmarks/gates.py [--full]
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import random
-import sys
 import time
-from pathlib import Path
+from functools import partial
 from unittest import mock
 
 from bench_obs import _best_of_pair, _stats_key, make_workloads
@@ -63,9 +61,8 @@ CORPUS_TOPOLOGIES = ("xtree", "hypercube", "complete-binary-tree", "grid2d")
 # ----------------------------------------------------------------------
 # Speedup gate
 # ----------------------------------------------------------------------
-def bench_speedup(r: int, rounds: int, repeats: int, min_speedup: float) -> dict:
+def bench_speedup(r: int, rounds: int, min_speedup: float) -> dict:
     """Reference loop vs kernel on the bench_obs dense pipelined workload."""
-    repeats = max(repeats, 9)
     host, dense = make_workloads(r, rounds)
     classic = SynchronousNetwork(host)
     vector = SynchronousNetwork(host)
@@ -78,17 +75,15 @@ def bench_speedup(r: int, rounds: int, repeats: int, min_speedup: float) -> dict
     classic_s, vector_s, ratio = _best_of_pair(
         lambda: classic.deliver_classic(dense),
         lambda: vector_deliver_scheduled(vector, dense),
-        repeats,
+        9,
     )
     return {
         "name": "vector_speedup",
         "params": {"messages": len(dense), "host": host.name, "r": r},
-        "classic_s": classic_s,
-        "vector_s": vector_s,
-        "speedup": 1.0 / ratio,
         "min_speedup": min_speedup,
         "gated": True,
         "passed": 1.0 / ratio >= min_speedup,
+        "timing": {"classic_s": classic_s, "vector_s": vector_s, "speedup": 1.0 / ratio},
     }
 
 
@@ -133,11 +128,10 @@ def bench_million(n_messages: int) -> dict:
         "name": "million_message_run",
         "params": {"messages": n_messages, "host": topology.name},
         "makespan_cycles": stats.cycles,
-        "wall_s": wall,
-        "messages_per_s": n_messages / wall,
         "completed": completed,
         "gated": True,
         "passed": completed,
+        "timing": {"wall_s": wall, "messages_per_s": n_messages / wall},
     }
 
 
@@ -254,64 +248,15 @@ def bench_parity_corpus() -> dict:
     }
 
 
-def run(smoke: bool = False, repeats: int = 9) -> dict:
-    speedup = bench_speedup(
-        r=4 if smoke else 5,
-        rounds=4 if smoke else 8,
-        repeats=repeats,
-        min_speedup=MIN_SPEEDUP_SMOKE if smoke else MIN_SPEEDUP,
-    )
-    million = bench_million(100_000 if smoke else 1_000_000)
-    parity = bench_parity_corpus()
-    results = [speedup, million, parity]
-    return {
-        "bench": "vector engine (PR 6)",
-        "smoke": smoke,
-        "python": sys.version.split()[0],
-        "min_speedup": MIN_SPEEDUP_SMOKE if smoke else MIN_SPEEDUP,
-        "results": results,
-        "all_pass": all(res["passed"] for res in results),
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true", help="small instances for CI")
-    parser.add_argument("--repeats", type=int, default=9)
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent / "BENCH_PR6.json",
-        help="where to write the JSON record",
-    )
-    args = parser.parse_args(argv)
-    record = run(smoke=args.smoke, repeats=args.repeats)
-    for res in record["results"]:
-        if res["name"] == "vector_speedup":
-            print(
-                f"{res['name']:<20} {res['params']}  classic {res['classic_s']*1e3:8.2f} ms   "
-                f"vector {res['vector_s']*1e3:8.2f} ms   speedup {res['speedup']:6.1f}x "
-                f"(gate >= {res['min_speedup']}x)"
-            )
-        elif res["name"] == "million_message_run":
-            print(
-                f"{res['name']:<20} {res['params']}  {res['wall_s']:6.1f} s   "
-                f"{res['messages_per_s']/1e3:7.0f}k msg/s   makespan {res['makespan_cycles']} "
-                f"cycles   completed={res['completed']}"
-            )
-        else:
-            print(
-                f"{res['name']:<20} {res['n_schedules']} schedules over "
-                f"{len(res['topologies'])} topologies + supersteps, "
-                f"{res['corpus_cycles']} summed cycles, sha256 {res['sha256'][:16]}..."
-            )
-    args.out.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    if not record["all_pass"]:
-        print("FAIL: vector-engine gate failed (speedup / completion / parity)")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def run(smoke: bool = False) -> list:
+    """The cases at smoke or full size, as callables for ``gates.py``."""
+    return [
+        partial(
+            bench_speedup,
+            r=4 if smoke else 5,
+            rounds=4 if smoke else 8,
+            min_speedup=MIN_SPEEDUP_SMOKE if smoke else MIN_SPEEDUP,
+        ),
+        partial(bench_million, 100_000 if smoke else 1_000_000),
+        bench_parity_corpus,
+    ]

@@ -460,16 +460,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true", help="smaller sweeps")
     parser.add_argument("--only", help="substring filter on experiment titles")
-    parser.add_argument(
-        "--oracle-bench",
-        action="store_true",
-        help="run the distance-oracle old-vs-new benchmark and write BENCH_PR1.json",
-    )
     args = parser.parse_args(argv)
-    if args.oracle_bench:
-        import bench_oracle
-
-        return bench_oracle.main(["--smoke"] if args.fast else [])
     for title, fn in ALL_EXPERIMENTS:
         if args.only and args.only.lower() not in title.lower():
             continue

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _trace_kinds(path: Path) -> set:
+    return {json.loads(line).get("kind") for line in path.read_text().splitlines()}
 
 
 class TestEmbed:
@@ -56,6 +65,53 @@ class TestSimulate:
             lines = capsys.readouterr().out.splitlines()[1:]
             tables.append([l for l in lines if not l.startswith("wrote trace")])
         assert tables[0] == tables[1]
+
+    def test_mid_delivery_fault_completes_and_is_traced(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        assert main(["simulate", "--height", "3", "--router", "adaptive",
+                     "--faults", str(REPO / "examples" / "faults_single_link.json"),
+                     "--trace", str(trace)]) == 0
+        assert "fault" in _trace_kinds(trace)
+
+
+class TestByzantine:
+    def test_integrity_exit_codes_and_trace(self, tmp_path, capsys):
+        # recoverable corruption exits 0; the storm exits 1 naming the reason
+        assert main(["service", "run", str(REPO / "scenarios" / "byzantine.json")]) == 0
+        capsys.readouterr()
+        storm = REPO / "scenarios" / "byzantine_storm.json"
+        assert main(["service", "run", str(storm), "--json"]) == 1
+        assert '"integrity"' in capsys.readouterr().out
+        trace = tmp_path / "t.jsonl"
+        assert main(["simulate", "--height", "3", "--router", "adaptive",
+                     "--faults", str(REPO / "examples" / "faults_byzantine.json"),
+                     "--trace", str(trace)]) == 0
+        assert {"corrupt", "retransmit"} <= _trace_kinds(trace)
+
+
+class TestSeparator:
+    def test_paper_matches_default_and_flow_runs(self, capsys):
+        tables = []
+        for extra in ([], ["--separator", "paper"]):
+            assert main(["embed", "--height", "3", *extra]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1]
+        assert main(["embed", "--height", "3", "--separator", "flow"]) == 0
+        assert main(["simulate", "--height", "3", "--program", "reduction",
+                     "--separator", "flow"]) == 0
+
+
+class TestTune:
+    def test_seeded_runs_write_identical_log_and_doc(self, tmp_path, capsys):
+        written = []
+        for run in "ab":
+            doc, log = tmp_path / f"doc_{run}.json", tmp_path / f"log_{run}.json"
+            assert main(["tune", "route-hotspot",
+                         "--scenario", str(REPO / "scenarios" / "hot_spot_terminal.json"),
+                         "--method", "random", "--budget", "2", "--seed", "0",
+                         "--out", str(doc), "--log", str(log)]) == 0
+            written.append((doc.read_bytes(), log.read_bytes()))
+        assert written[0] == written[1]
 
 
 class TestParser:
@@ -147,4 +203,17 @@ class TestRuntimeExitCodes:
         assert main(["runtime", cfg, "--checkpoint", str(ckpt)]) == 0
         # resume from the finished checkpoint: still complete, still 0
         assert main(["runtime", cfg, "--checkpoint", str(ckpt)]) == 0
+        assert "resumed from" in capsys.readouterr().out
+
+    def test_node_death_repairs_and_checkpoint_resumes(self, tmp_path, capsys):
+        # two jobs on one host, a node killed mid-run: online repair shows
+        # in the trace, and the rerun resumes from the checkpoint
+        args = ["runtime", str(REPO / "examples" / "runtime_jobs.json"),
+                "--faults", str(REPO / "examples" / "faults_node_death.json"),
+                "--checkpoint", str(tmp_path / "c.json")]
+        trace = tmp_path / "t.jsonl"
+        assert main(args + ["--trace", str(trace)]) == 0
+        assert "repair" in _trace_kinds(trace)
+        assert "resumed from" not in capsys.readouterr().out
+        assert main(args) == 0
         assert "resumed from" in capsys.readouterr().out

@@ -419,12 +419,13 @@ class TestCli:
         assert "tuned" in capsys.readouterr().out
 
     def test_service_run_policy_override(self, capsys):
-        rc = cli_main([
-            "service", "run",
-            str(REPO / "scenarios" / "hot_spot_interior.json"),
-            "--policy", str(REPO / "policies" / "hot_spot_router.json"),
-        ])
-        assert rc == 0
+        for scenario in ("hot_spot_interior", "hot_spot_terminal"):
+            rc = cli_main([
+                "service", "run",
+                str(REPO / "scenarios" / f"{scenario}.json"),
+                "--policy", str(REPO / "policies" / "hot_spot_router.json"),
+            ])
+            assert rc == 0
 
     def test_simulate_rejects_scheduling_document(self, tmp_path, capsys):
         doc = tmp_path / "sched.json"
