@@ -23,9 +23,11 @@ Five gated measurements of the flow-based separator engine
   ``25*16 + 15 = 415``; Theorem 1 + slot lift yields a *bijective*
   embedding with zero spanning defect and measured dilation/load.
 * **universal routing** — real workloads routed on G_n with the
-  vectorised engine (the quotient-distance closed form feeds the dense
-  next-hop tables); host cycles are anchored, with slowdown vs the
-  X(t-5) host on the same guest.
+  vectorised engine; host cycles are anchored, with slowdown vs the
+  X(t-5) host on the same guest.  The dense next-hop and edge-id tables
+  come from one smallest-index sweep on the address quotient, broadcast
+  to all vertex pairs, so the t = 11 case costs its deliveries, not a
+  sweep of 415 neighbour slots over a 2032 x 2032 distance matrix.
 
 Run with the other gate modules::
 

@@ -20,6 +20,9 @@ module makes that query cheap at every batch size:
   ``Topology.has_closed_form_distance``) bypass BFS entirely;
   :meth:`DistanceOracle.pairs_distances` evaluates the formula over whole
   index arrays at once.
+* **Dense routing tables** — :meth:`DistanceOracle.next_hop_tables` sweeps
+  every host's neighbour slots once over its all-pairs matrix; Theorem 4's
+  G_n runs that sweep on its address quotient and broadcasts it.
 
 ``oracle_for`` memoises one oracle per live topology object, so call sites
 (:class:`repro.core.embedding.Embedding`, the verification layer, the
@@ -28,6 +31,7 @@ benchmark harness) share CSR builds and row caches for free.
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from collections.abc import Iterable
 from typing import Any
@@ -91,6 +95,140 @@ def _cbt_pairs(ai: np.ndarray, bi: np.ndarray) -> np.ndarray:
     return (lu - level) + (lv - level) + 2 * exp.astype(np.int64)
 
 
+def _neighbor_csr(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` read off ``Topology.neighbors``, one node
+    at a time: the layout every host's edge ids are positions in."""
+    indptr = np.zeros(topology.n_nodes + 1, dtype=np.int32)
+    flat: list[int] = []
+    for u in topology.nodes():
+        flat.extend(topology.index(v) for v in topology.neighbors(u))
+        indptr[topology.index(u) + 1] = len(flat)
+    return indptr, np.asarray(flat, dtype=np.int32)
+
+
+_SLOTS = UNIVERSAL_SLOTS
+#: ``_OWN_SLOTS[j]``: the slots ``k != j`` in ascending order, the head of
+#: G_n vertex ``(alpha, j)``'s neighbour list
+_OWN_SLOTS = np.array(
+    [[k for k in range(_SLOTS) if k != j] for j in range(_SLOTS)], dtype=np.int32
+)
+#: ``_OWN_POS[j, k]``: where slot ``k`` sits in that head (``k != j``)
+_OWN_POS = np.arange(_SLOTS, dtype=np.int32) - (
+    np.arange(_SLOTS) > np.arange(_SLOTS)[:, None]
+)
+
+
+def _universal_csr(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """G_n's CSR from its quotient adjacency ``adj``, equal to
+    :func:`_neighbor_csr`'s: row ``(a, j)`` lists the own slots ascending
+    (skipping ``j``), then the 16 slots of each related address in ``adj``
+    order."""
+    slots = np.arange(_SLOTS, dtype=np.int32)
+    rows = []
+    for a, rel in enumerate(adj):
+        cross = (np.asarray(rel, dtype=np.int32)[:, None] * _SLOTS + slots).ravel()
+        block = np.empty((_SLOTS, _SLOTS - 1 + cross.size), dtype=np.int32)
+        block[:, : _SLOTS - 1] = a * _SLOTS + _OWN_SLOTS
+        block[:, _SLOTS - 1 :] = cross
+        rows.append(block.ravel())
+    indptr = np.zeros(len(adj) * _SLOTS + 1, dtype=np.int32)
+    degree = [_SLOTS - 1 + _SLOTS * len(rel) for rel in adj]
+    indptr[1:] = np.cumsum(np.repeat(degree, _SLOTS))
+    return indptr, np.concatenate(rows)
+
+
+def _sweep_next_hops(
+    indptr: np.ndarray, indices: np.ndarray, dist: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest-index shortest-path routing over CSR arrays and an all-pairs
+    distance matrix: ``(next_hop, edge_id)``, both ``(n, n)`` int32.
+
+    ``next_hop[u, d]`` is the smallest-index neighbour ``v`` of ``u`` with
+    ``dist[v, d] == dist[u, d] - 1`` and ``edge_id[u, d]`` its position in
+    ``indices``; both are ``-1`` where there is none (``u == d``, or ``d``
+    unreachable).
+    """
+    n = indptr.size - 1
+    deg = np.diff(indptr).astype(np.int64)
+    max_deg = int(deg.max(initial=0))
+    # per-row neighbour lists, index-sorted ascending, padded with the
+    # sentinel ``n``; ``pos`` remembers each neighbour's CSR slot (the
+    # directed-edge id)
+    nbr = np.full((n, max_deg), n, dtype=np.int64)
+    pos = np.full((n, max_deg), -1, dtype=np.int64)
+    for u in range(n):
+        s, e = int(indptr[u]), int(indptr[u + 1])
+        row = indices[s:e].astype(np.int64)
+        order = np.argsort(row)
+        nbr[u, : e - s] = row[order]
+        pos[u, : e - s] = s + order
+    nh = np.full((n, n), -1, dtype=np.int32)
+    eid = np.full((n, n), -1, dtype=np.int32)
+    # a neighbour v is a valid next hop towards d iff dist(v, d) is
+    # exactly dist(u, d) - 1; sweeping the index-sorted slots from the
+    # highest down lets the smallest-index candidate overwrite last,
+    # which is precisely the engine's tie-break
+    target = dist - 1
+    for k in range(max_deg - 1, -1, -1):
+        cand = nbr[:, k]
+        valid = cand < n
+        cand_rows = dist[np.where(valid, cand, 0)]
+        mask = valid[:, None] & (cand_rows == target) & (target >= 0)
+        nh = np.where(mask, cand[:, None].astype(np.int32), nh)
+        eid = np.where(mask, pos[:, k].astype(np.int32)[:, None], eid)
+    return nh, eid
+
+
+def _universal_tables(
+    indptr: np.ndarray, adj: list[list[int]], quotient: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """G_n's ``(next_hop, edge_id)``: one :func:`_sweep_next_hops` on the
+    address quotient, broadcast to all ``(n, n)`` vertex pairs.
+
+    For ``u = (a, j) != d = (b, k)`` and quotient distance ``Q``: with
+    ``Q[a, b] < 0`` there is no hop; with ``a == b`` or ``Q[a, b] == 1``,
+    ``d`` is a neighbour of ``u`` and the hop; otherwise ``u``'s own slots
+    are exactly as far from ``d`` as ``u``, so the smallest-index closer
+    neighbour is slot 0 of the smallest related address the quotient sweep
+    picks.  That is the host sweep's result entry for entry, in
+    O(m^2 * 25 + n^2) for ``m = n / 16`` addresses instead of O(n^2 * 415).
+    ``indptr`` is :func:`_universal_csr`'s; edge ids are positions in it.
+    """
+    m = quotient.shape[0]
+    n = m * _SLOTS
+    q_indptr = np.zeros(m + 1, dtype=np.int32)
+    q_indptr[1:] = np.cumsum([len(rel) for rel in adj])
+    q_indices = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int32)
+    q_hop, q_pos = _sweep_next_hops(q_indptr, q_indices, quotient)
+    direct = (quotient == 0) | (quotient == 1)  # d is u, or u's neighbour
+    far_hop = np.where(q_hop >= 0, q_hop * _SLOTS, -1)
+    # offset of the hop's slot group within u's CSR row: the 15 own slots,
+    # then 16 per related address in ``adj`` order
+    group = (_SLOTS - 1) + _SLOTS * (q_pos - q_indptr[:-1, None])
+    nh = np.empty((n, n), dtype=np.int32)
+    eid = np.empty((n, n), dtype=np.int32)
+    nh4 = nh.reshape(m, _SLOTS, m, _SLOTS)
+    eid4 = eid.reshape(m, _SLOTS, m, _SLOTS)
+    # outside its own block, row (a, j) does not depend on j: fill one
+    # (m, 1, m, 16) slab and broadcast it over the 16 slots
+    nh4[...] = np.where(
+        direct[:, None, :, None],
+        np.arange(n, dtype=np.int32).reshape(1, 1, m, _SLOTS),
+        far_hop[:, None, :, None],
+    )
+    eid4[...] = np.where(
+        (quotient == 1)[:, None, :, None],
+        group[:, None, :, None] + np.arange(_SLOTS, dtype=np.int32),
+        group[:, None, :, None],
+    )
+    diag = np.arange(m)
+    eid4[diag, :, diag, :] = _OWN_POS
+    eid += indptr[:-1, None]
+    np.fill_diagonal(nh, -1)
+    eid[nh < 0] = -1
+    return nh, eid
+
+
 class DistanceOracle:
     """O(1)-amortised hop distances over one :class:`Topology`.
 
@@ -103,15 +241,13 @@ class DistanceOracle:
         self.topology = topology
         self.n = topology.n_nodes
         self._labels: list[Any] = list(topology.nodes())
-        indptr = np.zeros(self.n + 1, dtype=np.int32)
-        flat: list[int] = []
-        for u in self._labels:
-            flat.extend(topology.index(v) for v in topology.neighbors(u))
-            indptr[topology.index(u) + 1] = len(flat)
         #: CSR adjacency: neighbours of node ``i`` are
-        #: ``indices[indptr[i]:indptr[i+1]]``.
-        self.indptr = indptr
-        self.indices = np.asarray(flat, dtype=np.int32)
+        #: ``indices[indptr[i]:indptr[i+1]]``, in ``topology.neighbors``
+        #: order.
+        if isinstance(topology, UniversalGraph):
+            self.indptr, self.indices = _universal_csr(topology.quotient_adjacency())
+        else:
+            self.indptr, self.indices = _neighbor_csr(topology)
         self._row_cache: OrderedDict[int, np.ndarray] = OrderedDict()
         self._closed_form = topology.has_closed_form_distance
         #: dense routing tables, built lazily by :meth:`next_hop_matrix`
@@ -284,17 +420,21 @@ class DistanceOracle:
             # and related slot groups are fully connected, so distance is
             # the quotient (address-graph) distance for distinct
             # addresses, 1 for same-address distinct slots, 0 otherwise.
-            if self._universal_quotient is None:
-                self._universal_quotient = np.asarray(
-                    t.quotient_all_pairs(), dtype=np.int32
-                )
-            qa, qb = ai // UNIVERSAL_SLOTS, bi // UNIVERSAL_SLOTS
+            qa, qb = ai // _SLOTS, bi // _SLOTS
             return np.where(
                 qa == qb,
                 (ai != bi).astype(np.int32),
-                self._universal_quotient[qa, qb],
+                self._quotient_distances(t)[qa, qb],
             )
         return None
+
+    def _quotient_distances(self, t: UniversalGraph) -> np.ndarray:
+        """G_n's quotient all-pairs matrix as int32, memoised."""
+        if self._universal_quotient is None:
+            self._universal_quotient = np.asarray(
+                t.quotient_all_pairs(), dtype=np.int32
+            )
+        return self._universal_quotient
 
     def _pairs_by_rows(self, ai: np.ndarray, bi: np.ndarray) -> np.ndarray:
         """BFS-backed pair distances, grouping by the smaller endpoint set."""
@@ -321,10 +461,15 @@ class DistanceOracle:
         network with no failed links.  Entries with no next hop (``u == d``
         or ``d`` unreachable) hold ``-1``.
 
-        Built once from :meth:`all_pairs` and memoised for the oracle's
-        lifetime, like the LRU row cache but a single object: both the
-        classic engine's per-hop routing and the vectorised kernel
+        Built once and memoised for the oracle's lifetime, like the LRU row
+        cache but a single object: both the classic engine's per-hop
+        routing and the vectorised kernel
         (:mod:`repro.simulate.vector_engine`) gather from the same matrix.
+        Most hosts get one smallest-index sweep of their neighbour slots
+        over :meth:`all_pairs`, O(n^2 * max degree).  Theorem 4's G_n gets
+        the same sweep on its address quotient (``n / 16`` vertices, degree
+        at most 25), broadcast to the ``(n, n)`` table: the identical
+        table, without the 415 passes over an ``n x n`` distance matrix.
         """
         if self._next_hop is None:
             self._build_next_hop_tables()
@@ -343,36 +488,13 @@ class DistanceOracle:
         return self._next_hop, self._next_hop_edge
 
     def _build_next_hop_tables(self) -> None:
-        n = self.n
-        dist = self.all_pairs(dtype=np.int32)
-        indptr, indices = self.indptr, self.indices
-        deg = np.diff(indptr).astype(np.int64)
-        max_deg = int(deg.max(initial=0))
-        # per-row neighbour lists, index-sorted ascending, padded with the
-        # sentinel ``n``; ``pos`` remembers each neighbour's CSR slot (the
-        # directed-edge id)
-        nbr = np.full((n, max_deg), n, dtype=np.int64)
-        pos = np.full((n, max_deg), -1, dtype=np.int64)
-        for u in range(n):
-            s, e = int(indptr[u]), int(indptr[u + 1])
-            row = indices[s:e].astype(np.int64)
-            order = np.argsort(row)
-            nbr[u, : e - s] = row[order]
-            pos[u, : e - s] = s + order
-        nh = np.full((n, n), -1, dtype=np.int32)
-        eid = np.full((n, n), -1, dtype=np.int32)
-        # a neighbour v is a valid next hop towards d iff dist(v, d) is
-        # exactly dist(u, d) - 1; sweeping the index-sorted slots from the
-        # highest down lets the smallest-index candidate overwrite last,
-        # which is precisely the engine's tie-break
-        target = dist - 1
-        for k in range(max_deg - 1, -1, -1):
-            cand = nbr[:, k]
-            valid = cand < n
-            cand_rows = dist[np.where(valid, cand, 0)]
-            mask = valid[:, None] & (cand_rows == target) & (target >= 0)
-            nh = np.where(mask, cand[:, None].astype(np.int32), nh)
-            eid = np.where(mask, pos[:, k].astype(np.int32)[:, None], eid)
+        t = self.topology
+        if isinstance(t, UniversalGraph):
+            nh, eid = _universal_tables(
+                self.indptr, t.quotient_adjacency(), self._quotient_distances(t)
+            )
+        else:
+            nh, eid = _sweep_next_hops(self.indptr, self.indices, self.all_pairs())
         nh.setflags(write=False)
         eid.setflags(write=False)
         self._next_hop = nh

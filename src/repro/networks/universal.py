@@ -20,6 +20,14 @@ distance between ``(alpha, j)`` and ``(beta, k)`` is exactly the quotient
 distance between ``alpha`` and ``beta``, independent of ``j`` and ``k``.
 That closed form is what lets the oracle and the vectorised engine treat
 a 2032-vertex, degree-415 host like any other registry topology.
+
+Routing tables factor the same way.  The smallest-index next hop from
+``(alpha, j)`` towards ``(beta, k)`` is ``(beta, k)`` itself when
+``alpha == beta`` or the two addresses are related, and otherwise slot 0
+of the smallest related address one quotient step closer.  So
+:mod:`repro.analysis.oracle` builds G_n's CSR from
+:meth:`UniversalGraph.quotient_adjacency`, runs its next-hop sweep once on
+the quotient, and broadcasts the result to the ``n x n`` tables.
 """
 
 from __future__ import annotations
@@ -170,6 +178,14 @@ class UniversalGraph(Topology):
     # ------------------------------------------------------------------
     # Closed-form distance via the address quotient graph
     # ------------------------------------------------------------------
+    def quotient_adjacency(self) -> list[list[int]]:
+        """Adjacency lists of the quotient graph on X-tree addresses: row
+        ``xtree.index(alpha)`` lists ``xtree.index(beta)`` for every
+        ``beta`` in ``related(alpha)``, in that set's iteration order —
+        the order in which :meth:`neighbors` yields the slot groups."""
+        x = self.xtree
+        return [[x.index(b) for b in self.related(a)] for a in x.nodes()]
+
     def quotient_all_pairs(self) -> list[list[int]]:
         """All-pairs distances of the quotient graph on X-tree addresses
         (row/column order = ``xtree.index``); ``-1`` marks unreachable.
@@ -179,10 +195,8 @@ class UniversalGraph(Topology):
         """
         if self._quotient is not None:
             return self._quotient
-        x = self.xtree
-        m = x.n_nodes
-        addrs = sorted(x.nodes(), key=x.index)
-        adj = [[x.index(b) for b in self.related(a)] for a in addrs]
+        m = self.xtree.n_nodes
+        adj = self.quotient_adjacency()
         matrix = []
         for src in range(m):
             row = [-1] * m

@@ -26,6 +26,7 @@ from repro.networks import (
     CubeConnectedCycles,
     ShuffleExchange,
     TOPOLOGIES,
+    UniversalGraph,
     XTree,
     registry_instances,
 )
@@ -178,10 +179,12 @@ def test_oracle_for_is_memoised_per_instance():
     assert oracle_for(XTree(3)) is not oracle_for(x)  # identity, not equality
 
 
-def test_oracle_for_entry_dies_with_its_topology():
+@pytest.mark.parametrize("cls, arg", [(XTree, 4), (UniversalGraph, 6)])
+def test_oracle_for_entry_dies_with_its_topology(cls, arg):
     # the memo must not keep its topology alive: a long-lived worker builds
     # a fresh host per job, and each oracle holds dense next-hop tables
-    t = XTree(4)
+    # (and, on G_n, the quotient distances they were built from)
+    t = cls(arg)
     oracle_for(t).next_hop_tables()
     t_ref, oracle_ref = weakref.ref(t), weakref.ref(oracle_for(t))
     del t

@@ -8,9 +8,10 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.analysis.oracle import DistanceOracle
+from repro.analysis.oracle import DistanceOracle, _neighbor_csr, _sweep_next_hops
 from repro.core.universal import lift_onto_slots
 from repro.networks import TOPOLOGIES
 from repro.networks.base import bfs_distances_from
@@ -22,7 +23,8 @@ from repro.networks.universal import (
 )
 from repro.runtime import JobSpec, Runtime
 from repro.service import Scenario, run_scenario
-from repro.simulate import VECTOR_MAX_NODES
+from repro.simulate import VECTOR_MAX_NODES, Message, SynchronousNetwork
+from repro.simulate.vector_engine import vector_deliver_scheduled, vector_supported
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -105,6 +107,71 @@ class TestOracle:
         assert memo is not None
         oracle.pairs_distances(pair[:, ::-1].copy())
         assert oracle._universal_quotient is memo
+
+
+class TestQuotientTables:
+    """G_n's CSR and routing tables come from its address quotient; the
+    generic neighbour scan and all-pairs sweep stay the reference."""
+
+    @pytest.mark.parametrize("mode", ["paper", "radius"])
+    @pytest.mark.parametrize("t", range(5, 10))
+    def test_equal_to_reference_sweep(self, t, mode):
+        g = UniversalGraph(t, mode=mode)
+        oracle = DistanceOracle(g)
+        indptr, indices = _neighbor_csr(g)
+        ref_nh, ref_eid = _sweep_next_hops(indptr, indices, oracle.all_pairs())
+        assert np.array_equal(oracle.indptr, indptr)
+        assert np.array_equal(oracle.indices, indices)
+        nh, eid = oracle.next_hop_tables()
+        assert nh is oracle.next_hop_matrix()
+        assert nh.dtype == eid.dtype == np.int32
+        assert not nh.flags.writeable and not eid.flags.writeable
+        assert np.array_equal(nh, ref_nh)
+        assert np.array_equal(eid, ref_eid)
+
+    def test_t11_hops_against_bfs(self):
+        g = UniversalGraph(11)
+        oracle = DistanceOracle(g)
+        nh, eid = oracle.next_hop_tables()
+        indptr, indices = oracle.indptr, oracle.indices
+        rng = random.Random(11)
+        dests = rng.sample(range(g.n_nodes), 6)
+        # G_n is undirected, so BFS from d gives every distance to d
+        for d, to_d in zip(dests, oracle.rows(dests)):
+            same_group = d - d % UNIVERSAL_SLOTS + (d + 5) % UNIVERSAL_SLOTS
+            related = int(indices[indptr[d + 1] - 1])  # another address
+            sources = [d, same_group, related] + rng.sample(range(g.n_nodes), 40)
+            for u in sources:
+                if u == d:
+                    assert nh[u, d] == eid[u, d] == -1
+                    continue
+                nbrs = indices[indptr[u] : indptr[u + 1]]
+                closer = nbrs[to_d[nbrs] == to_d[u] - 1]
+                assert nh[u, d] in nbrs and to_d[nh[u, d]] == to_d[u] - 1
+                assert nh[u, d] == closer.min(), (u, d)
+                assert indptr[u] <= eid[u, d] < indptr[u + 1]
+                assert indices[eid[u, d]] == nh[u, d]
+
+    def test_t11_kernel_matches_bfs_scan(self):
+        g = UniversalGraph(11)
+        rng = random.Random(12)
+        dests = rng.sample(range(g.n_nodes), 4)
+        schedule = [
+            (
+                rng.randrange(4),
+                Message(
+                    i, g.node_at(rng.randrange(g.n_nodes)), g.node_at(rng.choice(dests))
+                ),
+            )
+            for i in range(80)
+        ]
+        kernel_net = SynchronousNetwork(g)
+        assert vector_supported(kernel_net, None, None, None) is None
+        kernel = vector_deliver_scheduled(kernel_net, list(schedule))
+        scan_net = SynchronousNetwork(g)
+        scan_net._dense_nh = False  # per-destination BFS tables, no oracle
+        assert scan_net.deliver_classic(list(schedule)) == kernel
+        assert sum(kernel.link_traffic.values()) > 0
 
 
 class TestRuntimeHost:

@@ -277,10 +277,12 @@ class TestDispatch:
 class TestNextHopTables:
     def test_matrix_matches_classic_scan(self):
         """The oracle's dense tables reproduce the smallest-index policy of
-        the classic per-call neighbour scan, entry for entry."""
+        the classic per-call neighbour scan, entry for entry, and every edge
+        id names the CSR slot of that hop (the link the kernel charges)."""
         for topology in TOPOS.values():
             oracle = DistanceOracle(topology)
-            matrix = oracle.next_hop_matrix()
+            matrix, eid = oracle.next_hop_tables()
+            indptr, indices = oracle.indptr, oracle.indices
             nodes = list(topology.nodes())
             net = SynchronousNetwork(topology)
             net._dense_nh = False  # force the classic BFS-table scan
@@ -291,10 +293,12 @@ class TestNextHopTables:
             ]
             for i, j in pairs:
                 if i == j:
-                    assert matrix[i, j] == -1
+                    assert matrix[i, j] == eid[i, j] == -1
                     continue
                 expected = net.next_hop(nodes[i], nodes[j])
                 assert nodes[matrix[i, j]] == expected, (topology.name, i, j)
+                assert indptr[i] <= eid[i, j] < indptr[i + 1], (topology.name, i, j)
+                assert indices[eid[i, j]] == matrix[i, j], (topology.name, i, j)
 
     def test_matrix_memoised_and_frozen(self):
         oracle = DistanceOracle(TOPOS["hypercube"])
