@@ -11,9 +11,10 @@ Three gated measurements:
   total cycles (attempt + rerun).  Online should win by roughly the
   cycles the offline rerun repeats.
 * **checkpoint/restore bit-identity** — the same faulted multi-tenant
-  run, uninterrupted vs checkpointed at several cut points, restored
-  from the JSON and continued.  Gate: the final ``RuntimeResult`` dicts
-  (per-message delivery cycles included) are *equal* at every cut.
+  run, uninterrupted vs checkpointed into one file after every step,
+  with a copy of that file restored at several cut points and
+  continued.  Gate: the final ``RuntimeResult`` dicts (per-message
+  delivery cycles included) are *equal* at every cut.
 * **single-job overhead** — one job driven through the runtime vs the
   same program + embedding through ``simulate_on_host`` directly, timed
   interleaved with the cyclic GC paused (median of per-pair ratios, as
@@ -26,8 +27,10 @@ Run with the other gate modules::
 
 from __future__ import annotations
 
-import json
+import shutil
+import tempfile
 from functools import partial
+from pathlib import Path
 
 from bench_obs import _best_of_pair
 
@@ -102,18 +105,25 @@ def bench_online_vs_offline(r: int) -> dict:
 
 
 def bench_checkpoint_identity(r: int, cuts=(1, 4, 9, 15)) -> dict:
-    """Checkpoint mid-run, restore from JSON, compare final results."""
+    """Cut a checkpoint file after every step of one run, restore a copy
+    of the file taken at each of ``cuts``, compare final results."""
     faults = FaultSchedule([FaultEvent(cycle=1, action="fail_node", u=DEAD_NODE)])
     full = _runtime(r, faults=faults).run().as_dict()
-    identical = []
-    for cut in cuts:
+    with tempfile.TemporaryDirectory() as tmp:
+        live = Path(tmp) / "checkpoint.json"
         rt = _runtime(r, faults=faults)
-        for _ in range(cut):
-            if rt.step() is None:
-                break
-        blob = json.dumps(rt.checkpoint())
-        resumed = Runtime.restore(json.loads(blob)).run().as_dict()
-        identical.append(resumed == full)
+        copies, steps = [], 0
+        for cut in cuts:
+            while steps < cut and rt.step() is not None:
+                steps += 1
+                rt.checkpoint_json(live)
+            copies.append(shutil.copy(live, Path(tmp) / f"cut{cut}.json"))
+        while rt.step() is not None:
+            rt.checkpoint_json(live)
+        assert rt.result().as_dict() == full, "checkpointing changed the run"
+        identical = [
+            Runtime.restore_json(copy).run().as_dict() == full for copy in copies
+        ]
     return {
         "name": "checkpoint_restore_identity",
         "params": {"r": r, "cuts": list(cuts)},

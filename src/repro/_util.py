@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import random
+import threading
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import TypeVar
@@ -24,6 +25,7 @@ __all__ = [
     "node_from_json",
     "node_to_json",
     "pairwise_disjoint",
+    "tmp_sibling",
 ]
 
 
@@ -51,20 +53,29 @@ def node_from_json(value):
     return value
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+def tmp_sibling(path: Path) -> Path:
+    """A tmp name beside ``path`` that no concurrent writer shares: it
+    carries the process id and the calling thread's id."""
+    return path.with_name(f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
+
+
+def atomic_write_text(path: Path, text: str) -> os.stat_result:
     """Replace ``path`` with ``text`` so a reader sees the old or the new file.
 
-    The text goes to a sibling tmp file that is then renamed over ``path``
-    (``os.replace``, atomic on POSIX): a process killed mid-write, or a
-    write that raises, leaves the previous file as it was.
+    The text goes to a sibling tmp file (:func:`tmp_sibling`) that is then
+    renamed over ``path`` (``os.replace``, atomic on POSIX): a process
+    killed mid-write, or a write that raises, leaves the previous file as
+    it was.  Returns the stat of the file written, taken before the rename.
     """
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    tmp = tmp_sibling(path)
     try:
         tmp.write_text(text)
+        st = tmp.stat()
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return st
 
 
 def as_rng(seed: int | random.Random | None) -> random.Random:

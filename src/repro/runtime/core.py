@@ -29,12 +29,15 @@ one host processor:
   embeddings, applied fault events, the adaptive router's learned
   estimates, the global clock); :meth:`Runtime.restore` rebuilds a
   runtime that continues *bit-identically* — same schedules, same
-  delivery cycles, same final reports.
+  delivery cycles, same final reports.  :meth:`Runtime.checkpoint_json`
+  keeps that state in a file as a base plus one appended delta per cut,
+  so a cut costs what changed since the previous one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -186,6 +189,8 @@ class Runtime:
         self.dead_nodes: set[Any] = set()
         #: every fault event actually applied, in order (for restore)
         self.applied_events: list[FaultEvent] = []
+        #: where this runtime's checkpoint file stands, for the next delta
+        self._file_cut: _FileCut | None = None
 
     # ------------------------------------------------------------------
     # Admission
@@ -474,12 +479,16 @@ class Runtime:
         handled by another repair round; the fault schedule is finite, so
         this terminates.
         """
+        # ids are handed out contiguously per superstep in program order,
+        # and every stranded id belongs to the superstep now running
+        pairs = job.program.supersteps[job.next_step]
+        first = job.msg_seq - len(pairs)
         while stranded:
             self._repair(job)
             phi = job.embedding.phi
             messages = []
             for mid in stranded:
-                src, dst, _step = job.endpoints[mid]
+                src, dst = pairs[mid - first]
                 messages.append(Message(mid, phi[src], phi[dst]))
             job.n_migrated += len(stranded)
             if self._observing():
@@ -525,12 +534,7 @@ class Runtime:
         messages = []
         append = messages.append
         mid = job.msg_seq
-        # endpoints only matter for migration, which only a node death can
-        # trigger — skip the per-message bookkeeping on fault-free runs
-        endpoints = job.endpoints if self.faults is not None else None
         for src, dst in job.program.supersteps[k]:
-            if endpoints is not None:
-                endpoints[mid] = (src, dst, k)
             append(Message(mid, phi[src], phi[dst]))
             mid += 1
         job.msg_seq = mid
@@ -560,26 +564,32 @@ class Runtime:
         ``phi``.  The recorder is deliberately *not* part of the state —
         a restored runtime starts tracing fresh.
         """
-        cp = {
+        return {
             "version": CHECKPOINT_VERSION,
-            "cycle": self.cycle,
             "max_load": self.max_load,
             "link_capacity": self.link_capacity,
-            "counters": dict(sorted(self.counters.items())),
             "policy": _policy_spec(self.policy),
             "host": _host_spec(self.host),
-            "router": self.network.router.spec(),
             "faults": None if self.faults is None else self.faults.to_obj(),
             "applied_events": [e.as_dict() for e in self.applied_events],
-            "dead_nodes": [node_to_json(n) for n in sorted(self.dead_nodes)],
             "jobs": [j.state() for j in self._jobs],
+            **self._small_state(),
+        }
+
+    def _small_state(self) -> dict:
+        """The part of :meth:`checkpoint` a file delta repeats in full."""
+        state = {
+            "cycle": self.cycle,
+            "counters": dict(sorted(self.counters.items())),
+            "router": self.network.router.spec(),
+            "dead_nodes": [node_to_json(n) for n in sorted(self.dead_nodes)],
         }
         integrity = self._integrity_state()
         if integrity is not None:
             # only stamped when byzantine link state is live, so byzantine-
-            # free checkpoints stay byte-identical to earlier builds
-            cp["integrity"] = integrity
-        return cp
+            # free checkpoints carry no integrity key at all
+            state["integrity"] = integrity
+        return state
 
     def _integrity_state(self) -> dict | None:
         """JSON-safe snapshot of the network's quarantine/EWMA state.
@@ -610,18 +620,53 @@ class Runtime:
         }
 
     def checkpoint_json(self, path: str | Path) -> None:
-        """Write :meth:`checkpoint` to ``path`` as compact JSON, atomically.
+        """Cut a checkpoint into the file at ``path``.
 
         The one checkpoint writer (``drive_runtime``, the worker and the
-        ``runtime`` CLI all call it).  Compact separators keep
-        :func:`json.dumps` on CPython's C encoder; any ``indent`` falls
-        back to the pure-Python one.  The tmp + rename write means a crash
-        or a failed write leaves the previous checkpoint intact.
-        :meth:`restore_json` also reads the indented files of earlier
-        builds.
+        ``runtime`` CLI all call it).  The file is a *base*, the compact
+        :meth:`checkpoint` document on one line, followed by one appended
+        *delta* line per later cut, numbered ``"delta": 1, 2, ...``.  A
+        delta repeats the small state (clock, counters, router, dead
+        nodes, integrity) and holds only the new tail of
+        ``applied_events``, each job's delta (:meth:`Job.delta`) and the
+        full state of every job admitted since the previous cut.
+
+        A fresh base is written through tmp + rename, so a failed or
+        killed base write leaves the previous file intact.  It replaces
+        the file at the first cut, at every cut whose delta would take the
+        deltas past the base's own size (the file stays under twice a full
+        checkpoint), and whenever the file is not the one this writer left
+        (another writer replaced it, or an earlier append raised or was
+        cut short).  Compact separators keep :func:`json.dumps` on
+        CPython's C encoder.  Neither write calls fsync.
         """
-        text = json.dumps(self.checkpoint(), separators=(",", ":"))
-        atomic_write_text(Path(path), text + "\n")
+        path = Path(path)
+        last, self._file_cut = self._file_cut, None
+        if last is not None and last.path == path:
+            delta = self._small_state()
+            delta["delta"] = last.k + 1
+            delta["applied_events"] = [
+                e.as_dict() for e in self.applied_events[last.n_events:]
+            ]
+            delta["jobs"] = [
+                job.delta(cut) for job, cut in zip(self._jobs, last.jobs)
+            ] + [job.state() for job in self._jobs[len(last.jobs):]]
+            line = (json.dumps(delta, separators=(",", ":")) + "\n").encode()
+            if last.size + len(line) <= 2 * last.base and _append(
+                path, (last.inode, last.size), line
+            ):
+                last.size += len(line)
+                last.k += 1
+                last.n_events = len(self.applied_events)
+                last.jobs = [job.cut() for job in self._jobs]
+                self._file_cut = last
+                return
+        text = json.dumps(self.checkpoint(), separators=(",", ":")) + "\n"
+        st = atomic_write_text(path, text)
+        self._file_cut = _FileCut(
+            path, st.st_ino, st.st_size, st.st_size, 0,
+            len(self.applied_events), [job.cut() for job in self._jobs],
+        )
 
     @classmethod
     def restore(cls, state: dict, *, recorder: Recorder | None = None) -> "Runtime":
@@ -697,4 +742,90 @@ class Runtime:
     def restore_json(
         cls, path: str | Path, *, recorder: Recorder | None = None
     ) -> "Runtime":
-        return cls.restore(json.loads(Path(path).read_text()), recorder=recorder)
+        """Restore the last complete cut of a :meth:`checkpoint_json` file.
+
+        The base is decoded, then each delta in order until the first line
+        that does not decode or whose number does not follow the one
+        before it.  A strict prefix of a JSON object never decodes, so a
+        torn last line yields exactly the previous cut.  Single-document
+        files of earlier builds, compact or indented, are a bare base.
+        """
+        return cls.restore(_read_checkpoint(Path(path).read_text()), recorder=recorder)
+
+
+@dataclass
+class _FileCut:
+    """What :meth:`Runtime.checkpoint_json` left in its file last time."""
+
+    path: Path
+    inode: int
+    #: bytes in the file after the last write, and in its base line
+    size: int
+    base: int
+    #: number of the last delta appended (0 before the first)
+    k: int
+    #: ``applied_events`` entries and :meth:`Job.cut` of every job written
+    n_events: int
+    jobs: list
+
+
+def _append(path: Path, expect: tuple[int, int], data: bytes) -> bool:
+    """Append ``data`` to ``path`` if its (inode, size) is still ``expect``.
+
+    Returns False, writing nothing, when the file is gone or is not the
+    one expected.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    except FileNotFoundError:
+        return False
+    try:
+        st = os.fstat(fd)
+        if (st.st_ino, st.st_size) != expect:
+            return False
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+    return True
+
+
+#: the per-job lists a delta extends; its other job keys replace
+_JOB_TAILS = ("per_step_cycles", "delivered", "failed")
+
+
+def _read_checkpoint(text: str) -> dict:
+    """The :meth:`Runtime.checkpoint` dict at the last complete cut of a
+    checkpoint file's ``text`` (see :meth:`Runtime.restore_json`)."""
+    state, end = json.JSONDecoder().raw_decode(text, len(text) - len(text.lstrip()))
+    k = 0
+    for line in text[end:].split("\n"):
+        if not line.strip():
+            continue
+        try:
+            delta = json.loads(line)
+        except json.JSONDecodeError:
+            break
+        if not isinstance(delta, dict) or delta.get("delta") != k + 1:
+            break
+        k += 1
+        try:
+            _apply_delta(state, delta)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"checkpoint delta {k} is malformed: {exc!r}") from None
+    return state
+
+
+def _apply_delta(state: dict, delta: dict) -> None:
+    del delta["delta"]
+    state.pop("integrity", None)  # a delta carries it while it is live
+    state["applied_events"] += delta.pop("applied_events")
+    jobs = state["jobs"]
+    entries = delta.pop("jobs")
+    for job, entry in zip(jobs, entries):
+        for key in _JOB_TAILS:
+            job[key] += entry.pop(key)
+        job.update(entry)
+    jobs.extend(entries[len(jobs):])  # admitted since the previous cut
+    state.update(delta)

@@ -12,6 +12,7 @@ scheduler and the checkpoint need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any
 
 from .._util import node_from_json
@@ -172,9 +173,6 @@ class Job:
         self.delivered: dict[int, int] = {}
         #: job-local msg id -> drop reason ("ttl" / "partitioned" / "budget")
         self.failed: dict[int, str] = {}
-        #: job-local msg id -> (guest src, guest dst, superstep) for every
-        #: message ever injected — what migration needs to re-send
-        self.endpoints: dict[int, tuple[int, int, int]] = {}
         self.n_reroutes = 0
         self.n_repairs = 0
         self.n_migrated = 0
@@ -222,23 +220,51 @@ class Job:
         return {
             "spec": self.spec.as_dict(),
             "phi": self.embedding.phi_json(),
+            **self._scalars(),
+            "per_step_cycles": list(self.per_step_cycles),
+            "delivered": [[m, c] for m, c in sorted(self.delivered.items())],
+            "failed": [[m, r] for m, r in sorted(self.failed.items())],
+        }
+
+    def _scalars(self) -> dict:
+        return {
             "status": self.status,
             "next_step": self.next_step,
             "msg_seq": self.msg_seq,
             "consumed_cycles": self.consumed_cycles,
             "virtual_time": self.virtual_time,
-            "per_step_cycles": list(self.per_step_cycles),
-            "delivered": [[m, c] for m, c in sorted(self.delivered.items())],
-            "failed": [[m, r] for m, r in sorted(self.failed.items())],
-            "endpoints": [
-                [m, s, d, k] for m, (s, d, k) in sorted(self.endpoints.items())
-            ],
             "n_reroutes": self.n_reroutes,
             "n_repairs": self.n_repairs,
             "n_migrated": self.n_migrated,
             "n_corrupted": self.n_corrupted,
             "n_retransmits": self.n_retransmits,
         }
+
+    def cut(self) -> tuple:
+        """Where the job's growing state stands, for :meth:`delta`."""
+        return (
+            len(self.per_step_cycles), len(self.delivered), len(self.failed),
+            self.embedding,
+        )
+
+    def delta(self, cut: tuple) -> dict:
+        """What changed since :meth:`cut` returned ``cut``: the scalars in
+        full, the new tails of ``per_step_cycles``, ``delivered`` and
+        ``failed``, and ``phi`` only when a repair swapped the embedding.
+
+        Every message's fate is settled inside the superstep that injects
+        it, and cuts fall between supersteps, so the ids recorded since a
+        cut are the last ones inserted and all exceed the earlier ones:
+        sorting the tail alone keeps the concatenation sorted.
+        """
+        n_steps, n_delivered, n_failed, embedding = cut
+        d = self._scalars()
+        d["per_step_cycles"] = self.per_step_cycles[n_steps:]
+        d["delivered"] = _sorted_tail(self.delivered, n_delivered)
+        d["failed"] = _sorted_tail(self.failed, n_failed)
+        if self.embedding is not embedding:
+            d["phi"] = self.embedding.phi_json()
+        return d
 
     @classmethod
     def from_state(cls, state: dict, host) -> "Job":
@@ -255,7 +281,6 @@ class Job:
         job.per_step_cycles = list(state["per_step_cycles"])
         job.delivered = {m: c for m, c in state["delivered"]}
         job.failed = {m: r for m, r in state["failed"]}
-        job.endpoints = {m: (s, d, k) for m, s, d, k in state["endpoints"]}
         job.n_reroutes = state["n_reroutes"]
         job.n_repairs = state["n_repairs"]
         job.n_migrated = state["n_migrated"]
@@ -303,3 +328,8 @@ class Job:
             f"Job({self.spec.name!r}, {self.spec.program}, "
             f"step {self.next_step}/{self.program.n_supersteps}, {self.status})"
         )
+
+
+def _sorted_tail(d: dict, start: int) -> list:
+    """The items inserted into ``d`` after its first ``start``, by key."""
+    return sorted(islice(reversed(d.items()), len(d) - start))

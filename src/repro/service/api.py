@@ -68,7 +68,7 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(fmt, *args)
 
     def _json(self, code: int, payload) -> None:
-        body = (json.dumps(payload, indent=2) + "\n").encode()
+        body = (json.dumps(payload, separators=(",", ":")) + "\n").encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

@@ -6,7 +6,7 @@ Layout under one root directory::
       jobs/<job_id>/scenario.json    submitted document (verbatim)
       jobs/<job_id>/meta.json        status, shard, priority, attempts, pid
       jobs/<job_id>/result.json      RuntimeResult + exit_code (terminal)
-      jobs/<job_id>/checkpoint.json  periodic atomic Runtime checkpoint
+      jobs/<job_id>/checkpoint.json  Runtime checkpoint: a base + one delta per cut
       jobs/<job_id>/trace.jsonl      streamed JSONL trace (scenario.trace)
       queue/shard<k>/<marker>        empty marker files = the queue
       running/shard<k>/<marker>      marker moved here while claimed
@@ -15,10 +15,16 @@ Layout under one root directory::
 Coordination is *rename-only*: a worker claims a job by renaming its
 queue marker into ``running/`` (atomic on POSIX — exactly one claimant
 can win), completes it by deleting the marker, and the fleet requeues a
-dead worker's job by renaming the marker back.  All JSON writes go
-through tmp + ``os.replace``, so a SIGKILL at any instant leaves either
-the old file or the new file, never a torn one.  No locks, no daemons,
-no pickle.
+dead worker's job by renaming the marker back.  JSON documents are
+written compact, to a tmp file that is then renamed into place (or, for
+admissions, hard-linked), so a SIGKILL at any instant leaves either the
+old file or the new file, never a torn one.  The one exception is the
+delta line :meth:`~repro.runtime.Runtime.checkpoint_json` appends to
+``checkpoint.json`` at each cut.  A torn delta is a strict prefix of a
+JSON object, which never decodes, so
+:meth:`~repro.runtime.Runtime.restore_json` resumes from the last complete
+cut, and the writer replaces a file it did not leave whole with a fresh
+base.  No locks, no daemons, no pickle.
 
 Marker names sort the queue: ``p<999-priority>-s<seq>-<job_id>`` — higher
 priority first, then submission order (FIFO within a priority class).
@@ -32,7 +38,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .._util import atomic_write_text
+from .._util import atomic_write_text, tmp_sibling
 
 __all__ = ["Store", "JobRecord", "JOB_STATES", "DeadWorkerError"]
 
@@ -41,6 +47,12 @@ __all__ = ["Store", "JobRecord", "JOB_STATES", "DeadWorkerError"]
 #: died goes back to ``queued`` (with the checkpoint intact) until a
 #: worker resumes it
 JOB_STATES = ("queued", "running", "done", "failed")
+
+
+def _compact(doc) -> str:
+    """Every document the store writes is compact JSON, which keeps
+    ``json.dumps`` on CPython's C encoder (any ``indent`` does not)."""
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def _pid_alive(pid: int | None) -> bool:
@@ -188,7 +200,7 @@ class Store:
         """
         jd = self.job_dir(job_id)
         jd.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(self.scenario_path(job_id), json.dumps(scenario_doc, indent=2) + "\n")
+        atomic_write_text(self.scenario_path(job_id), _compact(scenario_doc))
         self.write_meta(record)
         marker = self._marker(record.priority, record.seq, job_id)
         (self.queue_dir(record.shard) / marker).write_text("")
@@ -232,7 +244,7 @@ class Store:
         result present, which recovery resolves in the job's favour
         (see :meth:`requeue_running`).
         """
-        atomic_write_text(self.result_path(job_id), json.dumps(result_doc, indent=2) + "\n")
+        atomic_write_text(self.result_path(job_id), _compact(result_doc))
         rec = self.read_meta(job_id)
         rec.status = status
         rec.error = error
@@ -291,7 +303,7 @@ class Store:
         return JobRecord.from_dict(json.loads(self.meta_path(job_id).read_text()))
 
     def write_meta(self, record: JobRecord) -> None:
-        atomic_write_text(self.meta_path(record.id), json.dumps(record.as_dict(), indent=2) + "\n")
+        atomic_write_text(self.meta_path(record.id), _compact(record.as_dict()))
 
     def read_scenario_doc(self, job_id: str) -> dict:
         return json.loads(self.scenario_path(job_id).read_text())
@@ -307,20 +319,28 @@ class Store:
         """Persist one mid-run arrival: admit ``spec_doc`` at ``cycle``.
 
         Files are numbered so :meth:`read_admissions` replays them in
-        submission order; the atomic write means a worker polling the
-        directory never sees a half-written arrival.
+        submission order.  The document is written to a tmp file of this
+        thread's own, then hard-linked to the first free name:
+        ``os.link`` fails with ``FileExistsError`` rather than replace, so
+        concurrent admissions into one job each claim a distinct number,
+        and a worker polling the directory never sees a half-written
+        arrival.
         """
         d = self.admissions_dir(job_id)
         d.mkdir(parents=True, exist_ok=True)
-        seq = len(list(d.glob("admit-*.json")))
-        while (d / f"admit-{seq:04d}.json").exists():
-            seq += 1
-        name = f"admit-{seq:04d}.json"
-        atomic_write_text(
-            d / name,
-            json.dumps({"cycle": int(cycle), "spec": spec_doc}, indent=2) + "\n",
-        )
-        return name
+        tmp = tmp_sibling(d / "admit")
+        try:
+            tmp.write_text(_compact({"cycle": int(cycle), "spec": spec_doc}))
+            seq = len(list(d.glob("admit-*.json")))
+            while True:
+                name = f"admit-{seq:04d}.json"
+                try:
+                    os.link(tmp, d / name)
+                    return name
+                except FileExistsError:
+                    seq += 1
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def read_admissions(self, job_id: str) -> list[tuple[int, dict]]:
         """Every persisted arrival for ``job_id``, in submission order."""
@@ -358,12 +378,13 @@ class Store:
 
         Fail-fast: a ``running`` job whose claiming worker pid is dead
         *and* whose heartbeat (the job dir's mtime — touched by
-        :meth:`heartbeat` and every checkpoint write) has been quiet for
-        ``stale_after`` seconds can only finish after a ``recover()``, so
-        waiting out the timeout is pure latency — it raises
-        :class:`DeadWorkerError` naming the dead shard instead.  Requeued
-        jobs (status ``queued``, pid ``None``) never trip this.  Pass
-        ``stale_after=None`` to wait out the timeout regardless.
+        :meth:`heartbeat` at every checkpoint interval and by each fresh
+        checkpoint base, but not by an appended checkpoint delta) has
+        been quiet for ``stale_after`` seconds can only finish after a
+        ``recover()``, so waiting out the timeout is pure latency — it
+        raises :class:`DeadWorkerError` naming the dead shard instead.
+        Requeued jobs (status ``queued``, pid ``None``) never trip this.
+        Pass ``stale_after=None`` to wait out the timeout regardless.
         """
         deadline = time.monotonic() + timeout
         ids = list(job_ids)

@@ -16,12 +16,16 @@ Covers the tentpole semantics end to end:
   and with adaptive-router state in the checkpoint);
 * the checkpoint writer: compact and indented files restore alike, a
   failed write keeps the last good file, and the memoised ``phi`` follows
-  every repair.
+  every repair;
+* the checkpoint file (a base plus one delta per cut): at every cut of
+  the shipped scenarios it reads back as ``checkpoint()`` and stays under
+  twice its base; torn tails, replaced files and broken numbering.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -39,6 +43,8 @@ from repro.runtime import (
     Runtime,
     make_policy,
 )
+from repro.runtime.core import _read_checkpoint
+from repro.service import Scenario
 from repro.simulate import FaultEvent, FaultSchedule, RepairError
 from repro.simulate.routing import AdaptiveRouter
 
@@ -408,6 +414,29 @@ class TestCheckpointRestore:
         assert Runtime.restore(legacy).run().as_dict() == full
         assert Runtime.restore(state).run().as_dict() == full
 
+    @pytest.mark.parametrize("cut", [0, 3, 5])
+    def test_legacy_endpoints_key_ignored(self, cut):
+        # earlier builds stored every message's guest endpoints so that a
+        # migration could re-send it; the program determines them, so
+        # restore ignores the column (here filled with wrong pairs) and new
+        # checkpoints no longer carry it.  The node dies in flight during
+        # the sixth superstep, after every cut, so each restored run
+        # migrates.
+        faults = FaultSchedule([FaultEvent(cycle=10, action="fail_node", u=(2, 1))])
+        full = two_job_runtime(faults=faults).run().as_dict()
+        assert full["n_migrated"] >= 1
+        rt = two_job_runtime(faults=faults)
+        for _ in range(cut):
+            rt.step()
+        state = json.loads(json.dumps(rt.checkpoint()))
+        assert not any("endpoints" in job for job in state["jobs"])
+        assert not any(job["n_migrated"] for job in state["jobs"])
+        legacy = json.loads(json.dumps(state))
+        for job in legacy["jobs"]:
+            job["endpoints"] = [[m, 0, 0, 0] for m in range(job["msg_seq"])]
+        assert Runtime.restore(legacy).run().as_dict() == full
+        assert Runtime.restore(state).run().as_dict() == full
+
     def test_restore_rejects_unknown_version(self):
         state = two_job_runtime().checkpoint()
         state["version"] = 99
@@ -469,28 +498,75 @@ class TestCheckpointWriter:
         assert from_old == from_new == full
 
     def test_failed_write_keeps_last_good_checkpoint(self, tmp_path, monkeypatch):
+        # each of the writer's two writes fails on its own path: the base
+        # through tmp + rename (Path.write_text), the delta through an
+        # append (os.write); both raise after writing half their data
         path = tmp_path / "ckpt.json"
+        full = two_job_runtime(faults=NODE_FAULT).run().as_dict()
         rt = two_job_runtime(faults=NODE_FAULT)
         for _ in range(4):
             rt.step()
         rt.checkpoint_json(path)
         good = path.read_bytes()
-        for _ in range(3):
-            rt.step()
-        write_text = Path.write_text
+        good_state = json.loads(good)
+        write_text, os_write = Path.write_text, os.write
 
         def torn_write(self, data, *args, **kwargs):
             write_text(self, data[: len(data) // 2], *args, **kwargs)
             raise OSError(28, "No space left on device")
 
+        def torn_append(fd, data):
+            os_write(fd, bytes(data[: len(data) // 2]))
+            raise OSError(28, "No space left on device")
+
+        for _ in range(3):
+            rt.step()
+        monkeypatch.setattr(os, "write", torn_append)
+        with pytest.raises(OSError):
+            rt.checkpoint_json(path)
+        monkeypatch.undo()
+        torn = path.read_bytes()
+        assert torn.startswith(good) and len(torn) > len(good)
+        assert _read_checkpoint(torn.decode()) == good_state
+        assert Runtime.restore_json(path).run().as_dict() == full
+
+        # the append raised, so the next cut writes a fresh base; make that
+        # base write fail too: the torn file stays as it was
+        rt.step()
         monkeypatch.setattr(Path, "write_text", torn_write)
         with pytest.raises(OSError):
             rt.checkpoint_json(path)
         monkeypatch.undo()
-        assert path.read_bytes() == good
+        assert path.read_bytes() == torn
         assert list(tmp_path.iterdir()) == [path]  # no tmp file left behind
-        resumed = Runtime.restore_json(path).run().as_dict()
-        assert resumed == two_job_runtime(faults=NODE_FAULT).run().as_dict()
+        assert Runtime.restore_json(path).run().as_dict() == full
+
+        rt.step()
+        rt.checkpoint_json(path)
+        assert path.read_text() == compact(rt.checkpoint())
+        assert Runtime.restore_json(path).run().as_dict() == full
+
+    def test_raised_append_means_a_fresh_base(self, tmp_path, monkeypatch):
+        # the append fails before writing a byte: the file is unchanged,
+        # but the writer no longer trusts it and rewrites the base
+        path = tmp_path / "ckpt.json"
+        rt = two_job_runtime()
+        rt.step()
+        rt.checkpoint_json(path)
+        good = path.read_bytes()
+
+        def no_space(fd, data):
+            raise OSError(28, "No space left on device")
+
+        rt.step()
+        monkeypatch.setattr(os, "write", no_space)
+        with pytest.raises(OSError):
+            rt.checkpoint_json(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == good
+        rt.step()
+        rt.checkpoint_json(path)
+        assert path.read_text() == compact(rt.checkpoint())
 
     def test_phi_follows_repair_at_every_cut(self):
         rt = two_job_runtime(faults=NODE_DEATH)
@@ -521,6 +597,146 @@ class TestCheckpointWriter:
         cp["counters"]["bogus"] = 1
         cp["cycle"] = -1
         assert json.dumps(rt.checkpoint()) == before
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
+
+
+def compact(cp: dict) -> str:
+    return json.dumps(cp, separators=(",", ":")) + "\n"
+
+
+def cut_and_check(rt: Runtime, path: Path) -> tuple[int, dict]:
+    """Cut a checkpoint into ``path``; the file must read back as the
+    checkpoint dict and stay under twice its base.  Returns the number of
+    documents in the file and the last one."""
+    rt.checkpoint_json(path)
+    text = path.read_text()
+    assert _read_checkpoint(text) == json.loads(json.dumps(rt.checkpoint()))
+    lines = text.splitlines(keepends=True)
+    assert len(text) <= 2 * len(lines[0])
+    return len(lines), json.loads(lines[-1])
+
+
+class TestCheckpointFile:
+    """The file ``checkpoint_json`` writes is a base plus one appended delta
+    per cut, and ``restore_json`` reads back exactly :meth:`checkpoint`."""
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.stem)
+    def test_file_reads_as_checkpoint_at_every_cut(self, scenario, tmp_path):
+        sc = Scenario.from_json(scenario)
+        rt = sc.build_runtime()
+        path = tmp_path / "ckpt.json"
+        rt.checkpoint_json(path)
+        assert path.read_text() == compact(rt.checkpoint())
+        integrity, bases = ["integrity" in rt.checkpoint()], 1
+        while rt.step_batch() if sc.batch else rt.step():
+            n_docs, last = cut_and_check(rt, path)
+            integrity.append("integrity" in last)
+            bases += n_docs == 1
+        if scenario.stem == "byzantine":
+            # quarantine state appears after the first cut and clears later
+            assert integrity[0] is False and True in integrity
+            assert integrity[-1] is False
+        if scenario.stem == "long_run":
+            assert bases >= 2  # the deltas outgrew a base at least once
+
+    def test_repair_writes_phi_into_the_delta(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        rt = two_job_runtime(faults=NODE_DEATH)
+        cut_and_check(rt, path)
+        swapped = 0
+        while rt.step() is not None:
+            _, last = cut_and_check(rt, path)
+            if "delta" in last:
+                swapped += sum("phi" in job for job in last["jobs"])
+        assert rt.result().n_repairs >= 1 and rt.result().n_migrated >= 1
+        assert swapped >= 1
+
+    def test_admission_between_cuts(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        rt = two_job_runtime()
+        for _ in range(3):
+            rt.step()
+            cut_and_check(rt, path)
+        rt.admit(JobSpec(name="c", program="broadcast", tree_n=15,
+                         capacity=4, height=4))
+        _, last = cut_and_check(rt, path)
+        assert last["delta"] and last["jobs"][2] == json.loads(
+            json.dumps(rt.jobs[2].state()))
+        while rt.step() is not None:
+            cut_and_check(rt, path)
+        assert Runtime.restore_json(path).run().as_dict() == rt.result().as_dict()
+
+    def test_torn_last_delta_restores_previous_cut(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        rt = two_job_runtime(faults=NODE_FAULT)
+        for _ in range(3):
+            rt.step()
+            cut_and_check(rt, path)
+        text = path.read_text()
+        start = text.rindex("\n", 0, len(text) - 1) + 1
+        previous = _read_checkpoint(text[:start])
+        last = _read_checkpoint(text)
+        assert previous != last
+        for end in range(start, len(text) - 1):
+            assert _read_checkpoint(text[:end]) == previous, end
+        # the whole object without its newline is complete
+        assert _read_checkpoint(text[:-1]) == last
+        # a runtime resumed from the torn file starts it over with a base
+        path.write_text(text[: (start + len(text)) // 2])
+        resumed = Runtime.restore_json(path)
+        resumed.step()
+        resumed.checkpoint_json(path)
+        assert path.read_text() == compact(resumed.checkpoint())
+
+    @pytest.mark.parametrize("replacement", ["same_bytes", "older_file"])
+    def test_replaced_file_gets_a_fresh_base(self, tmp_path, replacement):
+        path = tmp_path / "ckpt.json"
+        rt = two_job_runtime()
+        rt.step()
+        rt.checkpoint_json(path)
+        older = path.read_text()
+        rt.step()
+        rt.checkpoint_json(path)
+        other = tmp_path / "other.json"
+        other.write_text(path.read_text() if replacement == "same_bytes" else older)
+        os.replace(other, path)
+        rt.step()
+        rt.checkpoint_json(path)
+        assert path.read_text() == compact(rt.checkpoint())
+
+    def test_older_build_fails_loudly_on_deltas(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        rt = two_job_runtime()
+        for _ in range(2):
+            rt.step()
+            rt.checkpoint_json(path)
+        with pytest.raises(json.JSONDecodeError, match="Extra data"):
+            json.loads(path.read_text())
+
+    def test_read_stops_where_the_numbering_breaks(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        rt = two_job_runtime()
+        states = []
+        for _ in range(3):
+            rt.step()
+            rt.checkpoint_json(path)
+            states.append(json.loads(json.dumps(rt.checkpoint())))
+        base, d1, d2 = path.read_text().splitlines(keepends=True)
+        assert _read_checkpoint(base + d1 + d2) == states[2]
+        assert _read_checkpoint(base + d2 + d1) == states[0]
+        assert _read_checkpoint(base + d1 + d1 + d2) == states[1]
+
+    def test_malformed_delta_is_a_value_error(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        rt = two_job_runtime()
+        rt.step()
+        rt.checkpoint_json(path)
+        path.write_text(path.read_text() + '{"delta":1,"cycle":3}\n')
+        with pytest.raises(ValueError, match="delta 1"):
+            Runtime.restore_json(path)
 
 
 class TestBatchFallbackObservability:

@@ -19,6 +19,8 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -223,6 +225,56 @@ class TestStore:
         assert store.outstanding_weight(1) == 4
         store.claim(0)  # running jobs still count
         assert store.outstanding_weight(0) == 12
+
+    def test_concurrent_admissions_each_land(self, tmp_path):
+        # API threads admitting into one job at once: every arrival gets
+        # its own file, none is overwritten, and no tmp file is left
+        store = Store(tmp_path, n_shards=1)
+        n = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(5):
+                job_id = f"j{trial}"
+                barrier = threading.Barrier(n)
+                names, errors = [], []
+
+                def admit(i):
+                    barrier.wait(timeout=10)
+                    try:
+                        names.append(
+                            store.write_admission(job_id, i, {"name": f"x{i}"}))
+                    except OSError as exc:
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=admit, args=(i,))
+                           for i in range(n)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+                assert errors == []
+                assert sorted(names) == [f"admit-{i:04d}.json" for i in range(n)]
+                got = store.read_admissions(job_id)
+                assert sorted(c for c, _ in got) == list(range(n))
+                assert {spec["name"] for _, spec in got} == {f"x{i}" for i in range(n)}
+                left = sorted(p.name for p in store.admissions_dir(job_id).iterdir())
+                assert left == sorted(names)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_documents_written_compact(self, tmp_path):
+        store = Store(tmp_path, n_shards=1)
+        store.enqueue("j", {"a": [1, 2]}, self.rec("j"))
+        store.write_admission("j", 3, {"name": "late"})
+        store.claim(0)
+        store.complete("j", 0, {"exit_code": 0, "result": {"b": 1}})
+        paths = [store.scenario_path("j"), store.meta_path("j"),
+                 store.result_path("j"), store.admissions_dir("j") / "admit-0000.json"]
+        for path in paths:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
 
 
 class TestWorkerInline:
