@@ -164,7 +164,7 @@ def bench_single_job_overhead(r: int, repeats: int) -> dict:
 
     def run_runtime():
         rt = Runtime(host)
-        rt.admit(Job(spec, host, embedding=emb, program=prog))
+        rt.admit(Job(spec, emb, prog))
         return rt.run()
 
     # semantics check: the runtime delivers the same total cycle count

@@ -106,25 +106,15 @@ def experiment_e4_theorem4(ts=(5, 7, 9, 11), seeds=(0, 1)) -> str:
     rows = []
     for t in ts:
         g = UniversalGraph(t)
-        gr = UniversalGraph(t, mode="radius")
         n = g.n_nodes
-        worst, worst_r = 0, 0
+        worst = 0
         for fam in ("random", "remy", "path"):
             for s in seeds:
                 emb, _ = embed_into_universal(make_tree(fam, n, seed=s), g)
                 worst = max(worst, len(spanning_defect(emb, g)))
-                worst_r = max(worst_r, len(spanning_defect(emb, gr)))
-        rows.append([t, n, 415, g.max_degree(), worst, gr.max_degree(), worst_r])
+        rows.append([t, n, 415, g.max_degree(), worst])
     return markdown_table(
-        [
-            "t",
-            "n=2^t-16",
-            "paper degree",
-            "G_n degree",
-            "N-mode defects",
-            "radius3 degree",
-            "radius3 defects",
-        ],
+        ["t", "n=2^t-16", "paper degree", "G_n degree", "N-mode defects"],
         rows,
     )
 

@@ -17,8 +17,9 @@ Subcommands
             degraded-mode fault report (exit 1 if messages were lost),
             ``--ttl N`` bounds each message's cycles in flight.
 ``runtime`` multiplex several guest programs on one host network
-            (``repro.runtime``): a JSON job config names the host and the
-            job specs; ``--faults`` plays a fault schedule on the global
+            (``repro.runtime``): the config is a scenario document
+            (``repro.service.Scenario``) naming the host and the job
+            specs; ``--faults`` plays a fault schedule on the global
             clock (node deaths repair online and migrate stranded
             messages); ``--checkpoint PATH`` resumes from the file when it
             exists and rewrites it as the run progresses — kill the
@@ -220,10 +221,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_runtime(args) -> int:
     import json
+    from dataclasses import replace
 
-    from .networks import TOPOLOGIES
     from .obs import NullRecorder, TraceRecorder
+    from .policy import apply_policy
     from .runtime import AdmissionError, JobSpec, Runtime
+    from .service.scenario import SCENARIO_VERSION, Scenario, drive_runtime
     from .simulate.faults import RepairError
 
     observing = bool(args.trace or args.metrics)
@@ -240,9 +243,11 @@ def _cmd_runtime(args) -> int:
             return 1
         print(f"resumed from {ckpt}: cycle {rt.cycle}, "
               f"{len(rt.active_jobs())}/{len(rt.jobs)} jobs still active")
+        batch = args.batch
+        every = 10 if args.checkpoint_every is None else args.checkpoint_every
     else:
         try:
-            config = json.loads(Path(args.config).read_text())
+            doc = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
             print(f"error: cannot load job config {args.config}: {exc}", file=sys.stderr)
             return 1
@@ -256,36 +261,32 @@ def _cmd_runtime(args) -> int:
                 print(f"error: cannot load fault schedule {args.faults}: {exc}",
                       file=sys.stderr)
                 return 1
-        router_spec = config.get("router")
-        policy_spec = config.get("policy")
+        policy = None
         if args.policy:
-            doc = _load_policy_doc(args.policy)
-            if doc is None:
+            policy = _load_policy_doc(args.policy)
+            if policy is None:
                 return 1
-            # the document's domain says which knob it replaces
-            if doc.domain == "routing":
-                router_spec = doc.as_dict()
-            else:
-                policy_spec = doc.as_dict()
+        if isinstance(doc, dict):
+            # the config is a scenario document that may leave out the
+            # wire-format version and the name
+            doc = {"version": SCENARIO_VERSION, "name": Path(args.config).stem} | doc
         try:
-            host_spec = config["host"]
-            host = TOPOLOGIES[host_spec["name"]](*host_spec.get("args", []))
-            rt = Runtime(
-                host,
-                router=router_spec,
-                faults=faults,
-                recorder=recorder,
-                policy=policy_spec,
-                max_load=config.get("max_load", 16),
-                link_capacity=config.get("link_capacity", 1),
-            )
-            for spec in config["jobs"]:
-                rt.admit(JobSpec.from_obj(spec))
+            scenario = Scenario.from_obj(doc)
+            if faults is not None:
+                scenario = replace(scenario, faults=faults)
+            if policy is not None:
+                scenario = apply_policy(scenario, policy)
+            if args.batch:
+                scenario = replace(scenario, batch=True)
+            if args.checkpoint_every is not None:
+                scenario = replace(scenario, checkpoint_every=args.checkpoint_every)
+            rt = scenario.build_runtime(recorder=recorder)
         except (KeyError, TypeError, ValueError, AdmissionError) as exc:
             print(f"error: bad job config {args.config}: {exc}", file=sys.stderr)
             return 1
-        print(f"admitted {len(rt.jobs)} jobs on {host.name} "
+        print(f"admitted {len(rt.jobs)} jobs on {rt.host.name} "
               f"(policy {rt.policy.name}, max load {rt.max_load})")
+        batch, every = scenario.batch, scenario.checkpoint_every
 
     admissions = []
     for entry in args.admit_at or ():
@@ -300,14 +301,12 @@ def _cmd_runtime(args) -> int:
             return 1
         admissions.append((cycle, spec))
 
-    from .service.scenario import drive_runtime
-
     try:
         res = drive_runtime(
             rt,
-            batch=args.batch,
+            batch=batch,
             checkpoint_path=ckpt,
-            checkpoint_every=args.checkpoint_every,
+            checkpoint_every=every,
             admissions=admissions,
         )
     except RepairError as exc:
@@ -628,23 +627,28 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_rt.add_argument(
         "config",
-        help="JSON job config: {host: {name, args}, jobs: [JobSpec...], "
-             "policy?, router?, max_load?, link_capacity?}",
+        help="scenario document (see examples/SCENARIOS.md) whose version and "
+             "name may be left out; unknown keys are rejected.  Its trace, "
+             "priority and description only shape how the service handles a "
+             "job: they are accepted here, and a trace is recorded only "
+             "under --trace/--metrics",
     )
     p_rt.add_argument("--faults", metavar="PATH",
-                      help="JSON fault schedule played on the runtime's global clock; "
-                           "node deaths trigger online repair + message migration")
+                      help="JSON fault schedule played on the runtime's global clock, "
+                           "in place of the config's faults; node deaths trigger "
+                           "online repair + message migration")
     p_rt.add_argument("--checkpoint", metavar="PATH",
                       help="checkpoint file: restored (and the job config ignored) if it "
                            "already exists, rewritten during and after the run")
-    p_rt.add_argument("--checkpoint-every", type=int, default=10, metavar="N",
-                      help="rewrite the checkpoint every N supersteps (default 10)")
+    p_rt.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
+                      help="rewrite the checkpoint every N supersteps (default: the "
+                           "config's checkpoint_every, 10 unless set)")
     p_rt.add_argument(
         "--batch", action="store_true",
         help="co-schedule link-disjoint supersteps of different jobs into one "
-             "merged delivery per round (fault-free, untraced runs only; "
-             "per-job cycle stats are unchanged, the global clock advances "
-             "by each round's makespan)",
+             "merged delivery per round, as the config's batch: true does "
+             "(fault-free, untraced runs only; per-job cycle stats are "
+             "unchanged, the global clock advances by each round's makespan)",
     )
     p_rt.add_argument("--trace", metavar="PATH",
                       help="record every superstep and write a JSONL trace")

@@ -17,56 +17,35 @@ import json
 from pathlib import Path
 from typing import Any
 
-from ..networks.binary_tree_net import CompleteBinaryTreeNet
-from ..networks.butterfly import Butterfly
-from ..networks.ccc import CubeConnectedCycles
-from ..networks.grid import Grid2D
-from ..networks.hypercube import Hypercube
-from ..networks.xtree import XTree
+from ..networks import HOST_PARAMS, build_host, host_params
 from ..trees.binary_tree import BinaryTree
 from .embedding import Embedding
-from .universal import UniversalGraph
 
 __all__ = ["embedding_to_dict", "embedding_from_dict", "save_embedding", "load_embedding"]
 
 _FORMAT_VERSION = 1
 
 
-def _host_descriptor(host) -> dict[str, Any]:
-    if isinstance(host, XTree):
-        return {"type": "xtree", "height": host.height}
-    if isinstance(host, Hypercube):
-        return {"type": "hypercube", "dimension": host.dimension}
-    if isinstance(host, CompleteBinaryTreeNet):
-        return {"type": "complete-binary-tree", "height": host.height}
-    if isinstance(host, Grid2D):
-        return {"type": "grid2d", "rows": host.rows, "cols": host.cols}
-    if isinstance(host, CubeConnectedCycles):
-        return {"type": "ccc", "dimension": host.dimension}
-    if isinstance(host, Butterfly):
-        return {"type": "butterfly", "dimension": host.dimension}
-    if isinstance(host, UniversalGraph):
-        return {"type": "universal", "t": host.t, "mode": host.mode, "radius": host.radius}
-    raise TypeError(f"cannot serialise host of type {type(host).__name__}")
-
-
 def _host_from_descriptor(desc: dict[str, Any]):
-    kind = desc.get("type")
-    if kind == "xtree":
-        return XTree(desc["height"])
-    if kind == "hypercube":
-        return Hypercube(desc["dimension"])
-    if kind == "complete-binary-tree":
-        return CompleteBinaryTreeNet(desc["height"])
-    if kind == "grid2d":
-        return Grid2D(desc["rows"], desc["cols"])
-    if kind == "ccc":
-        return CubeConnectedCycles(desc["dimension"])
-    if kind == "butterfly":
-        return Butterfly(desc["dimension"])
+    params = dict(desc)
+    kind = params.pop("type", None)
+    if kind not in HOST_PARAMS:
+        raise ValueError(f"unknown host type {kind!r}")
     if kind == "universal":
-        return UniversalGraph(desc["t"], mode=desc.get("mode", "paper"), radius=desc.get("radius", 3))
-    raise ValueError(f"unknown host type {kind!r}")
+        # files written while G_n also had a radius-3 closure name the
+        # graph's mode; only the paper graph is left to load
+        if params.pop("mode", "paper") != "paper":
+            raise ValueError(
+                f"universal host mode {desc['mode']!r} is not supported: "
+                "only the paper graph exists"
+            )
+        params.pop("radius", None)
+    if set(params) != set(HOST_PARAMS[kind]):
+        raise ValueError(
+            f"host type {kind!r} takes parameters {list(HOST_PARAMS[kind])}, "
+            f"got {sorted(params)}"
+        )
+    return build_host(kind, [params[p] for p in HOST_PARAMS[kind]])
 
 
 def embedding_to_dict(embedding: Embedding) -> dict[str, Any]:
@@ -75,7 +54,7 @@ def embedding_to_dict(embedding: Embedding) -> dict[str, Any]:
     return {
         "format": _FORMAT_VERSION,
         "guest_parent": list(embedding.guest.parent_array),
-        "host": _host_descriptor(host),
+        "host": {"type": host.name, **host_params(host)},
         "phi": [host.index(embedding.phi[v]) for v in embedding.guest.nodes()],
     }
 

@@ -12,10 +12,7 @@ subgraph of ``G_n``.  Our reconstruction of the (partially unpublished)
 algorithm achieves dilation <= 3 but can, on defensive fallback paths,
 produce a host pair outside the N-relation; :func:`spanning_defect`
 quantifies this — it is 0 in the overwhelming majority of runs and the
-benchmark reports the exceptions.  :class:`UniversalGraph` also offers a
-``radius``-based closure (distance <= 3 in X(r)) which is guaranteed to
-contain every embedding our algorithm produces whose final spill stayed
-within distance 3, at a measured (slightly larger) degree.
+benchmark reports the exceptions.
 """
 
 from __future__ import annotations

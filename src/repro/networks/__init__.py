@@ -41,6 +41,54 @@ TOPOLOGIES: dict[str, type[Topology]] = {
     )
 }
 
+#: Each registered topology's constructor parameters, in constructor
+#: order; every one is also the instance attribute that holds its value.
+#: Checkpoints and scenarios write a host as ``{"name", "args": [...]}``
+#: in this order, embedding files as ``{"type", <parameter>: value}``.
+HOST_PARAMS: dict[str, tuple[str, ...]] = {
+    "xtree": ("height",),
+    "hypercube": ("dimension",),
+    "complete-binary-tree": ("height",),
+    "grid2d": ("rows", "cols"),
+    "ccc": ("dimension",),
+    "butterfly": ("dimension",),
+    "shuffle-exchange": ("dimension",),
+    "debruijn": ("dimension",),
+    "universal": ("t",),
+}
+
+
+def host_params(host: Topology) -> dict:
+    """The constructor keyword arguments that rebuild ``host``, e.g.
+    ``{"height": 3}``, ``{"rows": 3, "cols": 5}`` or ``{"t": 9}``."""
+    try:
+        names = HOST_PARAMS[host.name]
+    except KeyError:
+        raise TypeError(f"host {host.name!r} is not a registered topology") from None
+    return {p: getattr(host, p) for p in names}
+
+
+def check_host(name: str, args) -> None:
+    """Raise ValueError unless ``name`` is a registered topology and
+    ``args`` holds exactly its constructor arguments."""
+    if name not in HOST_PARAMS:
+        raise ValueError(
+            f"unknown host topology {name!r}: expected one of {sorted(TOPOLOGIES)}"
+        )
+    names = HOST_PARAMS[name]
+    if len(args) != len(names):
+        raise ValueError(
+            f"host {name!r} takes {len(names)} argument(s) {list(names)}, "
+            f"got {list(args)}"
+        )
+
+
+def build_host(name: str, args) -> Topology:
+    """The registered topology ``name`` built from its constructor
+    arguments ``args``, in :data:`HOST_PARAMS` order."""
+    check_host(name, args)
+    return TOPOLOGIES[name](*args)
+
 
 def registry_instances(scale: int = 3) -> dict[str, Topology]:
     """One representative instance per registered topology.
@@ -84,5 +132,9 @@ __all__ = [
     "UniversalGraph",
     "universal_graph_size",
     "TOPOLOGIES",
+    "HOST_PARAMS",
+    "host_params",
+    "check_host",
+    "build_host",
     "registry_instances",
 ]

@@ -62,40 +62,21 @@ def universal_graph_size(t: int) -> int:
 
 
 class UniversalGraph(Topology):
-    """The Theorem 4 graph ``G_n`` on ``(XAddr, slot)`` pairs.
-
-    ``mode="paper"`` (default) uses the N(alpha) relation and has degree at
-    most 415; ``mode="radius"`` connects slot groups of X-tree vertices
-    within distance ``radius`` (default 3) — a slightly larger, provably
-    spanning variant for measured embeddings.
-    """
+    """The Theorem 4 graph ``G_n`` on ``(XAddr, slot)`` pairs, of degree
+    at most 415."""
 
     name = "universal"
 
-    def __init__(self, t: int, mode: str = "paper", radius: int = 3):
+    def __init__(self, t: int):
         if t < 5:
             raise ValueError(f"need t >= 5, got {t}")
-        if mode not in ("paper", "radius"):
-            raise ValueError(f"mode must be 'paper' or 'radius', got {mode!r}")
         self.t = t
-        self.mode = mode
-        self.radius = radius
         self.height = t - 5
         self.xtree = XTree(self.height)
         self._n = _SLOTS * self.xtree.n_nodes
         assert self._n == universal_graph_size(t)
         self._related: dict[XAddr, frozenset[XAddr]] = {}
         self._quotient: list[list[int]] | None = None
-
-    @property
-    def spec_args(self) -> tuple[int]:
-        """Constructor arguments for checkpoint/scenario host specs.
-
-        ``height`` is derived (``t - 5``), so the generic height-based
-        recipe in the runtime would rebuild the wrong graph; this names
-        the real recipe explicitly.
-        """
-        return (self.t,)
 
     # ------------------------------------------------------------------
     def related(self, alpha: XAddr) -> frozenset[XAddr]:
@@ -104,22 +85,9 @@ class UniversalGraph(Topology):
         got = self._related.get(alpha)
         if got is not None:
             return got
-        if self.mode == "paper":
-            rel = set(self.xtree.condition_neighborhood(alpha))
-            rel |= self.xtree.asymmetric_in_neighbors(alpha)
-            rel.discard(alpha)
-        else:
-            dist = {alpha: 0}
-            frontier = [alpha]
-            for d in range(self.radius):
-                nxt = []
-                for v in frontier:
-                    for u in self.xtree.neighbors(v):
-                        if u not in dist:
-                            dist[u] = d + 1
-                            nxt.append(u)
-                frontier = nxt
-            rel = set(dist) - {alpha}
+        rel = set(self.xtree.condition_neighborhood(alpha))
+        rel |= self.xtree.asymmetric_in_neighbors(alpha)
+        rel.discard(alpha)
         out = frozenset(rel)
         self._related[alpha] = out
         return out

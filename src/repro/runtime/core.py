@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Any
 
 from .._util import atomic_write_text, node_from_json, node_to_json
-from ..networks import TOPOLOGIES
+from ..networks import build_host, host_params
 from ..obs import Recorder
 from ..simulate.engine import Message, SynchronousNetwork
 from ..simulate.faults import FaultEvent, FaultSchedule, repair_embedding
@@ -121,23 +121,6 @@ class RuntimeResult:
         return "\n".join(lines)
 
 
-def _host_spec(host) -> dict:
-    """Constructor recipe for a registered topology (for checkpoints)."""
-    if hasattr(host, "spec_args"):
-        args = list(host.spec_args)
-    elif hasattr(host, "rows"):
-        args = [host.rows, host.cols]
-    elif hasattr(host, "height"):
-        args = [host.height]
-    elif hasattr(host, "dimension"):
-        args = [host.dimension]
-    else:
-        raise TypeError(
-            f"cannot checkpoint host {host.name!r}: unknown constructor shape"
-        )
-    return {"name": host.name, "args": args}
-
-
 def _policy_spec(policy: SchedulerPolicy) -> "str | dict":
     """Checkpoint form of the scheduling policy: a registry name for the
     built-ins, the full (self-describing) policy document for tree
@@ -210,12 +193,23 @@ class Runtime:
     def admit(self, spec: JobSpec | Job) -> Job:
         """Instantiate and accept a job, or raise :class:`AdmissionError`.
 
-        The check is the load-16 slack argument run forward: combined
-        images of all active jobs plus the newcomer must stay within
-        ``max_load`` on every host node.  Terminal jobs release their
-        share, so a long-lived runtime can admit waves of tenants.
+        A :class:`JobSpec` is built with :meth:`Job.build`; a prebuilt
+        :class:`Job` is accepted only when its embedding sits on this
+        runtime's host instance.  The check is the load-16 slack argument
+        run forward: combined images of all active jobs plus the newcomer
+        must stay within ``max_load`` on every host node.  Terminal jobs
+        release their share, so a long-lived runtime can admit waves of
+        tenants.
         """
-        job = spec if isinstance(spec, Job) else Job(spec, self.host)
+        if isinstance(spec, Job):
+            job = spec
+            if job.embedding.host is not self.host:
+                raise ValueError(
+                    f"job {job.spec.name!r} embeds into another host instance; "
+                    "build it with Job.build(spec, runtime.host)"
+                )
+        else:
+            job = Job.build(spec, self.host)
         if any(j.spec.name == job.spec.name for j in self._jobs):
             raise AdmissionError(f"job name {job.spec.name!r} already admitted")
         loads = self.occupancy()
@@ -569,7 +563,10 @@ class Runtime:
             "max_load": self.max_load,
             "link_capacity": self.link_capacity,
             "policy": _policy_spec(self.policy),
-            "host": _host_spec(self.host),
+            "host": {
+                "name": self.host.name,
+                "args": list(host_params(self.host).values()),
+            },
             "faults": None if self.faults is None else self.faults.to_obj(),
             "applied_events": [e.as_dict() for e in self.applied_events],
             "jobs": [j.state() for j in self._jobs],
@@ -682,12 +679,7 @@ class Runtime:
                 f"unsupported checkpoint version {version!r} "
                 f"(this build reads {CHECKPOINT_VERSION})"
             )
-        spec = state["host"]
-        try:
-            topo_cls = TOPOLOGIES[spec["name"]]
-        except KeyError:
-            raise ValueError(f"unknown host topology {spec['name']!r}") from None
-        host = topo_cls(*spec["args"])
+        host = build_host(state["host"]["name"], state["host"]["args"])
         rspec = state["router"]
         if rspec["name"] == "tree":
             from ..policy import PolicyDoc

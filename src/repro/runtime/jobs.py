@@ -2,11 +2,16 @@
 
 A :class:`JobSpec` is fully declarative — a guest tree recipe, a program
 name, an embedding shape, and scheduling attributes — so it JSON
-round-trips and a checkpoint can rebuild the job deterministically.  A
-:class:`Job` is the spec *instantiated*: the generated tree, the Theorem 1
-embedding (which online repair replaces), the program built
-on the embedding's (padded) guest, and every execution counter the
-scheduler and the checkpoint need.
+round-trips.  A :class:`Job` is the spec *instantiated*: the Theorem 1
+embedding of the generated tree (which online repair replaces), the
+program built on the embedding's (padded) guest, and every execution
+counter the scheduler and the checkpoint need.
+
+There is one way to build a job's parts and one way back.
+:meth:`Job.build` runs the construction for a new job; a checkpoint
+stores what it produced, so :meth:`Job.from_state` regenerates the
+guest, pads it to the stored placement's size and reads the placement
+back without running Theorem 1 again.
 """
 
 from __future__ import annotations
@@ -113,52 +118,10 @@ class Job:
     Delivery cycles are recorded on the *global* runtime clock.
     """
 
-    def __init__(self, spec: JobSpec, host, *, embedding=None, program=None) -> None:
+    def __init__(self, spec: JobSpec, embedding: Embedding, program) -> None:
         self.spec = spec
-        if embedding is None:
-            tree = make_tree(spec.tree_family, spec.tree_n, seed=spec.tree_seed)
-            if isinstance(host, UniversalGraph):
-                # Theorem 4 host: embed into the underlying X(t-5) with
-                # Theorem 1, then fan the per-vertex load out onto the 16
-                # slots — one guest per G_n vertex (load 1 by construction)
-                if spec.height not in (None, host.height):
-                    raise ValueError(
-                        f"job {spec.name!r} requests height {spec.height} but "
-                        f"the universal host quotients through X({host.height})"
-                    )
-                if spec.capacity > UNIVERSAL_SLOTS:
-                    raise ValueError(
-                        f"capacity {spec.capacity} exceeds the universal "
-                        f"host's {UNIVERSAL_SLOTS} slots per X-tree vertex"
-                    )
-                result = embed_binary_tree(
-                    tree, height=host.height, capacity=spec.capacity
-                )
-                embedding = lift_onto_slots(result.embedding, host)
-            else:
-                embedding = embed_binary_tree(
-                    tree, height=spec.height, capacity=spec.capacity
-                ).embedding
-        # ``embedding``/``program`` short-circuit the construction when the
-        # caller already holds the spec's Theorem 1 embedding and program
-        # (repeat-timing benchmarks; they must match what the spec builds)
         self.embedding = embedding
-        if self.embedding.host.name != host.name or (
-            self.embedding.host.n_nodes != host.n_nodes
-        ):
-            raise ValueError(
-                f"job {spec.name!r} embeds into "
-                f"{self.embedding.host.name} ({self.embedding.host.n_nodes} nodes) "
-                f"but the runtime hosts {host.name} ({host.n_nodes} nodes); "
-                "set JobSpec.height to the runtime host's height"
-            )
-        # re-anchor on the shared host instance so repairs and routing act
-        # on the runtime's network, not a private twin
-        if self.embedding.host is not host:
-            self.embedding = Embedding(self.embedding.guest, host, self.embedding.phi)
-        self.program = program if program is not None else PROGRAMS[spec.program](
-            self.embedding.guest, **spec.program_args
-        )
+        self.program = program
         self.status = "active"
         self.next_step = 0
         self.msg_seq = 0
@@ -182,6 +145,48 @@ class Job:
         #: from the fail-stop ``failed`` reasons
         self.n_corrupted = 0
         self.n_retransmits = 0
+
+    @classmethod
+    def build(cls, spec: JobSpec, host) -> "Job":
+        """Instantiate ``spec`` on ``host``: generate the tree, embed it
+        with Theorem 1 and build the program on the embedding's guest.
+
+        On the Theorem 4 host the construction runs on the underlying
+        X(t-5) and the per-vertex load fans out onto the 16 slots — one
+        guest per G_n vertex (load 1 by construction).  The embedding is
+        anchored on ``host`` itself, so repairs and routing act on the
+        runtime's network, not a private twin.
+        """
+        tree = make_tree(spec.tree_family, spec.tree_n, seed=spec.tree_seed)
+        if isinstance(host, UniversalGraph):
+            if spec.height not in (None, host.height):
+                raise ValueError(
+                    f"job {spec.name!r} requests height {spec.height} but "
+                    f"the universal host quotients through X({host.height})"
+                )
+            if spec.capacity > UNIVERSAL_SLOTS:
+                raise ValueError(
+                    f"capacity {spec.capacity} exceeds the universal "
+                    f"host's {UNIVERSAL_SLOTS} slots per X-tree vertex"
+                )
+            result = embed_binary_tree(tree, height=host.height, capacity=spec.capacity)
+            embedding = lift_onto_slots(result.embedding, host)
+        else:
+            embedding = embed_binary_tree(
+                tree, height=spec.height, capacity=spec.capacity
+            ).embedding
+            if embedding.host.name != host.name or (
+                embedding.host.n_nodes != host.n_nodes
+            ):
+                raise ValueError(
+                    f"job {spec.name!r} embeds into "
+                    f"{embedding.host.name} ({embedding.host.n_nodes} nodes) "
+                    f"but the runtime hosts {host.name} ({host.n_nodes} nodes); "
+                    "set JobSpec.height to the runtime host's height"
+                )
+            embedding = Embedding(embedding.guest, host, embedding.phi)
+        program = PROGRAMS[spec.program](embedding.guest, **spec.program_args)
+        return cls(spec, embedding, program)
 
     # -- scheduling signals --------------------------------------------
     @property
@@ -268,9 +273,15 @@ class Job:
 
     @classmethod
     def from_state(cls, state: dict, host) -> "Job":
-        job = cls(JobSpec.from_obj(state["spec"]), host)
+        spec = JobSpec.from_obj(state["spec"])
         phi = {g: node_from_json(h) for g, h in state["phi"]}
-        job.embedding = Embedding(job.embedding.guest, host, phi)
+        # the guest Theorem 1 placed: the spec's tree with the same filler
+        # chain embed_binary_tree added to reach the placement's size
+        guest = make_tree(
+            spec.tree_family, spec.tree_n, seed=spec.tree_seed
+        ).padded_to(len(phi))
+        program = PROGRAMS[spec.program](guest, **spec.program_args)
+        job = cls(spec, Embedding(guest, host, phi), program)
         job.status = state["status"]
         job.next_step = state["next_step"]
         job.msg_seq = state["msg_seq"]

@@ -55,9 +55,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..networks import TOPOLOGIES
+from ..networks import build_host, check_host
 from ..policy.dsl import PolicyDoc
-from ..runtime import AdmissionError, Job, JobSpec, Runtime, RuntimeResult
+from ..runtime import AdmissionError, JobSpec, Runtime, RuntimeResult
 from ..runtime.policies import make_policy
 from ..simulate import FaultSchedule
 from ..simulate.routing import ROUTERS
@@ -100,11 +100,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario needs a non-empty name")
-        if self.host_name not in TOPOLOGIES:
-            raise ValueError(
-                f"unknown host topology {self.host_name!r}: "
-                f"expected one of {sorted(TOPOLOGIES)}"
-            )
+        check_host(self.host_name, self.host_args)
         if not self.jobs:
             raise ValueError(f"scenario {self.name!r} has no jobs")
         # inline documents are validated (and canonicalised) via PolicyDoc
@@ -234,9 +230,8 @@ class Scenario:
     def build_runtime(self, *, recorder=None) -> Runtime:
         """Instantiate the runtime and admit every job (admission order =
         document order, which fixes the schedule deterministically)."""
-        host = TOPOLOGIES[self.host_name](*self.host_args)
         rt = Runtime(
-            host,
+            build_host(self.host_name, self.host_args),
             router=self.router,
             faults=self.faults,
             recorder=recorder,

@@ -205,6 +205,27 @@ class TestRuntimeExitCodes:
         assert main(["runtime", cfg, "--checkpoint", str(ckpt)]) == 0
         assert "resumed from" in capsys.readouterr().out
 
+    def test_unknown_config_key_exits_1_and_names_it(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, [
+            {"name": "a", "program": "reduction", "tree_n": 15,
+             "capacity": 4, "height": 4},
+        ], max_laod=4, polcy="fair")
+        assert main(["runtime", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "max_laod" in err and "polcy" in err
+
+    def test_scenario_faults_are_played(self, capsys):
+        # the config is a scenario document: its faults run, as under
+        # `service run`, and cut messages off
+        assert main(["runtime", str(REPO / "scenarios" / "partition.json")]) == 1
+        assert "failed messages" in capsys.readouterr().err
+
+    def test_checkpoint_every_0_exits_1(self, tmp_path, capsys):
+        args = ["runtime", str(REPO / "examples" / "runtime_jobs.json"),
+                "--checkpoint-every", "0"]
+        assert main(args) == 1
+        assert "checkpoint_every must be >= 1" in capsys.readouterr().err
+
     def test_node_death_repairs_and_checkpoint_resumes(self, tmp_path, capsys):
         # two jobs on one host, a node killed mid-run: online repair shows
         # in the trace, and the rerun resumes from the checkpoint

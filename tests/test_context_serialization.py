@@ -24,7 +24,7 @@ from repro import (
     theorem1_guest_size,
     universal_supergraph,
 )
-from repro.networks import hamming_distance
+from repro.networks import hamming_distance, host_params, registry_instances
 
 
 class TestGrayCode:
@@ -144,6 +144,41 @@ class TestSerialization:
         doc = json.loads(text)
         assert doc["host"] == {"type": "xtree", "height": 1}
         assert len(doc["phi"]) == 48
+
+    @pytest.mark.parametrize("name", sorted(registry_instances()))
+    def test_roundtrip_every_registered_host(self, name):
+        host = registry_instances()[name]
+        guest = make_tree("random", 10, seed=0)
+        phi = {v: host.node_at(v % host.n_nodes) for v in guest.nodes()}
+        emb = Embedding(guest, host, phi)
+        loaded = embedding_from_dict(embedding_to_dict(emb))
+        assert loaded.host.name == name
+        assert host_params(loaded.host) == host_params(host)
+        assert loaded.guest == guest and loaded.phi == emb.phi
+
+    @pytest.mark.parametrize("host", [
+        {"type": "xtree", "height": 2},
+        {"type": "hypercube", "dimension": 2},
+        {"type": "complete-binary-tree", "height": 2},
+        {"type": "grid2d", "rows": 2, "cols": 4},
+        {"type": "ccc", "dimension": 2},
+        {"type": "butterfly", "dimension": 2},
+        {"type": "universal", "t": 6, "mode": "paper", "radius": 3},
+    ], ids=lambda h: h["type"])
+    def test_earlier_format1_documents_load(self, host):
+        # host descriptors exactly as earlier builds wrote them
+        emb = embedding_from_dict(
+            {"format": 1, "guest_parent": [-1, 0, 0], "host": host, "phi": [0, 1, 2]}
+        )
+        assert emb.host.name == host["type"]
+        assert embedding_to_dict(emb)["phi"] == [0, 1, 2]
+
+    def test_radius_mode_universal_host_rejected(self):
+        host = {"type": "universal", "t": 6, "mode": "radius", "radius": 3}
+        with pytest.raises(ValueError, match="mode"):
+            embedding_from_dict(
+                {"format": 1, "guest_parent": [-1], "host": host, "phi": [0]}
+            )
 
     def test_bad_format_version(self):
         with pytest.raises(ValueError, match="format"):

@@ -43,6 +43,7 @@ from repro.runtime import (
     Runtime,
     make_policy,
 )
+from repro.runtime import jobs
 from repro.runtime.core import _read_checkpoint
 from repro.service import Scenario
 from repro.simulate import FaultEvent, FaultSchedule, RepairError
@@ -88,7 +89,7 @@ class TestJobSpec:
     def test_wrong_host_height_rejected(self):
         spec = JobSpec(name="j", program="reduction", tree_n=15, height=3)
         with pytest.raises(ValueError, match="height"):
-            Job(spec, XTree(4))
+            Job.build(spec, XTree(4))
 
 
 class TestAdmission:
@@ -117,6 +118,13 @@ class TestAdmission:
         with pytest.raises(AdmissionError, match="already admitted"):
             rt.admit(JobSpec(name="a", program="reduction", tree_n=15,
                              capacity=4, height=3))
+
+    def test_prebuilt_job_must_sit_on_the_runtime_host(self):
+        rt = Runtime(XTree(3))
+        spec = JobSpec(name="a", program="reduction", tree_n=15, height=3)
+        with pytest.raises(ValueError, match="another host instance"):
+            rt.admit(Job.build(spec, XTree(3)))
+        assert rt.admit(Job.build(spec, rt.host)).embedding.host is rt.host
 
     def test_finished_jobs_release_their_share(self):
         rt = Runtime(XTree(3))
@@ -607,6 +615,10 @@ def compact(cp: dict) -> str:
     return json.dumps(cp, separators=(",", ":")) + "\n"
 
 
+def _no_construction(*args, **kwargs):
+    raise AssertionError("restore ran the Theorem 1 construction")
+
+
 def cut_and_check(rt: Runtime, path: Path) -> tuple[int, dict]:
     """Cut a checkpoint into ``path``; the file must read back as the
     checkpoint dict and stay under twice its base.  Returns the number of
@@ -624,7 +636,8 @@ class TestCheckpointFile:
     per cut, and ``restore_json`` reads back exactly :meth:`checkpoint`."""
 
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.stem)
-    def test_file_reads_as_checkpoint_at_every_cut(self, scenario, tmp_path):
+    def test_file_reads_as_checkpoint_at_every_cut(self, scenario, tmp_path,
+                                                   monkeypatch):
         sc = Scenario.from_json(scenario)
         rt = sc.build_runtime()
         path = tmp_path / "ckpt.json"
@@ -641,6 +654,11 @@ class TestCheckpointFile:
             assert integrity[-1] is False
         if scenario.stem == "long_run":
             assert bases >= 2  # the deltas outgrew a base at least once
+        # restoring reads every job's placement back from the file; it
+        # never runs the Theorem 1 construction again
+        monkeypatch.setattr(jobs, "embed_binary_tree", _no_construction)
+        restored = Runtime.restore_json(path).checkpoint()
+        assert json.loads(json.dumps(restored)) == _read_checkpoint(path.read_text())
 
     def test_repair_writes_phi_into_the_delta(self, tmp_path):
         path = tmp_path / "ckpt.json"

@@ -115,6 +115,8 @@ class TestScenario:
             Scenario.from_obj(doc(policy="chaotic"))
         with pytest.raises(ValueError, match="unknown host topology"):
             Scenario.from_obj(doc(host={"name": "torus", "args": [3]}))
+        with pytest.raises(ValueError, match="takes 1 argument"):
+            Scenario.from_obj(doc(host={"name": "universal", "args": [9, "radius"]}))
         with pytest.raises(ValueError, match="priority"):
             Scenario.from_obj(doc(priority=0))
         with pytest.raises(ValueError, match="checkpoint_every"):

@@ -35,8 +35,9 @@ class TestConstruction:
         assert UniversalGraph(11).max_degree() == 415
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            UniversalGraph(6, mode="nonsense")
+        # G_n is the paper graph alone: no mode selects another one
+        with pytest.raises(TypeError):
+            UniversalGraph(6, "radius")
 
     def test_slot_groups_are_cliques(self):
         g = UniversalGraph(6)
@@ -77,23 +78,15 @@ class TestSpanning:
     def test_trees_are_spanning_subgraphs(self, t):
         """The Theorem 4 claim, exactly: every guest edge is a G_n edge."""
         g = UniversalGraph(t)
-        g_radius = UniversalGraph(t, mode="radius")
         for fam in ("random", "path", "remy"):
             tree = make_tree(fam, g.n_nodes, seed=1)
             emb, result = embed_into_universal(tree, g)
             assert emb.is_injective()
             assert len(emb.phi) == g.n_nodes
-            # condition (3') holds everywhere -> exact spanning, both modes
+            # condition (3') holds everywhere -> exact spanning
             assert spanning_defect(emb, g) == []
-            assert spanning_defect(emb, g_radius) == []
 
     def test_size_mismatch_rejected(self):
         g = UniversalGraph(6)
         with pytest.raises(ValueError, match="nodes"):
             embed_into_universal(make_tree("random", 10, seed=0), g)
-
-    def test_radius_mode_contains_paper_mode(self):
-        gp = UniversalGraph(7)
-        gr = UniversalGraph(7, mode="radius")
-        for alpha in gp.xtree.nodes():
-            assert gp.related(alpha) <= gr.related(alpha)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.oracle import DistanceOracle, _neighbor_csr, _sweep_next_hops
 from repro.core.universal import lift_onto_slots
-from repro.networks import TOPOLOGIES
+from repro.networks import TOPOLOGIES, build_host, host_params
 from repro.networks.base import bfs_distances_from
 from repro.networks.universal import (
     PAPER_DEGREE_BOUND,
@@ -38,8 +38,8 @@ class TestTopologyRegistry:
 
     def test_spec_args_round_trip(self):
         host = UniversalGraph(8)
-        assert host.spec_args == (8,)
-        again = TOPOLOGIES["universal"](*host.spec_args)
+        assert host_params(host) == {"t": 8}
+        again = build_host("universal", list(host_params(host).values()))
         assert again.n_nodes == host.n_nodes
 
     def test_paper_degree_bound_constant(self):
@@ -113,10 +113,9 @@ class TestQuotientTables:
     """G_n's CSR and routing tables come from its address quotient; the
     generic neighbour scan and all-pairs sweep stay the reference."""
 
-    @pytest.mark.parametrize("mode", ["paper", "radius"])
-    @pytest.mark.parametrize("t", range(5, 10))
-    def test_equal_to_reference_sweep(self, t, mode):
-        g = UniversalGraph(t, mode=mode)
+    @pytest.mark.parametrize("t", range(5, 10), ids=lambda t: f"{t}-paper")
+    def test_equal_to_reference_sweep(self, t):
+        g = UniversalGraph(t)
         oracle = DistanceOracle(g)
         indptr, indices = _neighbor_csr(g)
         ref_nh, ref_eid = _sweep_next_hops(indptr, indices, oracle.all_pairs())
