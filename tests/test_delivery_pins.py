@@ -16,7 +16,10 @@ Each mode runs a program through a Theorem 1 embedding on X(4); barrier
 mode restarts the cycle count per superstep, so fault schedules run with
 ``fault_offset > 0``.  An untraced rerun must return the same stats.  The
 runtime scenarios that exercise repair, partition and byzantine recovery
-are pinned the same way, by a sha256 of ``RuntimeResult.as_dict()``.
+are pinned the same way, by a sha256 of ``RuntimeResult.as_dict()``,
+and the payload-carrying :func:`~repro.simulate.simulated_reduction` and
+:func:`~repro.simulate.simulated_prefix` by one sha256 of their result,
+cycles, fault report, deliveries and streamed trace per mode.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from repro.simulate import (
     Message,
     SynchronousNetwork,
     simulate_on_host,
+    simulated_prefix,
+    simulated_reduction,
 )
 from repro.trees import make_tree, theorem1_guest_size
 
@@ -200,3 +205,46 @@ def test_runtime_scenario_pinned(name):
         json.dumps(result.as_dict(), sort_keys=True).encode()
     ).hexdigest()
     assert digest == SCENARIO_SHA256[name], (name, digest)
+
+
+#: fault mode -> keyword arguments shared by the two compute functions
+COMPUTE_MODES = {
+    "recorder_only": lambda: {},
+    # a TTL tight enough that both programs lose messages, so the report's
+    # (superstep, msg_id) keys are pinned too
+    "chaos_ttl": lambda: {"faults": _chaos_faults(), "ttl": 4},
+    "byzantine_chaos": lambda: {"faults": _byzantine_chaos_faults()},
+}
+
+COMPUTE_FUNCTIONS = {"reduction": simulated_reduction, "prefix": simulated_prefix}
+
+COMPUTE_SHA256 = {
+    "prefix:byzantine_chaos": "084f16f57b656789ac1fb55beebb4eb64ad5719c93bb24dd15dd74d8ea3b3d1c",
+    "prefix:chaos_ttl": "ec1b4617014a317757b5ea093c9fdda3d7377f34dd85d861a42de5e5413585da",
+    "prefix:recorder_only": "d7c1340728feb22ccd263c98dfcaccc9602f6d186e561bd47f6abf61138ac1bc",
+    "reduction:byzantine_chaos": "24054d9cf8b164d48cc68d7525a7c4bd437fe33278e66b6b0c4898f9f5e4f78b",
+    "reduction:chaos_ttl": "184b5aed850d8d1b07786ac0152c234548341d1032eb0d7d54cfc75efb3afc34",
+    "reduction:recorder_only": "80339d6d74e017292297c426bdb2ceeaca4d49155525b7a17ba6d309cda08eda",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(COMPUTE_MODES))
+@pytest.mark.parametrize("function", sorted(COMPUTE_FUNCTIONS))
+def test_compute_mode_pinned(function, mode, monkeypatch, tmp_path):
+    compute = COMPUTE_FUNCTIONS[function]
+    values = [(7 * v + 3) % 101 for v in range(_EMBEDDING.guest.n)]
+    records = _capture(monkeypatch)
+    trace = tmp_path / "trace.jsonl"
+    with TraceRecorder(path=trace) as recorder:
+        result = compute(_EMBEDDING, values, recorder=recorder, **COMPUTE_MODES[mode]())
+    traced = [_canon(r) for r in records]
+    untraced_result = compute(_EMBEDDING, values, **COMPUTE_MODES[mode]())
+    assert _canon(untraced_result) == _canon(result)
+    doc = {
+        "deliveries": traced,
+        "result": _canon(result),
+        "trace": trace.read_text(encoding="utf-8").splitlines(),
+    }
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    key = f"{function}:{mode}"
+    assert digest == COMPUTE_SHA256[key], (key, digest)
