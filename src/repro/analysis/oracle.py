@@ -32,6 +32,7 @@ benchmark harness) share CSR builds and row caches for free.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import OrderedDict
 from collections.abc import Iterable
 from typing import Any
@@ -238,7 +239,9 @@ class DistanceOracle:
     """
 
     def __init__(self, topology: Topology):
-        self.topology = topology
+        #: the topology, or a weak reference to it once :func:`oracle_for`
+        #: memoises this oracle on it (see :attr:`topology`)
+        self._topology: Topology | weakref.ref = topology
         self.n = topology.n_nodes
         self._labels: list[Any] = list(topology.nodes())
         #: CSR adjacency: neighbours of node ``i`` are
@@ -260,6 +263,11 @@ class DistanceOracle:
         #: process-wide ``repro.obs`` counters ``oracle.row_cache.*``)
         self.row_cache_hits = 0
         self.row_cache_misses = 0
+
+    @property
+    def topology(self) -> Topology:
+        t = self._topology
+        return t() if isinstance(t, weakref.ref) else t
 
     # ------------------------------------------------------------------
     # BFS engines
@@ -529,12 +537,14 @@ def oracle_for(topology: Topology) -> DistanceOracle:
 
     Kept on the topology instance itself (identity, not equality): call
     sites share CSR builds, row caches and next-hop tables while the
-    topology lives.  The entry lives exactly as long as its topology — the
-    two reference each other, so once nothing else holds the topology the
-    garbage collector frees both.  (A process-wide table keyed by the
-    topology would hold it through the oracle's back-reference forever.)
+    topology lives.  The entry lives exactly as long as its topology: the
+    oracle refers back to it weakly, so dropping the last reference to the
+    topology frees both at once, with no cycle for the garbage collector
+    to find.  (A process-wide table keyed by the topology would hold it
+    forever.)
     """
     oracle = topology.__dict__.get("_oracle")
     if oracle is None:
         oracle = topology._oracle = DistanceOracle(topology)
+        oracle._topology = weakref.ref(topology)
     return oracle

@@ -315,6 +315,11 @@ def _cmd_runtime(args) -> int:
             rt.checkpoint_json(ckpt)
             print(f"wrote checkpoint: {ckpt}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # what drive_runtime rejects, e.g. a resumed run's
+        # --checkpoint-every 0, which no scenario document validated
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if ckpt is not None:
         print(f"wrote checkpoint: {ckpt}")
     print(res)
@@ -405,7 +410,8 @@ def _cmd_service_serve(args) -> int:
 def _cmd_service_run(args) -> int:
     import json
 
-    from .service import Scenario, run_scenario
+    from .runtime import AdmissionError, Runtime
+    from .service import Scenario, drive_runtime
 
     try:
         scenario = Scenario.from_json(args.scenario)
@@ -419,7 +425,23 @@ def _cmd_service_run(args) -> int:
         if doc is None:
             return 1
         scenario = apply_policy(scenario, doc)
-    res = run_scenario(scenario, checkpoint_path=args.checkpoint)
+    # run_scenario's two steps, so that only building is caught: a
+    # document that parses can still name a job its host cannot embed
+    ckpt = Path(args.checkpoint) if args.checkpoint else None
+    if ckpt is not None and ckpt.exists():
+        rt = Runtime.restore_json(ckpt)
+    else:
+        try:
+            rt = scenario.build_runtime()
+        except (ValueError, AdmissionError) as exc:
+            print(f"error: bad scenario {args.scenario}: {exc}", file=sys.stderr)
+            return 1
+    res = drive_runtime(
+        rt,
+        batch=scenario.batch,
+        checkpoint_path=ckpt,
+        checkpoint_every=scenario.checkpoint_every,
+    )
     if args.json:
         print(json.dumps(res.as_dict(), indent=2))
     else:

@@ -21,6 +21,8 @@ third hand-written policy.
 
 from __future__ import annotations
 
+import weakref
+
 from ..runtime.jobs import Job
 from ..runtime.policies import POLICIES, SchedulerPolicy
 from .dsl import PolicyDoc, evaluate
@@ -47,7 +49,9 @@ class TreeSchedulerPolicy(SchedulerPolicy):
         return f"tree:{self.doc.name}"
 
     def bind_runtime(self, runtime) -> "TreeSchedulerPolicy":
-        self.runtime = runtime
+        # the runtime owns its policy: a weak proxy back keeps the pair
+        # free of a reference cycle
+        self.runtime = weakref.proxy(runtime)
         return self
 
     # -- signal snapshots ----------------------------------------------

@@ -48,6 +48,7 @@ from ..networks import build_host, host_params
 from ..obs import Recorder
 from ..simulate.engine import Message, SynchronousNetwork
 from ..simulate.faults import FaultEvent, FaultSchedule, repair_embedding
+from ..simulate.mapping import deliver_superstep
 from ..simulate.routing import AdaptiveRouter, Router, make_router
 from .jobs import Job, JobSpec
 from .policies import SchedulerPolicy, make_policy
@@ -305,63 +306,50 @@ class Runtime:
             return self._batch_fallback(reasons, len(active))
         # greedy link-disjoint selection in admission order: a job joins
         # the round iff its routes avoid every link already claimed
-        picked: list[tuple[Job, list[Message], int]] = []
+        picked: list[Job] = []
         claimed: set[tuple[Any, Any]] = set()
         route = self.network.route
         for job in active:
-            k = job.next_step
             phi = job.embedding.phi
-            messages = []
             links: set[tuple[Any, Any]] = set()
-            mid = job.msg_seq
-            for src, dst in job.program.supersteps[k]:
-                m = Message(mid, phi[src], phi[dst])
-                messages.append(m)
-                mid += 1
-                if m.src != m.dst:
-                    path = route(m.src, m.dst)
+            for src, dst in job.program.supersteps[job.next_step]:
+                u, v = phi[src], phi[dst]
+                if u != v:
+                    path = route(u, v)
                     links.update(zip(path, path[1:]))
             if picked and (links & claimed):
                 continue
             claimed |= links
-            picked.append((job, messages, k))
+            picked.append(job)
         if len(picked) < 2:
             return self._batch_fallback(["link_overlap"], len(active))
         # merge into one delivery under fresh ids, then split per job
         merged: list[Message] = []
-        owner: list[tuple[Job, int]] = []
-        for job, messages, _k in picked:
-            for m in messages:
-                owner.append((job, m.msg_id))
-                merged.append(Message(len(merged), m.src, m.dst))
+        owner: list[tuple[int, Job, int]] = []
+        for i, job in enumerate(picked):
+            phi = job.embedding.phi
+            for mid, (src, dst) in enumerate(job.program.supersteps[job.next_step], job.msg_seq):
+                owner.append((i, job, mid))
+                merged.append(Message(len(merged), phi[src], phi[dst]))
         # fair-share weights snapshotted before the merged delivery drains
         # backlogs — the same pre-superstep pricing as _run_superstep, so
         # batched and solo runs accrue bit-identical virtual time
-        weights = {id(job): job.fair_weight() for job, _m, _k in picked}
+        weights = [job.fair_weight() for job in picked]
         stats = self.network.deliver(merged)
         base = self.cycle
-        per_job_last: dict[int, int] = {}
+        # each picked job's last delivery cycle: its superstep's makespan
+        last = [0] * len(picked)
         for fresh, local in stats.delivery_cycle.items():
-            job, orig = owner[fresh]
+            i, job, orig = owner[fresh]
             job.delivered[orig] = base + local if base else local
-            ji = id(job)
-            if local > per_job_last.get(ji, -1):
-                per_job_last[ji] = local
-        round_cycles = 0
-        for job, messages, k in picked:
-            job_cycles = per_job_last.get(id(job), 0)
-            round_cycles = max(round_cycles, job_cycles)
-            job.msg_seq += len(messages)
+            if local > last[i]:
+                last[i] = local
+        for job, weight, job_cycles in zip(picked, weights, last):
+            job.msg_seq += len(job.program.supersteps[job.next_step])
             job.consumed_cycles += job_cycles
-            job.virtual_time += job_cycles / weights[id(job)]
-            job.next_step = k + 1
-            job.per_step_cycles.append(job.consumed_cycles)
-            if job.next_step >= job.program.n_supersteps:
-                job.status = "done"
-            elif job.over_budget():
-                job.status = "budget_exhausted"
-        self.cycle += round_cycles
-        return [job for job, _m, _k in picked]
+            job.finish_superstep(job_cycles, weight)
+        self.cycle += max(last)
+        return picked
 
     def _batch_fallback(self, reasons: list[str], n_active: int) -> list[Job]:
         """Degrade one batch round to :meth:`step`, leaving evidence.
@@ -393,20 +381,15 @@ class Runtime:
     def _observing(self) -> bool:
         return self.recorder is not None and self.recorder.enabled
 
-    def _deliver(self, job: Job, messages: list[Message], label):
-        """One delivery on the shared network, on the global clock.
+    def _deliver(self, job: Job, pairs, ids, label):
+        """Deliver ``job``'s guest ``pairs`` under message ``ids`` through
+        its current embedding, on the shared network and the global clock.
 
-        ``label`` is the phase suffix (a superstep index or ``"migrate"``);
-        the phase string is only built when a recorder is listening.
+        ``label`` is the phase suffix (a superstep index or ``"migrate"``).
         """
-        recorder = self.recorder
-        if recorder is not None and recorder.enabled:
-            recorder.begin_phase(f"{job.spec.name}[{label}]")
-        stats = self.network.deliver_scheduled(
-            [(0, m) for m in messages],
-            recorder=recorder,
-            faults=self.faults,
-            ttl=job.spec.ttl,
+        stats = deliver_superstep(
+            self.network, pairs, job.embedding.phi, ids, f"{job.spec.name}[{label}]",
+            recorder=self.recorder, faults=self.faults, ttl=job.spec.ttl,
             fault_offset=self.cycle,
         )
         base = self.cycle
@@ -479,15 +462,12 @@ class Runtime:
         first = job.msg_seq - len(pairs)
         while stranded:
             self._repair(job)
-            phi = job.embedding.phi
-            messages = []
-            for mid in stranded:
-                src, dst = pairs[mid - first]
-                messages.append(Message(mid, phi[src], phi[dst]))
             job.n_migrated += len(stranded)
             if self._observing():
                 self.recorder.on_migrate(self.cycle, job.spec.name, stranded)
-            stats = self._deliver(job, messages, "migrate")
+            stats = self._deliver(
+                job, [pairs[mid - first] for mid in stranded], stranded, "migrate"
+            )
             stranded = self._collect_failures(job, stats)
 
     def _collect_failures(self, job: Job, stats) -> list[int]:
@@ -524,26 +504,15 @@ class Runtime:
         # strands its images before any message is even injected
         if self.dead_nodes and self._dead_images(job):
             self._repair(job)
-        phi = job.embedding.phi
-        messages = []
-        append = messages.append
-        mid = job.msg_seq
-        for src, dst in job.program.supersteps[k]:
-            append(Message(mid, phi[src], phi[dst]))
-            mid += 1
-        job.msg_seq = mid
-        stats = self._deliver(job, messages, k)
+        pairs = job.program.supersteps[k]
+        first = job.msg_seq
+        job.msg_seq += len(pairs)
+        stats = self._deliver(job, pairs, range(first, job.msg_seq), k)
         if stats.failed:
             stranded = self._collect_failures(job, stats)
             if stranded:
                 self._migrate(job, stranded)
-        job.virtual_time += (job.consumed_cycles - consumed_before) / weight
-        job.next_step = k + 1
-        job.per_step_cycles.append(job.consumed_cycles)
-        if job.next_step >= job.program.n_supersteps:
-            job.status = "done"
-        elif job.over_budget():
-            job.status = "budget_exhausted"
+        job.finish_superstep(job.consumed_cycles - consumed_before, weight)
 
     # ------------------------------------------------------------------
     # Checkpoint / resume

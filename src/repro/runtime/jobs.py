@@ -220,6 +220,18 @@ class Job:
             and self.consumed_cycles >= self.spec.cycle_budget
         )
 
+    def finish_superstep(self, cycles: int, weight: int) -> None:
+        """Close superstep ``next_step``, which cost ``cycles`` (already in
+        ``consumed_cycles``), priced at the :meth:`fair_weight` ``weight``
+        it started with; then the job may be ``done`` or out of budget."""
+        self.virtual_time += cycles / weight
+        self.next_step += 1
+        self.per_step_cycles.append(self.consumed_cycles)
+        if self.next_step >= self.program.n_supersteps:
+            self.status = "done"
+        elif self.over_budget():
+            self.status = "budget_exhausted"
+
     # -- checkpointing --------------------------------------------------
     def state(self) -> dict:
         return {

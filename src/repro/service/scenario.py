@@ -316,7 +316,12 @@ def drive_runtime(
     the job store so ``POST /v1/jobs/<id>/admit`` lands mid-run.  Specs
     already admitted or already attempted are skipped, which keeps
     replayed admissions idempotent across crash/resume.
+
+    Raises :class:`ValueError` before the first step when
+    ``checkpoint_every`` is below 1.
     """
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     attempted: set[str] = set()
     pending = _normalise_admissions(admissions)
 

@@ -29,7 +29,7 @@ from .faults import (
     RepairResult,
     repair_embedding,
 )
-from .mapping import ExecutionStats, simulate_on_guest, simulate_on_host
+from .mapping import ExecutionStats, deliver_superstep, simulate_on_guest, simulate_on_host
 from .routing import ROUTERS, AdaptiveRouter, Router, ShortestPathRouter, make_router
 from .programs import (
     PROGRAMS,
@@ -79,6 +79,7 @@ __all__ = [
     "hot_spot_program",
     "permutation_program",
     "ExecutionStats",
+    "deliver_superstep",
     "simulate_on_host",
     "simulate_on_guest",
 ]

@@ -25,9 +25,9 @@ from typing import Any
 
 from ..core.embedding import Embedding
 from ..obs import Recorder, span
-from .engine import Message, SynchronousNetwork
+from .engine import SynchronousNetwork
 from .faults import DegradedResult, FaultReport, FaultSchedule
-from .mapping import _fold_report
+from .mapping import _barrier_supersteps
 from .programs import broadcast_program, reduction_program
 from .routing import Router
 
@@ -39,6 +39,33 @@ def _check_values(embedding: Embedding, values: Sequence[Any]) -> None:
         raise ValueError(
             f"need one value per guest node: {embedding.guest.n} != {len(values)}"
         )
+
+
+def _run_folding(
+    embedding, program, fold, span_name, *, link_capacity, recorder, router, faults, ttl
+):
+    """Run ``program``'s barrier supersteps on the host, call ``fold(src,
+    dst)`` for each arrival after its superstep, and return the cycles and
+    the fault report (``None`` without ``faults``/``ttl``).
+
+    Folding after the superstep, from the sender's state then, equals
+    sending a snapshot of it because no node receives in a superstep it
+    sends in: a reduction sends to strictly higher nodes and a broadcast
+    to strictly deeper ones.
+    """
+    network = SynchronousNetwork(embedding.host, link_capacity=link_capacity, router=router)
+    report = FaultReport() if faults is not None or ttl is not None else None
+    host_name = getattr(embedding.host, "name", type(embedding.host).__name__)
+    cycles = 0
+    with span(span_name, host=host_name, n=embedding.guest.n):
+        for pairs, stats in _barrier_supersteps(
+            network, program, embedding.phi, report,
+            restart_ids=True, recorder=recorder, faults=faults, ttl=ttl,
+        ):
+            cycles += stats.cycles
+            for mid in stats.delivery_cycle:  # in delivery order
+                fold(*pairs[mid])
+    return cycles, report
 
 
 def simulated_reduction(
@@ -57,7 +84,7 @@ def simulated_reduction(
     Superstep ``k`` sends, for every height-``k`` guest node, its combined
     subtree value to its parent's host image; the parent folds arrivals in.
     The final value at the root equals the sequential fold over the whole
-    tree (tested in ``tests/test_compute.py``).
+    tree (tested in ``tests/test_compute_shuffle.py``).
 
     ``recorder`` observes the underlying deliveries exactly like
     :func:`~repro.simulate.mapping.simulate_on_host` does — one recorder
@@ -73,40 +100,19 @@ def simulated_reduction(
     """
     tree = embedding.guest
     _check_values(embedding, values)
-    network = SynchronousNetwork(
-        embedding.host, link_capacity=link_capacity, router=router
-    )
-    observing = recorder is not None and recorder.enabled
-    fault_mode = faults is not None or ttl is not None
-    report = FaultReport()
     acc: list[Any] = list(values)
-    total_cycles = 0
-    program = reduction_program(tree)
-    host_name = getattr(embedding.host, "name", type(embedding.host).__name__)
-    with span("simulate.reduction", host=host_name, n=tree.n):
-        for k, step in enumerate(program.supersteps):
-            messages = []
-            payloads = {}
-            for mid, (src, dst) in enumerate(step):
-                messages.append(Message(mid, embedding.phi[src], embedding.phi[dst]))
-                payloads[mid] = (dst, acc[src])
-            if observing:
-                recorder.begin_phase(f"{program.name}[{k}]")
-            stats = network.deliver_scheduled(
-                [(0, m) for m in messages],
-                recorder=recorder, faults=faults, ttl=ttl, fault_offset=total_cycles,
-            )
-            if fault_mode:
-                _fold_report(report, stats, key=lambda mid, k=k: (k, mid))
-            total_cycles += stats.cycles
-            # arrivals fold into the parent's accumulator (order-independent
-            # because the operator is associative-commutative)
-            for mid in stats.delivery_cycle:
-                dst, value = payloads[mid]
-                acc[dst] = combine(acc[dst], value)
-    if fault_mode:
-        return DegradedResult((acc[tree.root], total_cycles), report)
-    return acc[tree.root], total_cycles
+
+    def fold(src: int, dst: int) -> None:
+        # order-independent because the operator is associative-commutative
+        acc[dst] = combine(acc[dst], acc[src])
+
+    cycles, report = _run_folding(
+        embedding, reduction_program(tree), fold, "simulate.reduction",
+        link_capacity=link_capacity, recorder=recorder, router=router,
+        faults=faults, ttl=ttl,
+    )
+    result = (acc[tree.root], cycles)
+    return result if report is None else DegradedResult(result, report)
 
 
 def simulated_prefix(
@@ -136,35 +142,15 @@ def simulated_prefix(
     """
     tree = embedding.guest
     _check_values(embedding, values)
-    network = SynchronousNetwork(
-        embedding.host, link_capacity=link_capacity, router=router
-    )
-    observing = recorder is not None and recorder.enabled
-    fault_mode = faults is not None or ttl is not None
-    report = FaultReport()
     out: list[Any] = [identity] * tree.n
-    total_cycles = 0
-    program = broadcast_program(tree)
-    host_name = getattr(embedding.host, "name", type(embedding.host).__name__)
-    with span("simulate.prefix", host=host_name, n=tree.n):
-        for k, step in enumerate(program.supersteps):
-            messages = []
-            payloads = {}
-            for mid, (src, dst) in enumerate(step):
-                messages.append(Message(mid, embedding.phi[src], embedding.phi[dst]))
-                payloads[mid] = (dst, combine(out[src], values[src]))
-            if observing:
-                recorder.begin_phase(f"{program.name}[{k}]")
-            stats = network.deliver_scheduled(
-                [(0, m) for m in messages],
-                recorder=recorder, faults=faults, ttl=ttl, fault_offset=total_cycles,
-            )
-            if fault_mode:
-                _fold_report(report, stats, key=lambda mid, k=k: (k, mid))
-            total_cycles += stats.cycles
-            for mid in stats.delivery_cycle:
-                dst, value = payloads[mid]
-                out[dst] = value
-    if fault_mode:
-        return DegradedResult((out, total_cycles), report)
-    return out, total_cycles
+
+    def fold(src: int, dst: int) -> None:
+        out[dst] = combine(out[src], values[src])
+
+    cycles, report = _run_folding(
+        embedding, broadcast_program(tree), fold, "simulate.prefix",
+        link_capacity=link_capacity, recorder=recorder, router=router,
+        faults=faults, ttl=ttl,
+    )
+    result = (out, cycles)
+    return result if report is None else DegradedResult(result, report)

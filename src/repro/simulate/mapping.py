@@ -22,11 +22,12 @@ from .faults import DegradedResult, FaultReport, FaultSchedule
 from .programs import TreeProgram
 from .routing import Router
 
-__all__ = ["ExecutionStats", "simulate_on_host", "simulate_on_guest"]
+__all__ = ["ExecutionStats", "deliver_superstep", "simulate_on_host", "simulate_on_guest"]
 
 
-def _fold_report(report: FaultReport, stats: DeliveryStats, key=lambda mid: mid) -> None:
-    """Accumulate one delivery's fault outcome into a run-level report."""
+def _fold_report(report: FaultReport, stats: DeliveryStats, superstep=None) -> None:
+    """Accumulate one delivery's fault outcome into a run-level report,
+    keying failures ``(superstep, msg_id)`` when ``superstep`` is given."""
     report.n_messages += stats.n_messages
     report.n_delivered += len(stats.delivery_cycle)
     report.applied = (*report.applied, *stats.faults_applied)
@@ -35,7 +36,7 @@ def _fold_report(report: FaultReport, stats: DeliveryStats, key=lambda mid: mid)
     report.n_retransmits += stats.n_retransmits
     report.n_quarantined += stats.n_quarantined
     for mid, reason in stats.failed.items():
-        report.failed[key(mid)] = reason
+        report.failed[mid if superstep is None else (superstep, mid)] = reason
 
 
 @dataclass
@@ -65,6 +66,52 @@ class ExecutionStats:
             f"{self.n_messages} messages in {self.n_supersteps} supersteps "
             f"(ideal {self.ideal_cycles}, slowdown {self.slowdown:.2f})"
         )
+
+
+def deliver_superstep(
+    network: SynchronousNetwork, pairs, phi, ids, phase: str, *,
+    recorder: Recorder | None = None, faults: FaultSchedule | None = None,
+    ttl: int | None = None, fault_offset: int = 0,
+) -> DeliveryStats:
+    """Deliver one guest superstep through the embedding ``phi``.
+
+    Message ``ids[i]`` carries the guest pair ``pairs[i] = (src, dst)``
+    from host ``phi[src]`` to host ``phi[dst]``.  All are injected at cycle
+    0 of one ``network.deliver_scheduled`` call, whose fault schedule runs
+    at global cycle ``fault_offset``, after a listening ``recorder`` opens
+    ``phase``.  :func:`simulate_on_host`'s barrier mode, the compute folds
+    and the runtime's supersteps and migrations all deliver through it.
+    """
+    if recorder is not None and recorder.enabled:
+        recorder.begin_phase(phase)
+    schedule = [(0, Message(mid, phi[src], phi[dst])) for mid, (src, dst) in zip(ids, pairs)]
+    return network.deliver_scheduled(
+        schedule, recorder=recorder, faults=faults, ttl=ttl, fault_offset=fault_offset
+    )
+
+
+def _barrier_supersteps(network, program, phi, report, *, restart_ids=False, **deliver):
+    """Deliver ``program`` one barrier superstep at a time, yielding each
+    superstep's guest pairs and :class:`DeliveryStats`.
+
+    Superstep ``k`` is recorder phase ``"<program>[k]"`` and starts at the
+    global cycle where superstep ``k - 1`` ended, so one fault schedule
+    spans the program.  Message ids run on across supersteps, or restart at
+    0 in each with ``restart_ids``; then ``report`` (fault mode only) keys
+    failures ``(k, msg_id)``.  ``deliver`` is ``recorder``/``faults``/``ttl``.
+    """
+    base = first = 0
+    for k, pairs in enumerate(program.supersteps):
+        first = 0 if restart_ids else first
+        ids = range(first, first + len(pairs))
+        stats = deliver_superstep(
+            network, pairs, phi, ids, f"{program.name}[{k}]", fault_offset=base, **deliver
+        )
+        first += len(pairs)
+        base += stats.cycles
+        if report is not None:
+            _fold_report(report, stats, k if restart_ids else None)
+        yield pairs, stats
 
 
 def simulate_on_host(
@@ -112,74 +159,44 @@ def simulate_on_host(
     """
     if program.tree is not embedding.guest and program.tree.parent_array != embedding.guest.parent_array:
         raise ValueError("program and embedding use different guest trees")
-    network = SynchronousNetwork(
-        embedding.host, link_capacity=link_capacity, router=router
-    )
+    network = SynchronousNetwork(embedding.host, link_capacity=link_capacity, router=router)
     host_name = getattr(embedding.host, "name", type(embedding.host).__name__)
-    observing = recorder is not None and recorder.enabled
-    fault_mode = faults is not None or ttl is not None
-    report = FaultReport()
+    report = FaultReport() if faults is not None or ttl is not None else None
     if barrier:
-        per_step: list[int] = []
-        max_traffic = 0
-        max_queue = 0
-        msg_id = 0
-        base = 0  # global cycle count: fault-schedule cycles span supersteps
         with span("simulate.on_host", program=program.name, host=host_name, mode="bsp"):
-            for k, step in enumerate(program.supersteps):
-                messages = []
-                for src, dst in step:
-                    messages.append(Message(msg_id, embedding.phi[src], embedding.phi[dst]))
-                    msg_id += 1
-                if observing:
-                    recorder.begin_phase(f"{program.name}[{k}]")
-                stats = network.deliver_scheduled(
-                    [(0, m) for m in messages],
-                    recorder=recorder, faults=faults, ttl=ttl, fault_offset=base,
+            steps = [
+                (stats.cycles, stats.max_link_traffic, stats.max_queue)
+                for _pairs, stats in _barrier_supersteps(
+                    network, program, embedding.phi, report,
+                    recorder=recorder, faults=faults, ttl=ttl,
                 )
-                base += stats.cycles
-                per_step.append(stats.cycles)
-                max_traffic = max(max_traffic, stats.max_link_traffic)
-                max_queue = max(max_queue, stats.max_queue)
-                if fault_mode:
-                    _fold_report(report, stats)
-        result = ExecutionStats(
-            program=program.name,
-            host_name=host_name,
-            n_supersteps=program.n_supersteps,
-            n_messages=program.n_messages,
-            total_cycles=sum(per_step),
-            ideal_cycles=program.ideal_cycles(),
-            per_superstep_cycles=per_step,
-            max_link_traffic=max_traffic,
-            max_queue=max_queue,
-        )
-        return DegradedResult(result, report) if fault_mode else result
-    schedule = []
-    msg_id = 0
-    for k, step in enumerate(program.supersteps):
-        for src, dst in step:
-            schedule.append((k, Message(msg_id, embedding.phi[src], embedding.phi[dst])))
-            msg_id += 1
-    if observing:
-        recorder.begin_phase(f"{program.name}[pipelined]")
-    with span("simulate.on_host", program=program.name, host=host_name, mode="pipelined"):
-        stats = network.deliver_scheduled(schedule, recorder=recorder, faults=faults, ttl=ttl)
+            ]
+    else:
+        phi = embedding.phi
+        sends = [(k, pair) for k, step in enumerate(program.supersteps) for pair in step]
+        schedule = [
+            (k, Message(mid, phi[src], phi[dst])) for mid, (k, (src, dst)) in enumerate(sends)
+        ]
+        if recorder is not None and recorder.enabled:
+            recorder.begin_phase(f"{program.name}[pipelined]")
+        with span("simulate.on_host", program=program.name, host=host_name, mode="pipelined"):
+            stats = network.deliver_scheduled(schedule, recorder=recorder, faults=faults, ttl=ttl)
+        if report is not None:
+            _fold_report(report, stats)
+        steps = [(stats.cycles, stats.max_link_traffic, stats.max_queue)]
+    per_step = [cycles for cycles, _, _ in steps]
     result = ExecutionStats(
         program=program.name,
         host_name=host_name,
         n_supersteps=program.n_supersteps,
         n_messages=program.n_messages,
-        total_cycles=stats.cycles,
+        total_cycles=sum(per_step),
         ideal_cycles=program.ideal_cycles(),
-        per_superstep_cycles=[stats.cycles],
-        max_link_traffic=stats.max_link_traffic,
-        max_queue=stats.max_queue,
+        per_superstep_cycles=per_step,
+        max_link_traffic=max((traffic for _, traffic, _ in steps), default=0),
+        max_queue=max((queue for _, _, queue in steps), default=0),
     )
-    if fault_mode:
-        _fold_report(report, stats)
-        return DegradedResult(result, report)
-    return result
+    return result if report is None else DegradedResult(result, report)
 
 
 def simulate_on_guest(

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..trees.binary_tree import BinaryTree
 
@@ -58,8 +59,9 @@ class TreeProgram:
     def n_supersteps(self) -> int:
         return len(self.supersteps)
 
-    @property
+    @cached_property
     def n_messages(self) -> int:
+        # counted once: the runtime reads it before every superstep
         return sum(len(s) for s in self.supersteps)
 
     def ideal_cycles(self) -> int:

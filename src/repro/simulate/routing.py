@@ -36,6 +36,7 @@ both work.
 from __future__ import annotations
 
 import random
+import weakref
 from collections import Counter
 from typing import Hashable
 
@@ -63,8 +64,12 @@ class Router:
     network = None
 
     def bind(self, network) -> "Router":
-        """Attach to the network whose traffic this router will steer."""
-        self.network = network
+        """Attach to the network whose traffic this router will steer.
+
+        The network owns its router, so the router keeps a weak proxy of
+        it: a dropped network is freed at once, with no reference cycle.
+        """
+        self.network = weakref.proxy(network)
         return self
 
     def next_hop(self, node: Node, dst: Node, msg_id: int | None = None) -> Node:

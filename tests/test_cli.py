@@ -226,6 +226,24 @@ class TestRuntimeExitCodes:
         assert main(args) == 1
         assert "checkpoint_every must be >= 1" in capsys.readouterr().err
 
+    def test_checkpoint_every_0_on_resume_exits_1(self, tmp_path, capsys):
+        # a checkpoint with supersteps left resumes without the scenario's
+        # validation; drive_runtime rejects the interval before any step
+        from repro.service import Scenario
+        from repro.service.scenario import SCENARIO_VERSION
+
+        cfg = REPO / "examples" / "runtime_jobs.json"
+        doc = {"version": SCENARIO_VERSION, "name": "jobs"} | json.loads(cfg.read_text())
+        rt = Scenario.from_obj(doc).build_runtime()
+        rt.step()
+        ckpt = tmp_path / "c.json"
+        rt.checkpoint_json(ckpt)
+        before = ckpt.read_bytes()
+        args = ["runtime", str(cfg), "--checkpoint", str(ckpt), "--checkpoint-every", "0"]
+        assert main(args) == 1
+        assert "checkpoint_every must be >= 1" in capsys.readouterr().err
+        assert ckpt.read_bytes() == before
+
     def test_node_death_repairs_and_checkpoint_resumes(self, tmp_path, capsys):
         # two jobs on one host, a node killed mid-run: online repair shows
         # in the trace, and the rerun resumes from the checkpoint
@@ -238,3 +256,16 @@ class TestRuntimeExitCodes:
         assert "resumed from" not in capsys.readouterr().out
         assert main(args) == 0
         assert "resumed from" in capsys.readouterr().out
+
+
+class TestServiceRun:
+    def test_unbuildable_scenario_exits_1(self, tmp_path, capsys):
+        # the document parses, but its first job cannot embed into the host
+        doc = json.loads((REPO / "scenarios" / "hot_spot.json").read_text())
+        doc["jobs"][0]["height"] = 2
+        path = tmp_path / "hot_spot.json"
+        path.write_text(json.dumps(doc))
+        assert main(["service", "run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad scenario {path}: ")
+        assert "Traceback" not in err

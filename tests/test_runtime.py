@@ -24,14 +24,18 @@ Covers the tentpole semantics end to end:
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
 import os
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.oracle import oracle_for
 from repro.networks import Grid2D, XTree
 from repro.obs import TraceRecorder
 from repro.runtime import (
@@ -899,3 +903,31 @@ class TestCheckpointFaultBoundary:
         state = json.loads(json.dumps(rt.checkpoint()))
         again = json.loads(json.dumps(Runtime.restore(state).checkpoint()))
         assert again == state
+
+
+#: a scheduling policy tree, whose policy object is bound to its runtime
+_SCHEDULING_TREE = {
+    "version": 1, "name": "by-backlog", "domain": "scheduling",
+    "tree": {"action": "score", "weights": {"backlog": -1.0}},
+}
+
+
+@pytest.mark.parametrize("policy", [None, _SCHEDULING_TREE], ids=["fifo", "tree"])
+def test_dropped_runtime_frees_its_routing_tables(policy):
+    # without a full collection: no reference cycle may keep the host, and
+    # through it the oracle's (n, n) next-hop matrix, alive
+    scenario = Scenario.from_json(
+        Path(__file__).resolve().parent.parent / "scenarios" / "universal_route.json"
+    )
+    if policy is not None:
+        scenario = dataclasses.replace(scenario, policy=policy)
+    gc.collect()
+    gc.disable()
+    try:
+        rt = scenario.build_runtime()
+        rt.run()
+        tables = weakref.ref(oracle_for(rt.host).next_hop_matrix())
+        del rt
+        assert tables() is None
+    finally:
+        gc.enable()

@@ -5,12 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core import order_chunk_embedding, theorem1_embedding
+from repro.obs import TraceRecorder
 from repro.networks import CompleteBinaryTreeNet, Grid2D, Hypercube, XTree
 from repro.simulate import (
     Message,
     PROGRAMS,
     SynchronousNetwork,
     broadcast_program,
+    deliver_superstep,
     leaf_gossip_program,
     neighbor_exchange_program,
     prefix_sum_program,
@@ -168,3 +170,25 @@ class TestEndToEnd:
         assert stats.max_link_traffic >= 1
         assert len(stats.per_superstep_cycles) == 2
         assert stats.slowdown >= 1.0
+
+    def test_deliver_superstep_is_the_hand_built_delivery(self):
+        # id ids[i] carries pairs[i] through phi, injected at 0, with the
+        # fault schedule at global cycle fault_offset and phase opened first
+        from repro.simulate import FaultSchedule
+
+        tree = make_tree("random", theorem1_guest_size(3), seed=1)
+        emb = theorem1_embedding(tree).embedding
+        pairs = neighbor_exchange_program(tree, rounds=1).supersteps[0]
+        ids = range(100, 100 + len(pairs))
+        faults = FaultSchedule.chaos(emb.host, n_cycles=60, link_rate=0.3, seed=2)
+        rec = TraceRecorder()
+        got = deliver_superstep(
+            SynchronousNetwork(emb.host), pairs, emb.phi, ids, "p[3]",
+            recorder=rec, faults=faults, ttl=5, fault_offset=7,
+        )
+        want = SynchronousNetwork(emb.host).deliver_scheduled(
+            [(0, Message(m, emb.phi[s], emb.phi[d])) for m, (s, d) in zip(ids, pairs)],
+            faults=faults, ttl=5, fault_offset=7,
+        )
+        assert got == want
+        assert rec.phases == ["p[3]"]
