@@ -24,12 +24,12 @@ Subcommands
             messages); ``--checkpoint PATH`` resumes from the file when it
             exists and rewrites it as the run progresses — kill the
             process at any point and re-run the same command to continue
-            bit-identically.
+            bit-identically; ``--json`` prints the result document alone.
 ``tune``    search a parametric policy template (``repro.policy.tune``)
             against scenario workloads and write the winning
             decision-tree document plus a reproducible tuning log.
 
-``simulate``, ``runtime``, and ``service run`` all take ``--policy FILE``
+``simulate`` and ``runtime`` take ``--policy FILE``
 pointing at a ``repro.policy`` decision-tree document (e.g. one written
 by ``tune``); its ``domain`` decides whether it replaces the router
 (``routing``) or the scheduler (``scheduling``).
@@ -225,68 +225,45 @@ def _cmd_runtime(args) -> int:
 
     from .obs import NullRecorder, TraceRecorder
     from .policy import apply_policy
-    from .runtime import AdmissionError, JobSpec, Runtime
+    from .runtime import AdmissionError, JobSpec
     from .service.scenario import SCENARIO_VERSION, Scenario, drive_runtime
     from .simulate.faults import RepairError
 
-    observing = bool(args.trace or args.metrics)
-    recorder = TraceRecorder() if observing else NullRecorder()
+    # under --json, stdout holds the result document and nothing else
+    info = sys.stderr if args.json else sys.stdout
+    faults = None
+    if args.faults:
+        from .simulate import FaultSchedule
 
-    ckpt = Path(args.checkpoint) if args.checkpoint else None
-    if ckpt is not None and ckpt.exists():
-        # resume: the checkpoint is the complete state; jobs.json only
-        # seeded the original run
         try:
-            rt = Runtime.restore_json(ckpt, recorder=recorder)
+            faults = FaultSchedule.from_json(Path(args.faults))
         except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"error: cannot restore checkpoint {ckpt}: {exc}", file=sys.stderr)
+            print(f"error: cannot load fault schedule {args.faults}: {exc}",
+                  file=sys.stderr)
             return 1
-        print(f"resumed from {ckpt}: cycle {rt.cycle}, "
-              f"{len(rt.active_jobs())}/{len(rt.jobs)} jobs still active")
-        batch = args.batch
-        every = 10 if args.checkpoint_every is None else args.checkpoint_every
-    else:
-        try:
-            doc = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load job config {args.config}: {exc}", file=sys.stderr)
+    policy = None
+    if args.policy:
+        policy = _load_policy_doc(args.policy)
+        if policy is None:
             return 1
-        faults = None
-        if args.faults:
-            from .simulate import FaultSchedule
-
-            try:
-                faults = FaultSchedule.from_json(Path(args.faults))
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                print(f"error: cannot load fault schedule {args.faults}: {exc}",
-                      file=sys.stderr)
-                return 1
-        policy = None
-        if args.policy:
-            policy = _load_policy_doc(args.policy)
-            if policy is None:
-                return 1
+    try:
+        doc = json.loads(Path(args.config).read_text())
         if isinstance(doc, dict):
             # the config is a scenario document that may leave out the
             # wire-format version and the name
             doc = {"version": SCENARIO_VERSION, "name": Path(args.config).stem} | doc
-        try:
-            scenario = Scenario.from_obj(doc)
-            if faults is not None:
-                scenario = replace(scenario, faults=faults)
-            if policy is not None:
-                scenario = apply_policy(scenario, policy)
-            if args.batch:
-                scenario = replace(scenario, batch=True)
-            if args.checkpoint_every is not None:
-                scenario = replace(scenario, checkpoint_every=args.checkpoint_every)
-            rt = scenario.build_runtime(recorder=recorder)
-        except (KeyError, TypeError, ValueError, AdmissionError) as exc:
-            print(f"error: bad job config {args.config}: {exc}", file=sys.stderr)
-            return 1
-        print(f"admitted {len(rt.jobs)} jobs on {rt.host.name} "
-              f"(policy {rt.policy.name}, max load {rt.max_load})")
-        batch, every = scenario.batch, scenario.checkpoint_every
+        scenario = Scenario.from_obj(doc)
+        if faults is not None:
+            scenario = replace(scenario, faults=faults)
+        if policy is not None:
+            scenario = apply_policy(scenario, policy)
+        if args.batch:
+            scenario = replace(scenario, batch=True)
+        if args.checkpoint_every is not None:
+            scenario = replace(scenario, checkpoint_every=args.checkpoint_every)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        print(f"error: bad scenario {args.config}: {exc}", file=sys.stderr)
+        return 1
 
     admissions = []
     for entry in args.admit_at or ():
@@ -301,12 +278,30 @@ def _cmd_runtime(args) -> int:
             return 1
         admissions.append((cycle, spec))
 
+    observing = bool(args.trace or args.metrics)
+    recorder = TraceRecorder() if observing else NullRecorder()
+    ckpt = Path(args.checkpoint) if args.checkpoint else None
+    resuming = ckpt is not None and ckpt.exists()
+    try:
+        rt = scenario.build_runtime(recorder=recorder, checkpoint_path=ckpt)
+    except (OSError, KeyError, TypeError, ValueError, AdmissionError) as exc:
+        what = (f"cannot restore checkpoint {ckpt}" if resuming
+                else f"bad scenario {args.config}")
+        print(f"error: {what}: {exc}", file=sys.stderr)
+        return 1
+    if resuming:
+        print(f"resumed from {ckpt}: cycle {rt.cycle}, "
+              f"{len(rt.active_jobs())}/{len(rt.jobs)} jobs still active", file=info)
+    else:
+        print(f"admitted {len(rt.jobs)} jobs on {rt.host.name} "
+              f"(policy {rt.policy.name}, max load {rt.max_load})", file=info)
+
     try:
         res = drive_runtime(
             rt,
-            batch=batch,
+            batch=scenario.batch,
             checkpoint_path=ckpt,
-            checkpoint_every=every,
+            checkpoint_every=scenario.checkpoint_every,
             admissions=admissions,
         )
     except RepairError as exc:
@@ -316,13 +311,12 @@ def _cmd_runtime(args) -> int:
             print(f"wrote checkpoint: {ckpt}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # what drive_runtime rejects, e.g. a resumed run's
-        # --checkpoint-every 0, which no scenario document validated
+        # e.g. an --admit-at spec whose job the host cannot embed
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if ckpt is not None:
-        print(f"wrote checkpoint: {ckpt}")
-    print(res)
+        print(f"wrote checkpoint: {ckpt}", file=info)
+    print(json.dumps(res.as_dict(), indent=2) if args.json else res)
     if not res.complete:
         # mirror `simulate`'s fault report: name every job that did not
         # finish clean, so the nonzero exit is attributable from logs
@@ -341,12 +335,12 @@ def _cmd_runtime(args) -> int:
             print(f"error: cannot write trace to {args.trace}: {exc}", file=sys.stderr)
             return 1
         print(f"wrote trace: {args.trace} ({len(recorder.events)} events, "
-              f"{len(recorder.cycles)} cycle samples)")
+              f"{len(recorder.cycles)} cycle samples)", file=info)
     if args.metrics:
         from .analysis.trace_report import metrics_report
 
-        print()
-        print(metrics_report(recorder))
+        print(file=info)
+        print(metrics_report(recorder), file=info)
     # exit contract (service workers and CI depend on it, matching
     # `simulate`): 0 = every job done with every message delivered;
     # 1 = degraded/incomplete (failed messages, exhausted budgets) or a
@@ -405,49 +399,6 @@ def _cmd_service_serve(args) -> int:
 
     serve(args.root, n_shards=args.shards, host=args.host, port=args.port)
     return 0
-
-
-def _cmd_service_run(args) -> int:
-    import json
-
-    from .runtime import AdmissionError, Runtime
-    from .service import Scenario, drive_runtime
-
-    try:
-        scenario = Scenario.from_json(args.scenario)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: bad scenario {args.scenario}: {exc}", file=sys.stderr)
-        return 1
-    if args.policy:
-        from .policy import apply_policy
-
-        doc = _load_policy_doc(args.policy)
-        if doc is None:
-            return 1
-        scenario = apply_policy(scenario, doc)
-    # run_scenario's two steps, so that only building is caught: a
-    # document that parses can still name a job its host cannot embed
-    ckpt = Path(args.checkpoint) if args.checkpoint else None
-    if ckpt is not None and ckpt.exists():
-        rt = Runtime.restore_json(ckpt)
-    else:
-        try:
-            rt = scenario.build_runtime()
-        except (ValueError, AdmissionError) as exc:
-            print(f"error: bad scenario {args.scenario}: {exc}", file=sys.stderr)
-            return 1
-    res = drive_runtime(
-        rt,
-        batch=scenario.batch,
-        checkpoint_path=ckpt,
-        checkpoint_every=scenario.checkpoint_every,
-    )
-    if args.json:
-        print(json.dumps(res.as_dict(), indent=2))
-    else:
-        print(res)
-    # same exit contract as `runtime`: 0 complete, 1 degraded/incomplete
-    return 0 if res.complete else 1
 
 
 def _cmd_service_submit(args) -> int:
@@ -660,8 +611,10 @@ def main(argv: list[str] | None = None) -> int:
                            "in place of the config's faults; node deaths trigger "
                            "online repair + message migration")
     p_rt.add_argument("--checkpoint", metavar="PATH",
-                      help="checkpoint file: restored (and the job config ignored) if it "
-                           "already exists, rewritten during and after the run")
+                      help="checkpoint file: restored if it already exists (it carries "
+                           "the host, jobs, faults and policies; the config then "
+                           "supplies only batch and checkpoint_every), rewritten "
+                           "during and after the run")
     p_rt.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
                       help="rewrite the checkpoint every N supersteps (default: the "
                            "config's checkpoint_every, 10 unless set)")
@@ -685,6 +638,9 @@ def main(argv: list[str] | None = None) -> int:
                       help="admit the JobSpec in SPEC.json once the runtime "
                            "clock reaches CYCLE (repeatable; admitted "
                            "immediately if the runtime drains first)")
+    p_rt.add_argument("--json", action="store_true",
+                      help="print only the result document (RuntimeResult.as_dict()) "
+                           "to stdout; progress lines go to stderr")
     p_rt.set_defaults(func=_cmd_runtime)
 
     p_tune = sub.add_parser(
@@ -724,18 +680,6 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8642)
     p_serve.set_defaults(func=_cmd_service_serve)
-
-    p_run = svc_sub.add_parser(
-        "run", help="execute one scenario JSON in-process (no fleet) — the reference runner"
-    )
-    p_run.add_argument("scenario", help="scenario JSON path (see scenarios/)")
-    p_run.add_argument("--checkpoint", metavar="PATH",
-                       help="resume from PATH if it exists; keep it updated while running")
-    p_run.add_argument("--json", action="store_true", help="print the result as JSON")
-    p_run.add_argument("--policy", metavar="FILE",
-                       help="policy document applied over the scenario by domain "
-                            "(router for routing, scheduler for scheduling)")
-    p_run.set_defaults(func=_cmd_service_run)
 
     p_submit = svc_sub.add_parser("submit", help="submit a scenario to a running service")
     p_submit.add_argument("scenario", help="scenario JSON path")

@@ -18,8 +18,6 @@ from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Hashable, Iterable, Iterator
 
-import networkx as nx
-
 __all__ = ["Topology", "bfs_distance", "bfs_distances_from"]
 
 Node = Hashable
@@ -178,13 +176,6 @@ class Topology(ABC):
         """Return True when the network is connected."""
         first = next(iter(self.nodes()))
         return len(self.distances_from(first)) == self.n_nodes
-
-    def to_networkx(self) -> nx.Graph:
-        """Materialise the topology as a :class:`networkx.Graph`."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.nodes())
-        graph.add_edges_from(self.edges())
-        return graph
 
     # ------------------------------------------------------------------
     # Dunder conveniences

@@ -6,9 +6,9 @@ and routing policies into *data*:
 * :mod:`repro.policy.dsl` — the versioned, strictly validated JSON
   policy-tree format (:class:`PolicyDoc`, :func:`evaluate`);
 * :mod:`repro.policy.sched` — :class:`TreeSchedulerPolicy`, a document
-  driving ``Runtime`` superstep picks (registered as ``POLICIES["tree"]``);
+  driving ``Runtime`` superstep picks;
 * :mod:`repro.policy.route` — :class:`TreeRouter`, a document driving
-  next-hop scoring/detours (registered as ``ROUTERS["tree"]``);
+  next-hop scoring/detours;
 * :mod:`repro.policy.tune` — grid / random / cross-entropy search over
   parametric templates against scenario workloads, with a reproducible
   seeded tuning log (:func:`tune`, :data:`TEMPLATES`).

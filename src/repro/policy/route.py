@@ -32,7 +32,7 @@ minimal links are measurably hot (see ``policies/`` and
 
 from __future__ import annotations
 
-from ..simulate.routing import ROUTERS, AdaptiveRouter, Node
+from ..simulate.routing import AdaptiveRouter, Node
 from .dsl import PolicyDoc, evaluate
 
 __all__ = ["TreeRouter"]
@@ -161,6 +161,3 @@ class TreeRouter(AdaptiveRouter):
             },
             "state": self.state(),
         }
-
-
-ROUTERS["tree"] = TreeRouter

@@ -24,7 +24,7 @@ from __future__ import annotations
 import weakref
 
 from ..runtime.jobs import Job
-from ..runtime.policies import POLICIES, SchedulerPolicy
+from ..runtime.policies import SchedulerPolicy
 from .dsl import PolicyDoc, evaluate
 
 __all__ = ["TreeSchedulerPolicy"]
@@ -103,6 +103,3 @@ class TreeSchedulerPolicy(SchedulerPolicy):
             if best_key is None or key < best_key:
                 best, best_key = job, key
         return best
-
-
-POLICIES["tree"] = TreeSchedulerPolicy

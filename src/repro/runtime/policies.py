@@ -14,8 +14,7 @@ serialised state of their own.
 
 Beyond the two built-ins, a policy can be a declarative decision tree
 (:mod:`repro.policy`): :func:`make_policy` accepts a parsed policy
-document (dict) wherever a name is accepted, and the ``"tree"`` registry
-entry is populated on ``import repro.policy``.
+document (dict) wherever a name is accepted.
 """
 
 from __future__ import annotations
@@ -101,10 +100,8 @@ class FairSharePolicy(SchedulerPolicy):
         return best
 
 
-#: CLI / config names for the built-in policies.  ``"tree"`` (the
-#: declarative decision-tree policy) registers itself on
-#: ``import repro.policy`` — it cannot be built from a bare name because
-#: it needs a policy document.
+#: CLI / config names for the built-in policies.  A decision-tree policy
+#: has no name here: it is built from its policy document.
 POLICIES = {"fifo": FifoPolicy, "fair": FairSharePolicy}
 
 
@@ -121,12 +118,8 @@ def make_policy(spec: "SchedulerPolicy | str | dict | None") -> SchedulerPolicy:
             return POLICIES[spec]()
         except KeyError:
             raise ValueError(
-                f"unknown scheduling policy {spec!r}: expected one of {sorted(POLICIES)}"
-            ) from None
-        except TypeError:
-            raise ValueError(
-                f"policy {spec!r} needs a policy document: pass the parsed "
-                f"JSON dict (or a repro.policy.PolicyDoc) instead of the name"
+                f"unknown scheduling policy {spec!r}: expected one of "
+                f"{sorted(POLICIES)} or a policy document"
             ) from None
     # deferred import: repro.policy imports this module
     from ..policy import PolicyDoc

@@ -19,7 +19,9 @@ GET    ``/v1/healthz``              liveness probe
 Error contract: invalid scenario documents are a 400 with the
 :class:`ValueError` text; unknown job ids are 404; a result requested
 before the job is terminal is 409 (retry later) so clients can
-distinguish "not yet" from "never existed".
+distinguish "not yet" from "never existed".  A ``Content-Length`` that
+is not a digit string is a 400 and an oversize body a 413; both close
+the connection.
 
 Submission is idempotent when the client supplies ``?id=<job_id>``: a
 retried POST whose first attempt already reached the fleet replays to
@@ -79,11 +81,19 @@ class _Handler(BaseHTTPRequestHandler):
         self._json(code, {"error": message})
 
     def _read_body(self) -> bytes | None:
-        length = int(self.headers.get("Content-Length", 0))
-        if length > MAX_BODY:
-            self._error(413, f"body too large ({length} > {MAX_BODY} bytes)")
-            return None
-        return self.rfile.read(length)
+        header = self.headers.get("Content-Length", "0").strip()
+        # digits only: int() would also take "-1", whose rfile.read(-1)
+        # blocks until the client hangs up
+        if not (header.isascii() and header.isdigit()):
+            error = (400, f"bad Content-Length: {header!r}")
+        elif int(header) > MAX_BODY:
+            error = (413, f"body too large ({header} > {MAX_BODY} bytes)")
+        else:
+            return self.rfile.read(int(header))
+        # the unread body would be parsed as the next request
+        self.close_connection = True
+        self._error(*error)
+        return None
 
     # -- routes ---------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802

@@ -227,9 +227,20 @@ class Scenario:
         return sum(j.capacity for j in self.jobs)
 
     # -- execution ------------------------------------------------------
-    def build_runtime(self, *, recorder=None) -> Runtime:
-        """Instantiate the runtime and admit every job (admission order =
-        document order, which fixes the schedule deterministically)."""
+    def build_runtime(
+        self, *, recorder=None, checkpoint_path: str | Path | None = None
+    ) -> Runtime:
+        """Open the scenario's runtime: the one restore-or-build.
+
+        If ``checkpoint_path`` names an existing file, the runtime is
+        restored from its last complete cut, which carries the whole
+        state (host, jobs, faults, policies), so the document is not
+        consulted.  Otherwise the runtime is instantiated and every job
+        admitted (admission order = document order, which fixes the
+        schedule deterministically).
+        """
+        if checkpoint_path is not None and Path(checkpoint_path).exists():
+            return Runtime.restore_json(checkpoint_path, recorder=recorder)
         rt = Runtime(
             build_host(self.host_name, self.host_args),
             router=self.router,
@@ -362,22 +373,28 @@ def run_scenario(
     *,
     recorder=None,
     checkpoint_path: str | Path | None = None,
+    heartbeat=None,
+    admissions=None,
+    admission_poll=None,
 ) -> RuntimeResult:
     """Execute one scenario in-process and return its result.
 
-    If ``checkpoint_path`` names an existing file, the runtime *resumes*
-    from it (bit-identically) instead of starting over — exactly what a
-    worker does after a crash.  This function is the reference the
-    service's distributed results are compared against.
+    The runtime opens through :meth:`Scenario.build_runtime`, so if
+    ``checkpoint_path`` names an existing file the run *resumes* from it
+    (bit-identically) instead of starting over — exactly what a worker
+    does after a crash — and :func:`drive_runtime` steps it with the
+    scenario's ``batch`` and ``checkpoint_every``.  ``heartbeat``,
+    ``admissions`` and ``admission_poll`` pass through to
+    :func:`drive_runtime`.  A worker process runs its jobs through this
+    function, and it is the reference the service's distributed results
+    are compared against.
     """
-    path = None if checkpoint_path is None else Path(checkpoint_path)
-    if path is not None and path.exists():
-        rt = Runtime.restore_json(path, recorder=recorder)
-    else:
-        rt = scenario.build_runtime(recorder=recorder)
     return drive_runtime(
-        rt,
+        scenario.build_runtime(recorder=recorder, checkpoint_path=checkpoint_path),
         batch=scenario.batch,
-        checkpoint_path=path,
+        checkpoint_path=checkpoint_path,
         checkpoint_every=scenario.checkpoint_every,
+        heartbeat=heartbeat,
+        admissions=admissions,
+        admission_poll=admission_poll,
     )

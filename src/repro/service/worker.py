@@ -7,11 +7,12 @@ at any instant and the fleet's recovery pass will requeue its job, whose
 next runner resumes from the last atomic checkpoint:
 
 1. claim the highest-priority queued job (atomic rename),
-2. *restore* the runtime from ``jobs/<id>/checkpoint.json`` if one exists
-   (this is the crash-recovery / migration path), else build it from the
-   scenario document,
-3. drive it to a terminal state with periodic atomic checkpoints,
-4. publish ``result.json`` and release the running marker.
+2. run it with :func:`~repro.service.scenario.run_scenario`, which
+   *restores* the runtime from ``jobs/<id>/checkpoint.json`` if one
+   exists (this is the crash-recovery / migration path), else builds it
+   from the scenario document, and drives it to a terminal state with
+   periodic atomic checkpoints,
+3. publish ``result.json`` and release the running marker.
 
 A scenario that ends *degraded* (incomplete jobs, dropped messages) is
 still ``done`` — the runtime delivered its contract of a degraded result;
@@ -26,8 +27,7 @@ import time
 import traceback
 
 from ..obs import TraceRecorder
-from ..runtime import Runtime
-from .scenario import Scenario, drive_runtime
+from .scenario import Scenario, run_scenario
 from .store import Store
 
 __all__ = ["worker_main", "run_one_job"]
@@ -41,16 +41,10 @@ def run_one_job(store: Store, shard: int, job_id: str) -> None:
             TraceRecorder(path=store.trace_path(job_id)) if scenario.trace else None
         )
         try:
-            ckpt = store.checkpoint_path(job_id)
-            if ckpt.exists():
-                rt = Runtime.restore_json(ckpt, recorder=recorder)
-            else:
-                rt = scenario.build_runtime(recorder=recorder)
-            res = drive_runtime(
-                rt,
-                batch=scenario.batch,
-                checkpoint_path=ckpt,
-                checkpoint_every=scenario.checkpoint_every,
+            res = run_scenario(
+                scenario,
+                recorder=recorder,
+                checkpoint_path=store.checkpoint_path(job_id),
                 heartbeat=lambda: store.heartbeat(job_id),
                 admissions=store.read_admissions(job_id),
                 admission_poll=lambda: store.read_admissions(job_id),

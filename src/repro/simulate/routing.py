@@ -394,10 +394,8 @@ class AdaptiveRouter(Router):
         }
 
 
-#: CLI / config names for the built-in policies.  ``"tree"`` (the
-#: declarative policy-tree router) registers itself on
-#: ``import repro.policy`` — it cannot be built from a bare name because
-#: it needs a policy document.
+#: CLI / config names for the built-in policies.  A policy-tree router
+#: has no name here: it is built from its policy document.
 ROUTERS = {"deterministic": ShortestPathRouter, "adaptive": AdaptiveRouter}
 
 
@@ -414,12 +412,8 @@ def make_router(spec: "Router | str | dict | None") -> Router:
             return ROUTERS[spec]()
         except KeyError:
             raise ValueError(
-                f"unknown router {spec!r}: expected one of {sorted(ROUTERS)}"
-            ) from None
-        except TypeError:
-            raise ValueError(
-                f"router {spec!r} needs a policy document: pass the parsed "
-                f"JSON dict (or a repro.policy.PolicyDoc) instead of the name"
+                f"unknown router {spec!r}: expected one of {sorted(ROUTERS)} "
+                f"or a policy document"
             ) from None
     # deferred import: repro.policy imports this module
     from ..policy import PolicyDoc

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-import networkx as nx
-
 __all__ = ["BinaryTree", "theorem1_guest_size", "theorem3_guest_size"]
 
 
@@ -129,11 +127,6 @@ class BinaryTree:
             raise ValueError("tree specification must not be None")
         build(spec, -1)
         return cls(parent)
-
-    @classmethod
-    def from_networkx(cls, graph: nx.Graph, root: int = 0) -> BinaryTree:
-        """Build from a networkx tree whose nodes are ``0 .. n-1``."""
-        return cls.from_edges(graph.number_of_nodes(), graph.edges(), root=root)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -293,13 +286,6 @@ class BinaryTree:
             parent.append(prev)
             prev = len(parent) - 1
         return BinaryTree(parent)
-
-    def to_networkx(self) -> nx.Graph:
-        """Materialise as an undirected :class:`networkx.Graph`."""
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self._n))
-        graph.add_edges_from(self.edges())
-        return graph
 
     # ------------------------------------------------------------------
     # Dunders

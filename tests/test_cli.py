@@ -77,10 +77,10 @@ class TestSimulate:
 class TestByzantine:
     def test_integrity_exit_codes_and_trace(self, tmp_path, capsys):
         # recoverable corruption exits 0; the storm exits 1 naming the reason
-        assert main(["service", "run", str(REPO / "scenarios" / "byzantine.json")]) == 0
+        assert main(["runtime", str(REPO / "scenarios" / "byzantine.json")]) == 0
         capsys.readouterr()
         storm = REPO / "scenarios" / "byzantine_storm.json"
-        assert main(["service", "run", str(storm), "--json"]) == 1
+        assert main(["runtime", str(storm), "--json"]) == 1
         assert '"integrity"' in capsys.readouterr().out
         trace = tmp_path / "t.jsonl"
         assert main(["simulate", "--height", "3", "--router", "adaptive",
@@ -118,6 +118,12 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_service_run_is_gone(self):
+        # `runtime` runs a scenario document in-process
+        with pytest.raises(SystemExit) as exc:
+            main(["service", "run", str(REPO / "scenarios" / "hot_spot.json")])
+        assert exc.value.code == 2
 
     def test_unknown_family_rejected(self):
         with pytest.raises(SystemExit):
@@ -215,8 +221,8 @@ class TestRuntimeExitCodes:
         assert "max_laod" in err and "polcy" in err
 
     def test_scenario_faults_are_played(self, capsys):
-        # the config is a scenario document: its faults run, as under
-        # `service run`, and cut messages off
+        # the config is a scenario document: its faults run, as on a
+        # service worker, and cut messages off
         assert main(["runtime", str(REPO / "scenarios" / "partition.json")]) == 1
         assert "failed messages" in capsys.readouterr().err
 
@@ -244,6 +250,17 @@ class TestRuntimeExitCodes:
         assert "checkpoint_every must be >= 1" in capsys.readouterr().err
         assert ckpt.read_bytes() == before
 
+    def test_unbuildable_scenario_exits_1(self, tmp_path, capsys):
+        # the document parses, but its first job cannot embed into the host
+        doc = json.loads((REPO / "scenarios" / "hot_spot.json").read_text())
+        doc["jobs"][0]["height"] = 2
+        path = tmp_path / "hot_spot.json"
+        path.write_text(json.dumps(doc))
+        assert main(["runtime", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad scenario {path}: ")
+        assert "Traceback" not in err
+
     def test_node_death_repairs_and_checkpoint_resumes(self, tmp_path, capsys):
         # two jobs on one host, a node killed mid-run: online repair shows
         # in the trace, and the rerun resumes from the checkpoint
@@ -258,14 +275,58 @@ class TestRuntimeExitCodes:
         assert "resumed from" in capsys.readouterr().out
 
 
-class TestServiceRun:
-    def test_unbuildable_scenario_exits_1(self, tmp_path, capsys):
-        # the document parses, but its first job cannot embed into the host
-        doc = json.loads((REPO / "scenarios" / "hot_spot.json").read_text())
-        doc["jobs"][0]["height"] = 2
-        path = tmp_path / "hot_spot.json"
+SHIPPED = sorted(p.stem for p in (REPO / "scenarios").glob("*.json"))
+
+
+class TestRuntimeResume:
+    """Re-running a `runtime` command on its checkpoint continues the run
+    bit-identically: the checkpoint supplies the state, the scenario its
+    `batch` and `checkpoint_every`."""
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["shipped", "batch"])
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_resume_matches_uninterrupted_run(self, tmp_path, capsys, name, batch):
+        from repro.service import Scenario, run_scenario
+
+        doc = json.loads((REPO / "scenarios" / f"{name}.json").read_text())
+        if batch:
+            doc["batch"] = True
+        path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
-        assert main(["service", "run", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: bad scenario {path}: ")
-        assert "Traceback" not in err
+        scenario = Scenario.from_obj(doc)
+        res = run_scenario(scenario)
+        rt = scenario.build_runtime()
+        for _ in range(3):
+            if (rt.step_batch() if batch else rt.step()) in ([], None):
+                break
+        ckpt = tmp_path / "c.json"
+        rt.checkpoint_json(ckpt)
+        rc = main(["runtime", str(path), "--checkpoint", str(ckpt), "--json"])
+        out, err = capsys.readouterr()
+        assert out == json.dumps(res.as_dict(), indent=2) + "\n"
+        assert rc == (0 if res.complete else 1)
+        assert err.startswith(f"resumed from {ckpt}: ")
+
+    def test_resume_drives_with_the_scenarios_knobs(self, tmp_path, monkeypatch):
+        import repro.service.scenario as scenario_module
+
+        doc = json.loads((REPO / "scenarios" / "contention.json").read_text())
+        doc.update(batch=True, checkpoint_every=3)
+        path = tmp_path / "contention.json"
+        path.write_text(json.dumps(doc))
+        ckpt = tmp_path / "c.json"
+        seen = []
+        drive = scenario_module.drive_runtime
+
+        def spy(rt, **kwargs):
+            seen.append((kwargs["batch"], kwargs["checkpoint_every"]))
+            return drive(rt, **kwargs)
+
+        monkeypatch.setattr(scenario_module, "drive_runtime", spy)
+        rt = scenario_module.Scenario.from_obj(doc).build_runtime()
+        rt.step_batch()
+        rt.checkpoint_json(ckpt)
+        assert main(["runtime", str(path), "--checkpoint", str(ckpt)]) == 0
+        assert main(["runtime", str(path), "--checkpoint", str(ckpt),
+                     "--checkpoint-every", "4"]) == 0
+        assert seen == [(True, 3), (True, 4)]

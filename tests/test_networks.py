@@ -55,7 +55,10 @@ class TestHypercube:
             assert sum(1 for _ in Hypercube(d).edges()) == d * 2 ** (d - 1)
 
     def test_bipartite(self):
-        g = Hypercube(4).to_networkx()
+        q = Hypercube(4)
+        g = nx.Graph()
+        g.add_nodes_from(q.nodes())
+        g.add_edges_from(q.edges())
         assert nx.is_bipartite(g)
 
 
@@ -173,6 +176,7 @@ class TestTopologyProtocol:
         first = next(iter(net.nodes()))
         assert first in net
         assert ("definitely", "not", "a", "node") not in net
-        assert net.to_networkx().number_of_nodes() == net.n_nodes
+        assert len(set(net.nodes())) == net.n_nodes
+        assert all(u in net and v in net for u, v in net.edges())
         d = net.distances_from(first)
         assert d[first] == 0 and len(d) == net.n_nodes

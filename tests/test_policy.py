@@ -418,10 +418,10 @@ class TestCli:
         assert json.loads(log.read_text())["budget"] == 2
         assert "tuned" in capsys.readouterr().out
 
-    def test_service_run_policy_override(self, capsys):
+    def test_runtime_policy_override(self, capsys):
         for scenario in ("hot_spot_interior", "hot_spot_terminal"):
             rc = cli_main([
-                "service", "run",
+                "runtime",
                 str(REPO / "scenarios" / f"{scenario}.json"),
                 "--policy", str(REPO / "policies" / "hot_spot_router.json"),
             ])

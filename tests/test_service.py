@@ -19,6 +19,7 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import json
+import socket
 import sys
 import threading
 import time
@@ -109,6 +110,12 @@ class TestScenario:
     def test_bad_knobs_rejected(self):
         with pytest.raises(ValueError, match="unknown router"):
             Scenario.from_obj(doc(router="psychic"))
+        # a policy tree is built from its document, never from a name: the
+        # bare name fails here, not later on a worker
+        with pytest.raises(ValueError, match="unknown router 'tree'"):
+            Scenario.from_obj(doc(router="tree"))
+        with pytest.raises(ValueError, match="unknown scheduling policy 'tree'"):
+            Scenario.from_obj(doc(policy="tree"))
         with pytest.raises(ValueError, match="unknown engine"):
             Scenario.from_obj(doc(engine="warp"))
         with pytest.raises(ValueError, match="unknown.*policy"):
@@ -447,24 +454,62 @@ class TestApi:
         assert service.fleet()["n_shards"] == 2
 
 
+@pytest.mark.slow
+class TestApiRequests:
+    """Requests the API must refuse with a status line, served by a fleet
+    with no workers: nothing here gets as far as running a job."""
+
+    @pytest.fixture()
+    def server(self, tmp_path):
+        server = ApiServer(Fleet(tmp_path, n_shards=1))
+        server.serve_background()
+        try:
+            yield server
+        finally:
+            server.shutdown()
+
+    def test_tree_router_name_is_400(self, server):
+        with pytest.raises(ServiceError) as exc:
+            ServiceClient(server.address).submit(doc(router="tree"))
+        assert exc.value.status == 400
+        assert "unknown router 'tree'" in str(exc.value)
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, server, length):
+        host, port = server.httpd.server_address[:2]
+        head = (f"POST /v1/jobs HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Length: {length}\r\n\r\n")
+        reply = b""
+        with socket.create_connection((host, port), timeout=3) as sock:
+            sock.sendall(head.encode() + b"{}")
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status, _, body = reply.partition(b"\r\n")
+        assert status.startswith(b"HTTP/1.1 400 ")
+        assert f"bad Content-Length: '{length}'".encode() in body
+
+
 class TestServiceCLI:
+    """The in-process ``runtime`` runner over shipped scenarios, and the
+    ``service loadgen`` front end."""
+
     def test_run_complete_scenario_exits_0(self, capsys):
-        assert main(["service", "run", str(SCENARIOS / "chaos.json")]) == 0
+        assert main(["runtime", str(SCENARIOS / "chaos.json")]) == 0
         out = capsys.readouterr().out
         assert "2 repairs" in out
 
     def test_run_degraded_scenario_exits_1(self, capsys):
-        assert main(["service", "run", str(SCENARIOS / "partition.json")]) == 1
+        assert main(["runtime", str(SCENARIOS / "partition.json")]) == 1
 
     def test_run_json_output(self, capsys):
-        assert main(["service", "run", str(SCENARIOS / "hot_spot.json"), "--json"]) == 0
+        assert main(["runtime", str(SCENARIOS / "hot_spot.json"), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["makespan"] > 0 and len(payload["jobs"]) == 2
 
     def test_run_bad_scenario_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"version": 1, "name": "x"}')
-        assert main(["service", "run", str(bad)]) == 1
+        assert main(["runtime", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
     def test_run_resumes_from_checkpoint(self, tmp_path, capsys):
@@ -475,7 +520,7 @@ class TestServiceCLI:
         for _ in range(5):
             rt.step()
         ckpt.write_text(json.dumps(rt.checkpoint()))
-        rc = main(["service", "run", str(SCENARIOS / "chaos.json"),
+        rc = main(["runtime", str(SCENARIOS / "chaos.json"),
                    "--checkpoint", str(ckpt), "--json"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out) == json_roundtrip(ref)

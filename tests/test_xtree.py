@@ -230,7 +230,9 @@ class TestDistances:
         nodes = list(x.nodes())
         u = data.draw(st.sampled_from(nodes))
         v = data.draw(st.sampled_from(nodes))
-        g = x.to_networkx()
+        g = nx.Graph()
+        g.add_nodes_from(x.nodes())
+        g.add_edges_from(x.edges())
         assert x.distance(u, v) == nx.shortest_path_length(g, u, v)
 
     def test_cutoff(self):
