@@ -87,7 +87,7 @@ from .networks import (
     xtree_optimal_height,
     xtree_size,
 )
-from .obs import NullRecorder, Recorder, TraceRecorder, span, span_summary
+from .obs import Recorder, TraceRecorder, span, span_summary
 from .simulate import (
     PROGRAMS,
     ExecutionStats,
@@ -190,7 +190,6 @@ __all__ = [
     "ExecutionStats",
     # observability
     "Recorder",
-    "NullRecorder",
     "TraceRecorder",
     "span",
     "span_summary",

@@ -1,9 +1,9 @@
 """Renderers for :mod:`repro.obs` traces: JSONL loading, text and CSV.
 
-A :class:`~repro.obs.TraceRecorder` exports one JSONL file per run — a
-header line, then per-cycle samples and per-message events.  This module
-turns recorders (or their exported files) back into something a person
-reads:
+A :class:`~repro.obs.TraceRecorder` writes one JSONL file per run — its
+events and per-cycle samples in capture order, then the summary header
+as the last line.  This module turns recorders (or their files) back
+into something a person reads:
 
 * :func:`load_trace` — parse a JSONL trace file into header / cycles /
   events dictionaries;

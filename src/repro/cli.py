@@ -130,7 +130,7 @@ def _load_policy_doc(path):
 
 
 def _cmd_simulate(args) -> int:
-    from .obs import NullRecorder, TraceRecorder
+    from .obs import TraceRecorder
 
     router = args.router
     router_label = args.router
@@ -165,7 +165,7 @@ def _cmd_simulate(args) -> int:
     rows = []
     names = [args.program] if args.program else sorted(PROGRAMS)
     observing = bool(args.trace or args.metrics)
-    recorder = TraceRecorder() if observing else NullRecorder()
+    recorder = TraceRecorder() if observing else None
     reports = []
     for name in names:
         prog = PROGRAMS[name](tree)
@@ -223,7 +223,7 @@ def _cmd_runtime(args) -> int:
     import json
     from dataclasses import replace
 
-    from .obs import NullRecorder, TraceRecorder
+    from .obs import TraceRecorder
     from .policy import apply_policy
     from .runtime import AdmissionError, JobSpec
     from .service.scenario import SCENARIO_VERSION, Scenario, drive_runtime
@@ -279,7 +279,7 @@ def _cmd_runtime(args) -> int:
         admissions.append((cycle, spec))
 
     observing = bool(args.trace or args.metrics)
-    recorder = TraceRecorder() if observing else NullRecorder()
+    recorder = TraceRecorder() if observing else None
     ckpt = Path(args.checkpoint) if args.checkpoint else None
     resuming = ckpt is not None and ckpt.exists()
     try:

@@ -4,10 +4,11 @@ The paper's claims are observable quantities — dilation is per-message
 latency on the host, congestion is queueing delay — and this package is
 how the library *sees* them.  Three independent facilities:
 
-* :class:`Recorder` / :class:`TraceRecorder` — per-cycle time series and
+* :class:`Recorder` / :class:`TraceRecorder` — per-cycle samples and
   per-message lifecycle events out of the network engine
-  (``SynchronousNetwork.deliver_scheduled``); a :class:`NullRecorder` is
-  treated as no recorder, so the delivery still runs on the vector kernel.
+  (``SynchronousNetwork.deliver_scheduled``) and the runtime, through
+  three hooks; a delivery with no recorder (``None``) runs on the vector
+  kernel.
 * :func:`span` / :func:`span_summary` — wall-clock timing of verification,
   simulation and oracle stages.
 * :func:`counter_inc` / :func:`counters` — named counters (e.g. the
@@ -17,14 +18,13 @@ Renderers for exported traces live in :mod:`repro.analysis.trace_report`;
 the CLI surfaces everything via ``simulate --trace PATH --metrics``.
 """
 
-from .recorder import CycleSample, NullRecorder, Recorder, TraceEvent, TraceRecorder
+from .recorder import CycleSample, Recorder, TraceEvent, TraceRecorder
 from .spans import (
     SpanRecord,
     counter_inc,
     counters,
     reset_counters,
     reset_spans,
-    set_spans_enabled,
     span,
     span_summary,
     spans,
@@ -33,7 +33,6 @@ from .spans import (
 
 __all__ = [
     "Recorder",
-    "NullRecorder",
     "TraceRecorder",
     "TraceEvent",
     "CycleSample",
@@ -43,7 +42,6 @@ __all__ = [
     "spans",
     "reset_spans",
     "span_summary",
-    "set_spans_enabled",
     "counter_inc",
     "counters",
     "reset_counters",

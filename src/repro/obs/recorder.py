@@ -1,43 +1,38 @@
 """Trace recorders for the synchronous network engine.
 
 The engine (:meth:`repro.simulate.engine.SynchronousNetwork.deliver_scheduled`)
-emits two kinds of signals through a :class:`Recorder`:
+and the runtime drive a :class:`Recorder` through three hooks:
 
-* **per-message lifecycle events** — ``inject`` (the message enters its
-  source's output queue), ``hop`` (it crosses a directed link), ``queued``
-  (link capacity forced it to wait a cycle), ``delivered`` (it reached its
-  destination); fault-tolerant deliveries add ``fault`` (a schedule event
-  was applied), ``reroute`` (a queued message's planned next hop died under
-  it) and ``dropped`` (TTL expiry, partition, or integrity-retry
-  exhaustion — the message will never be delivered); byzantine deliveries
-  add ``corrupt`` (a checksum mismatch was caught at the destination),
-  ``retransmit`` (the integrity protocol re-sent a message from source)
-  and ``quarantine`` (a link left or re-entered the route set);
-* **per-cycle samples** — queue occupancy per node, utilisation per
-  directed link, and the number of in-flight messages, captured at the end
-  of every active cycle.
+* :meth:`Recorder.begin_phase` — a new logical phase (one BSP superstep);
+* :meth:`Recorder.on_event` — one lifecycle event, the fields of a
+  :class:`TraceEvent` (its ``kind`` list says what each event means);
+* :meth:`Recorder.on_cycle_end` — the end of an active cycle: queue
+  occupancy per node, messages per directed link, and messages in
+  flight.  The reference loop builds these dicts once per cycle and hands
+  the same ones to an adaptive router.
 
-The default :class:`NullRecorder` keeps ``enabled = False``; the engine
-normalises it to ``None`` at entry, so an unobserved delivery still runs
-on the vector kernel, and the reference loop pays one predicate per event
-site and nothing else.
+``None`` is the only way to say "not observing": an unobserved delivery
+runs on the vector kernel, and the reference loop pays one ``is not
+None`` test per event site and nothing else.
 
-:class:`TraceRecorder` has two capture modes:
+:class:`TraceRecorder` keeps its records in capture order and writes one
+layout: one JSON line per event or sample, in capture order, then the
+summary header as the *last* line.  It has two capture modes:
 
-* **in-memory** (default): everything accumulates in ``events`` /
-  ``cycles`` and :meth:`TraceRecorder.to_jsonl` exports the trace
-  afterwards (header first);
-* **streaming** (``TraceRecorder(path=..., flush_every=N)``): records are
-  appended to the JSONL file as they happen, in capture order, buffered
-  ``flush_every`` records at a time — memory stays bounded no matter how
-  many messages the run traces (the ROADMAP's 10^6+-message case).  The
-  header line (with the final summary) is written at :meth:`close`, so it
-  is the *last* line of a streamed file; :func:`repro.analysis.trace_report.load_trace`
-  accepts the header anywhere.  Aggregates (:meth:`summary`,
-  :meth:`link_utilisation_totals`, peaks) are maintained incrementally and
-  work identically in both modes; only the raw-list accessors
-  (:meth:`message_events`, :meth:`delivery_cycles`) need the in-memory
-  lists and raise in streaming mode.
+* **in-memory** (default): the records stay in memory, readable through
+  ``events`` / ``cycles``, and :meth:`TraceRecorder.to_jsonl` writes the
+  trace afterwards;
+* **streaming** (``TraceRecorder(path=..., flush_every=N)``): each record
+  is appended to the JSONL file as it happens, buffered ``flush_every``
+  lines at a time, so memory stays bounded no matter how many messages
+  the run traces; :meth:`TraceRecorder.close` writes the header.
+
+Both modes write the same bytes for the same run.  Aggregates
+(:meth:`~TraceRecorder.summary`, :meth:`~TraceRecorder.link_utilisation_totals`,
+``tally``, peaks) are kept incrementally and work in both modes; only the
+raw-record accessors (:meth:`~TraceRecorder.message_events`,
+:meth:`~TraceRecorder.delivery_cycles`, :meth:`~TraceRecorder.to_jsonl`)
+need memory and raise in streaming mode.
 
 Invariants the test suite pins (``tests/test_obs.py``):
 
@@ -58,7 +53,6 @@ from typing import Any, TextIO
 
 __all__ = [
     "Recorder",
-    "NullRecorder",
     "TraceRecorder",
     "TraceEvent",
     "CycleSample",
@@ -69,21 +63,32 @@ __all__ = [
 class TraceEvent:
     """One lifecycle event of one message (or of the network itself).
 
-    ``kind`` is one of ``inject`` / ``hop`` / ``queued`` / ``delivered`` /
-    ``fault`` / ``reroute`` / ``dropped`` / ``corrupt`` / ``retransmit`` /
-    ``quarantine`` / ``repair`` / ``migrate`` / ``batch_fallback`` (the
-    last three are runtime-level: ``node`` holds the job name for
-    ``repair``/``migrate``; ``batch_fallback`` carries the ``";"``-joined
-    reasons in ``detail``).  ``node`` is the location (for ``hop`` the link
-    *source*; ``link_dst`` then holds the other endpoint; for ``fault`` /
-    ``quarantine`` the pair names the affected link or node).  ``detail``
-    carries the fault action (``fail_link``, ...), the drop reason
-    (``ttl`` / ``partitioned`` / ``integrity``), the retransmit attempt
-    (``attempt=N``), or the quarantine transition (``quarantined`` /
-    ``probe_heal``).  ``fault`` and ``quarantine`` events are
-    network-level and use ``msg_id = -1``.  ``phase`` indexes into the
-    recorder's ``phases`` list (supersteps, when driven through
-    ``simulate_on_host``).
+    ``kind`` is one of:
+
+    * ``inject`` (the message entered its source's output queue), ``hop``
+      (it crossed the directed link ``node -> link_dst``), ``queued``
+      (link capacity or a partition held it a cycle), ``delivered`` (it
+      reached its destination ``node``);
+    * fault-tolerant deliveries: ``fault`` (a schedule event applied at
+      the cycle boundary; ``detail`` is its action, ``node``/``link_dst``
+      the link or node), ``reroute`` (a queued message's planned next hop
+      died under it), ``dropped`` (it will never be delivered; ``detail``
+      is ``ttl``, ``partitioned`` or ``integrity``);
+    * byzantine deliveries: ``corrupt`` (the end-to-end checksum caught a
+      mismatch at the destination), ``retransmit`` (the integrity
+      protocol re-sent it from source; ``detail`` is ``attempt=N``),
+      ``quarantine`` (the link ``node -- link_dst`` left the route set,
+      ``quarantined``, or a probe readmitted it, ``probe_heal``);
+    * runtime-level, with ``node`` the job name: ``repair`` (the job's
+      embedding was remapped online; ``detail`` is ``moved=N`` guest
+      nodes), ``migrate`` (stranded messages re-sent to the repaired
+      images; ``detail`` is ``messages=N``), and ``batch_fallback`` (a
+      batch round degraded to per-job stepping; no job, ``detail`` is
+      the ``";"``-joined reasons and ``n_active=N``).
+
+    Network- and runtime-level events use ``msg_id = -1``.  ``phase``
+    indexes into the recorder's ``phases`` list (supersteps, when driven
+    through ``simulate_on_host``).
     """
 
     cycle: int
@@ -139,124 +144,67 @@ class CycleSample:
 
 
 class Recorder:
-    """The hook protocol the engine drives (all hooks no-ops here).
-
-    Subclasses set ``enabled = True`` to receive callbacks; the engine
-    skips every call site when the flag is false, so the protocol costs
-    nothing unless someone is listening.
-    """
-
-    enabled: bool = False
+    """The hook protocol the engine and the runtime drive (no-ops here)."""
 
     def begin_phase(self, label: str) -> None:
         """A new logical phase starts (e.g. one BSP superstep)."""
 
-    def on_inject(self, cycle: int, msg) -> None:
-        """``msg`` entered its source node's output queue at ``cycle``."""
+    def on_event(
+        self, cycle: int, kind: str, msg_id: int, node=None, link_dst=None,
+        detail: str | None = None,
+    ) -> None:
+        """One lifecycle event: a :class:`TraceEvent` but for its phase."""
 
-    def on_hop(self, cycle: int, msg, node, hop) -> None:
-        """``msg`` crossed the directed link ``node -> hop`` during ``cycle``."""
+    def on_cycle_end(
+        self, cycle: int, occupancy: dict, link_use: dict, in_flight: int
+    ) -> None:
+        """One active cycle finished.
 
-    def on_queued(self, cycle: int, msg, node) -> None:
-        """``msg`` waited at ``node`` this cycle (link capacity exhausted)."""
-
-    def on_delivered(self, cycle: int, msg, node) -> None:
-        """``msg`` arrived at its destination ``node`` at ``cycle``."""
-
-    def on_cycle_end(self, cycle: int, queues, in_flight: int) -> None:
-        """One active cycle finished; ``queues`` maps node -> deque."""
-
-    def on_fault(self, cycle: int, action: str, u, v) -> None:
-        """A fault-schedule event was applied at the ``cycle`` boundary.
-
-        ``action`` is one of ``fail_link`` / ``heal_link`` / ``fail_node``
-        / ``heal_node``; ``v`` is ``None`` for node events.
+        ``occupancy`` maps each node with a non-empty output queue to its
+        length, ``link_use`` each directed link to the messages that
+        crossed it this cycle, and ``in_flight`` counts the messages
+        injected but not yet delivered.  The dicts are fresh each cycle
+        and shared with the router: read them, do not mutate them.
         """
 
-    def on_reroute(self, cycle: int, msg, node) -> None:
-        """``msg``, queued at ``node``, lost its planned next hop to a
-        fault and will re-route against the updated tables."""
 
-    def on_dropped(self, cycle: int, msg, node, reason: str) -> None:
-        """``msg`` was dropped at ``node`` and will never be delivered;
-        ``reason`` is ``"ttl"``, ``"partitioned"``, or ``"integrity"``
-        (corrupted/lost past the retransmit budget — detected wrong data,
-        not silent loss)."""
-
-    def on_corrupt(self, cycle: int, msg, node) -> None:
-        """``msg`` arrived at its destination ``node`` with a checksum
-        mismatch: the delivery was refused and the integrity protocol
-        will retransmit (or fail it with reason ``"integrity"``)."""
-
-    def on_retransmit(self, cycle: int, msg, attempt: int) -> None:
-        """The integrity protocol scheduled retransmission ``attempt`` of
-        ``msg`` from its source, after exponential backoff."""
-
-    def on_quarantine(self, cycle: int, u, v, transition: str) -> None:
-        """Link ``{u, v}`` changed quarantine state: ``transition`` is
-        ``"quarantined"`` (corruption EWMA crossed the threshold; the link
-        left the route set) or ``"probe_heal"`` (the probe optimistically
-        readmitted it)."""
-
-    def on_repair(self, cycle: int, job: str, moved: dict) -> None:
-        """The runtime repaired ``job``'s embedding online at global
-        ``cycle``: ``moved`` maps each remapped guest node to its
-        ``(old host, new host)`` pair (see
-        :func:`repro.simulate.faults.repair_embedding`)."""
-
-    def on_migrate(self, cycle: int, job: str, msg_ids) -> None:
-        """Messages ``msg_ids`` of ``job``, stranded by a node death, are
-        being re-sent to their repaired images at global ``cycle``."""
-
-    def on_batch_fallback(self, cycle: int, reasons: str, n_active: int) -> None:
-        """A runtime batch round degraded to per-job stepping at global
-        ``cycle``; ``reasons`` is a ``";"``-joined list (``faults``,
-        ``recorder``, ``adaptive_router``, ``ttl``, ``single_job``,
-        ``link_overlap``) and ``n_active`` the runnable jobs that round."""
-
-
-class NullRecorder(Recorder):
-    """The do-nothing default: ``enabled`` stays false."""
+#: summary keys that appear together when any of their event kinds was
+#: recorded, in header order
+_OPTIONAL_SUMMARY = (
+    (("fault_events", "fault"), ("reroutes", "reroute"), ("messages_dropped", "dropped")),
+    (("corrupt_arrivals", "corrupt"), ("retransmits", "retransmit"),
+     ("quarantine_events", "quarantine")),
+    (("repairs", "repair"), ("messages_migrated", "migrate")),
+    (("batch_fallbacks", "batch_fallback"),),
+)
 
 
 class TraceRecorder(Recorder):
     """Capture of events and per-cycle samples, in memory or streamed.
 
-    With no arguments, ``events`` and ``cycles`` accumulate across every
-    delivery driven with this recorder; :meth:`begin_phase` partitions them
-    (BSP supersteps restart their cycle counters, so ``(phase, cycle)`` is
-    the unique key).
+    With no arguments the records of every delivery driven with this
+    recorder accumulate in memory, in capture order; :meth:`begin_phase`
+    partitions them (BSP supersteps restart their cycle counters, so
+    ``(phase, cycle)`` is the unique key).
 
-    With ``path=...`` the recorder *streams*: records append to the JSONL
-    file in capture order (buffered ``flush_every`` at a time), the
-    in-memory lists stay empty, and :meth:`close` flushes the tail and
-    writes the summary header as the file's last line.  Use it as a
-    context manager for the close.
+    With ``path=...`` the recorder *streams*: each record appends to the
+    JSONL file (buffered ``flush_every`` lines at a time), nothing stays
+    in memory, and :meth:`close` flushes the tail and writes the summary
+    header as the file's last line.  Use it as a context manager for the
+    close.
     """
-
-    enabled = True
 
     def __init__(self, path: str | Path | None = None, flush_every: int = 1000) -> None:
         if flush_every < 1:
             raise ValueError(f"flush_every must be >= 1, got {flush_every}")
-        self.events: list[TraceEvent] = []
-        self.cycles: list[CycleSample] = []
         self.phases: list[str] = []
-        self.n_injected = 0
-        self.n_delivered = 0
-        self.n_dropped = 0
-        self.n_faults = 0
-        self.n_reroutes = 0
-        self.n_corrupted = 0
-        self.n_retransmits = 0
-        self.n_quarantines = 0
-        self.n_repairs = 0
-        self.n_migrated = 0
-        self.n_batch_fallbacks = 0
+        #: events recorded per kind; a ``migrate`` event counts the
+        #: messages it moves
+        self.tally: Counter = Counter()
+        self._records: list[TraceEvent | CycleSample] = []
         self._phase = 0
-        self._cycle_links: Counter = Counter()
         # incremental aggregates: identical in both modes, so summaries
-        # never need the raw lists
+        # never need the records
         self._n_events = 0
         self._active_cycles = 0
         self._moved = 0
@@ -276,7 +224,17 @@ class TraceRecorder(Recorder):
         """True when this recorder writes to disk instead of memory."""
         return self.path is not None
 
-    # -- engine hooks --------------------------------------------------
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The recorded events in capture order (empty when streaming)."""
+        return [r for r in self._records if type(r) is TraceEvent]
+
+    @property
+    def cycles(self) -> list[CycleSample]:
+        """The per-cycle samples in capture order (empty when streaming)."""
+        return [r for r in self._records if type(r) is CycleSample]
+
+    # -- hooks ---------------------------------------------------------
     def begin_phase(self, label: str) -> None:
         # Traffic recorded before any begin_phase (direct ``deliver`` use,
         # not via ``simulate_on_host``) sits at the implicit phase 0; the
@@ -287,108 +245,41 @@ class TraceRecorder(Recorder):
         self.phases.append(label)
         self._phase = len(self.phases) - 1
 
-    def _record_event(self, event: TraceEvent) -> None:
+    def on_event(
+        self, cycle: int, kind: str, msg_id: int, node=None, link_dst=None,
+        detail: str | None = None,
+    ) -> None:
         self._n_events += 1
-        if self._fh is not None:
-            self._buf.append(json.dumps(event.as_dict()))
-            if len(self._buf) >= self.flush_every:
-                self.flush()
+        if kind == "migrate":
+            self.tally[kind] += int(detail.partition("=")[2])
         else:
-            self.events.append(event)
+            self.tally[kind] += 1
+        event = TraceEvent(cycle, kind, msg_id, node, link_dst, self._phase, detail)
+        if self._fh is None:
+            self._records.append(event)
+        else:
+            self._write(event)
 
-    def on_inject(self, cycle: int, msg) -> None:
-        self.n_injected += 1
-        self._record_event(TraceEvent(cycle, "inject", msg.msg_id, msg.src, phase=self._phase))
-
-    def on_hop(self, cycle: int, msg, node, hop) -> None:
-        self._cycle_links[(node, hop)] += 1
-        self._record_event(TraceEvent(cycle, "hop", msg.msg_id, node, hop, phase=self._phase))
-
-    def on_queued(self, cycle: int, msg, node) -> None:
-        self._record_event(TraceEvent(cycle, "queued", msg.msg_id, node, phase=self._phase))
-
-    def on_delivered(self, cycle: int, msg, node) -> None:
-        self.n_delivered += 1
-        self._record_event(TraceEvent(cycle, "delivered", msg.msg_id, node, phase=self._phase))
-
-    def on_fault(self, cycle: int, action: str, u, v) -> None:
-        self.n_faults += 1
-        self._record_event(
-            TraceEvent(cycle, "fault", -1, u, v, phase=self._phase, detail=action)
-        )
-
-    def on_reroute(self, cycle: int, msg, node) -> None:
-        self.n_reroutes += 1
-        self._record_event(TraceEvent(cycle, "reroute", msg.msg_id, node, phase=self._phase))
-
-    def on_dropped(self, cycle: int, msg, node, reason: str) -> None:
-        self.n_dropped += 1
-        self._record_event(
-            TraceEvent(cycle, "dropped", msg.msg_id, node, phase=self._phase, detail=reason)
-        )
-
-    def on_corrupt(self, cycle: int, msg, node) -> None:
-        self.n_corrupted += 1
-        self._record_event(TraceEvent(cycle, "corrupt", msg.msg_id, node, phase=self._phase))
-
-    def on_retransmit(self, cycle: int, msg, attempt: int) -> None:
-        self.n_retransmits += 1
-        self._record_event(
-            TraceEvent(cycle, "retransmit", msg.msg_id, msg.src, phase=self._phase,
-                       detail=f"attempt={attempt}")
-        )
-
-    def on_quarantine(self, cycle: int, u, v, transition: str) -> None:
-        self.n_quarantines += 1
-        self._record_event(
-            TraceEvent(cycle, "quarantine", -1, u, v, phase=self._phase,
-                       detail=transition)
-        )
-
-    def on_repair(self, cycle: int, job: str, moved: dict) -> None:
-        self.n_repairs += 1
-        self._record_event(
-            TraceEvent(cycle, "repair", -1, job, phase=self._phase,
-                       detail=f"moved={len(moved)}")
-        )
-
-    def on_migrate(self, cycle: int, job: str, msg_ids) -> None:
-        ids = list(msg_ids)
-        self.n_migrated += len(ids)
-        self._record_event(
-            TraceEvent(cycle, "migrate", -1, job, phase=self._phase,
-                       detail=f"messages={len(ids)}")
-        )
-
-    def on_batch_fallback(self, cycle: int, reasons: str, n_active: int) -> None:
-        self.n_batch_fallbacks += 1
-        self._record_event(
-            TraceEvent(cycle, "batch_fallback", -1, phase=self._phase,
-                       detail=f"{reasons} n_active={n_active}")
-        )
-
-    def on_cycle_end(self, cycle: int, queues, in_flight: int) -> None:
-        sample = CycleSample(
-            cycle=cycle,
-            phase=self._phase,
-            queue_occupancy={n: len(q) for n, q in queues.items() if q},
-            link_utilisation=dict(self._cycle_links),
-            in_flight=in_flight,
-        )
-        self._cycle_links.clear()
+    def on_cycle_end(
+        self, cycle: int, occupancy: dict, link_use: dict, in_flight: int
+    ) -> None:
+        sample = CycleSample(cycle, self._phase, occupancy, link_use, in_flight)
         self._active_cycles += 1
         self._moved += sample.messages_moved
-        self._peak_in_flight = max(self._peak_in_flight, sample.in_flight)
+        self._peak_in_flight = max(self._peak_in_flight, in_flight)
         self._peak_queue = max(self._peak_queue, sample.max_queue)
-        self._link_totals.update(sample.link_utilisation)
-        if self._fh is not None:
-            self._buf.append(json.dumps(sample.as_dict()))
-            if len(self._buf) >= self.flush_every:
-                self.flush()
+        self._link_totals.update(link_use)
+        if self._fh is None:
+            self._records.append(sample)
         else:
-            self.cycles.append(sample)
+            self._write(sample)
 
     # -- streaming lifecycle -------------------------------------------
+    def _write(self, record: TraceEvent | CycleSample) -> None:
+        self._buf.append(json.dumps(record.as_dict()))
+        if len(self._buf) >= self.flush_every:
+            self.flush()
+
     def flush(self) -> None:
         """Write buffered records to the stream (no-op in-memory)."""
         if self._fh is not None and self._buf:
@@ -398,15 +289,12 @@ class TraceRecorder(Recorder):
     def close(self) -> None:
         """Flush the stream and append the summary header line.
 
-        Idempotent; only meaningful in streaming mode.  The header is the
-        *last* line of a streamed trace (the summary is only known at the
-        end) — ``load_trace`` accepts it at any position.
+        Idempotent; only meaningful in streaming mode.
         """
         if self._fh is None:
             return
         self.flush()
-        header = {"type": "header", "phases": self.phases, **self.summary()}
-        self._fh.write(json.dumps(header) + "\n")
+        self._fh.write(self._header_line())
         self._fh.close()
         self._fh = None
 
@@ -422,15 +310,14 @@ class TraceRecorder(Recorder):
 
         Equals ``DeliveryStats.link_traffic`` of the recorded deliveries
         (summed, when the recorder spanned several) — the identity the
-        acceptance criteria gate on.  Maintained incrementally, so it works
-        in streaming mode too.
+        acceptance criteria gate on.
         """
         return dict(self._link_totals)
 
     def _require_in_memory(self, what: str):
         if self.streaming:
             raise RuntimeError(
-                f"{what} needs the in-memory event list, but this recorder "
+                f"{what} needs the in-memory records, but this recorder "
                 f"streams to {self.path}; load the file with "
                 "repro.analysis.trace_report.load_trace instead"
             )
@@ -454,16 +341,17 @@ class TraceRecorder(Recorder):
         return self._peak_queue
 
     def summary(self) -> dict:
-        """Headline numbers for the text renderer and the CLI."""
+        """Headline numbers for the text renderer, the CLI and the header."""
         totals = self._link_totals
         busiest = max(totals.items(), key=lambda kv: kv[1], default=(None, 0))
         active = self._active_cycles
+        tally = self.tally
         out = {
             "events": self._n_events,
             "active_cycles": active,
             "n_phases": len(self.phases),
-            "messages_injected": self.n_injected,
-            "messages_delivered": self.n_delivered,
+            "messages_injected": tally["inject"],
+            "messages_delivered": tally["delivered"],
             "links_used": len(totals),
             "busiest_link": None if busiest[0] is None else f"{busiest[0][0]!r}->{busiest[0][1]!r}",
             "busiest_link_traffic": busiest[1],
@@ -471,43 +359,26 @@ class TraceRecorder(Recorder):
             "peak_queue": self._peak_queue,
             "mean_moves_per_cycle": round(self._moved / active, 3) if active else 0.0,
         }
-        if self.n_faults or self.n_dropped or self.n_reroutes:
-            out["fault_events"] = self.n_faults
-            out["reroutes"] = self.n_reroutes
-            out["messages_dropped"] = self.n_dropped
-        if self.n_corrupted or self.n_retransmits or self.n_quarantines:
-            out["corrupt_arrivals"] = self.n_corrupted
-            out["retransmits"] = self.n_retransmits
-            out["quarantine_events"] = self.n_quarantines
-        if self.n_repairs or self.n_migrated:
-            out["repairs"] = self.n_repairs
-            out["messages_migrated"] = self.n_migrated
-        if self.n_batch_fallbacks:
-            out["batch_fallbacks"] = self.n_batch_fallbacks
+        for group in _OPTIONAL_SUMMARY:
+            if any(tally[kind] for _, kind in group):
+                out.update((key, tally[kind]) for key, kind in group)
         return out
+
+    def _header_line(self) -> str:
+        return json.dumps({"type": "header", "phases": self.phases, **self.summary()}) + "\n"
 
     # -- export --------------------------------------------------------
     def to_jsonl(self, path_or_file) -> None:
-        """Write the full trace as JSONL: a header line, then every
-        per-cycle sample and event in capture order.
+        """Write the trace as JSONL, byte for byte what a streaming
+        recorder of the same run writes: every event and per-cycle sample
+        in capture order, then the summary header.
 
-        In-memory mode only — a streaming recorder already wrote its file
-        incrementally (call :meth:`close` and read that instead).
+        In-memory mode only — a streaming recorder already wrote its file.
         """
         self._require_in_memory("to_jsonl")
-        close = False
-        if hasattr(path_or_file, "write"):
-            fh: TextIO = path_or_file
-        else:
-            fh = open(path_or_file, "w", encoding="utf-8")
-            close = True
-        try:
-            header = {"type": "header", "phases": self.phases, **self.summary()}
-            fh.write(json.dumps(header) + "\n")
-            for sample in self.cycles:
-                fh.write(json.dumps(sample.as_dict()) + "\n")
-            for event in self.events:
-                fh.write(json.dumps(event.as_dict()) + "\n")
-        finally:
-            if close:
-                fh.close()
+        if not hasattr(path_or_file, "write"):
+            with open(path_or_file, "w", encoding="utf-8") as fh:
+                self.to_jsonl(fh)
+            return
+        path_or_file.writelines(json.dumps(r.as_dict()) + "\n" for r in self._records)
+        path_or_file.write(self._header_line())

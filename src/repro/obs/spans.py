@@ -10,9 +10,7 @@ A *span* is one timed region of the verification / simulation stack:
 Spans nest (the collector tracks depth) and land in a bounded module-level
 log so long-running processes cannot leak memory; :func:`span_summary`
 folds the log into per-name count/total/max statistics for the CLI's
-``--metrics`` view.  Timing can be switched off globally with
-:func:`set_spans_enabled` — a disabled ``span`` yields immediately and
-records nothing.
+``--metrics`` view.
 
 *Counters* are even lighter: :func:`counter_inc` bumps a named integer
 (the distance oracle uses ``oracle.row_cache.hit`` / ``.miss``).  Both
@@ -36,7 +34,6 @@ __all__ = [
     "spans",
     "reset_spans",
     "span_summary",
-    "set_spans_enabled",
     "counter_inc",
     "counters",
     "reset_counters",
@@ -46,7 +43,6 @@ __all__ = [
 _MAX_SPANS = 8192
 
 _spans: deque = deque(maxlen=_MAX_SPANS)
-_enabled: bool = True
 _depth: int = 0
 
 _counters: Counter = Counter()
@@ -69,21 +65,10 @@ class SpanRecord:
     start_s: float = 0.0
 
 
-def set_spans_enabled(flag: bool) -> bool:
-    """Turn span collection on/off globally; returns the previous value."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(flag)
-    return previous
-
-
 @contextmanager
 def span(name: str, **meta):
     """Time a region under ``name``; extra keywords become span metadata."""
     global _depth
-    if not _enabled:
-        yield
-        return
     depth = _depth
     _depth = depth + 1
     t0 = time.perf_counter()

@@ -21,7 +21,7 @@ one host processor:
   :func:`~repro.simulate.faults.repair_embedding` *mid-run* (passing the
   other tenants' loads as ``extra_load`` so the repair never breaches
   ``max_load`` network-wide), migrates the stranded messages to the
-  remapped hosts, and continues — emitting ``on_repair`` / ``on_migrate``
+  remapped hosts, and continues — emitting ``repair`` / ``migrate``
   trace events.  Latency faults (slow links) never trigger repair: a
   slow link delivers, just late.
 * **Checkpoint / resume** — :meth:`Runtime.checkpoint` captures the whole
@@ -294,7 +294,7 @@ class Runtime:
         reasons = []
         if self.faults is not None:
             reasons.append("faults")
-        if self._observing():
+        if self.recorder is not None:
             reasons.append("recorder")
         if self.network.router.adaptive:
             reasons.append("adaptive_router")
@@ -360,8 +360,11 @@ class Runtime:
         """
         for reason in reasons:
             self.counters[f"batch_fallback.{reason}"] += 1
-        if self._observing():
-            self.recorder.on_batch_fallback(self.cycle, ";".join(reasons), n_active)
+        if self.recorder is not None:
+            self.recorder.on_event(
+                self.cycle, "batch_fallback", -1,
+                detail=f"{';'.join(reasons)} n_active={n_active}",
+            )
         job = self.step()
         return [job] if job is not None else []
 
@@ -378,9 +381,6 @@ class Runtime:
     # ------------------------------------------------------------------
     # Execution internals
     # ------------------------------------------------------------------
-    def _observing(self) -> bool:
-        return self.recorder is not None and self.recorder.enabled
-
     def _deliver(self, job: Job, pairs, ids, label):
         """Deliver ``job``'s guest ``pairs`` under message ``ids`` through
         its current embedding, on the shared network and the global clock.
@@ -445,8 +445,10 @@ class Runtime:
         )
         job.embedding = result.embedding
         job.n_repairs += 1
-        if self._observing():
-            self.recorder.on_repair(self.cycle, job.spec.name, result.moved)
+        if self.recorder is not None:
+            self.recorder.on_event(
+                self.cycle, "repair", -1, job.spec.name, detail=f"moved={len(result.moved)}"
+            )
 
     def _migrate(self, job: Job, stranded: list[int]) -> None:
         """Re-send stranded messages through the repaired embedding.
@@ -463,8 +465,11 @@ class Runtime:
         while stranded:
             self._repair(job)
             job.n_migrated += len(stranded)
-            if self._observing():
-                self.recorder.on_migrate(self.cycle, job.spec.name, stranded)
+            if self.recorder is not None:
+                self.recorder.on_event(
+                    self.cycle, "migrate", -1, job.spec.name,
+                    detail=f"messages={len(stranded)}",
+                )
             stats = self._deliver(
                 job, [pairs[mid - first] for mid in stranded], stranded, "migrate"
             )

@@ -16,7 +16,7 @@ back without running Theorem 1 again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import Any
 
@@ -26,7 +26,7 @@ from ..core.universal import lift_onto_slots
 from ..core.xtree_embed import embed_binary_tree
 from ..networks.universal import UNIVERSAL_SLOTS, UniversalGraph
 from ..simulate.programs import PROGRAMS
-from ..trees import make_tree
+from ..trees import FAMILIES, make_tree
 
 __all__ = ["JobSpec", "Job", "JOB_STATUSES"]
 
@@ -53,6 +53,10 @@ class JobSpec:
     ``priority`` weights the fair-share scheduler; ``ttl`` bounds each
     message's cycles in flight (fault mode); ``cycle_budget`` caps the
     host cycles the job may consume before it is terminated.
+
+    Every field is checked for type and range on construction, so an
+    ill-typed spec fails with a :class:`ValueError` naming the field
+    before any job is built from it.
     """
 
     name: str
@@ -68,14 +72,33 @@ class JobSpec:
     cycle_budget: int | None = None
 
     def __post_init__(self) -> None:
-        if self.program not in PROGRAMS:
-            raise ValueError(
-                f"unknown program {self.program!r}: expected one of {sorted(PROGRAMS)}"
-            )
-        if self.priority < 1:
-            raise ValueError(f"priority must be >= 1, got {self.priority}")
-        if self.cycle_budget is not None and self.cycle_budget < 1:
-            raise ValueError(f"cycle_budget must be >= 1, got {self.cycle_budget}")
+        for name, value, registry in (
+            ("program", self.program, PROGRAMS), ("tree_family", self.tree_family, FAMILIES)
+        ):
+            if not (isinstance(value, str) and value in registry):
+                raise ValueError(
+                    f"JobSpec.{name}: unknown {name.replace('_', ' ')} {value!r}: "
+                    f"expected one of {sorted(registry)}"
+                )
+        args = self.program_args
+        for name, ok, want in (
+            ("name", isinstance(self.name, str) and self.name != "", "a non-empty string"),
+            ("tree_n", _is_int(self.tree_n, 1), "an integer >= 1"),
+            ("tree_seed", _is_int(self.tree_seed), "an integer"),
+            ("program_args", isinstance(args, dict)
+             and all(isinstance(k, str) for k in args), "an object"),
+            ("height", self.height is None or _is_int(self.height, 0),
+             "null or an integer >= 0"),
+            ("capacity", _is_int(self.capacity, 2), "an integer >= 2"),
+            ("priority", _is_int(self.priority, 1), "an integer >= 1"),
+            ("ttl", self.ttl is None or _is_int(self.ttl, 1), "null or an integer >= 1"),
+            ("cycle_budget", self.cycle_budget is None or _is_int(self.cycle_budget, 1),
+             "null or an integer >= 1"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"JobSpec.{name} must be {want}, got {getattr(self, name)!r}"
+                )
 
     def as_dict(self) -> dict:
         d = {
@@ -98,15 +121,26 @@ class JobSpec:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "JobSpec":
-        known = {
-            "name", "program", "tree_n", "tree_family", "tree_seed",
-            "program_args", "height", "capacity", "priority", "ttl",
-            "cycle_budget",
-        }
-        unknown = set(obj) - known
+        """Parse one job spec document; :class:`ValueError` names the
+        missing, unknown or ill-typed field."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"job spec must be a JSON object, got {type(obj).__name__}")
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown JobSpec fields: {sorted(unknown)}")
+        for name in ("name", "program", "tree_n"):
+            if name not in obj:
+                raise ValueError(f"job spec is missing required field {name!r}")
         return cls(**obj)
+
+
+def _is_int(value, low: int | None = None) -> bool:
+    """``value`` is an int (not a bool) and at least ``low``, if given."""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and (low is None or value >= low)
+    )
 
 
 class Job:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 from hashlib import blake2b
@@ -581,9 +581,8 @@ class SynchronousNetwork:
         (the reported ``cycles`` are identical either way).
 
         ``recorder`` (see :mod:`repro.obs`) receives per-message lifecycle
-        events and an end-of-cycle sample for every active cycle; the
-        default ``None`` / :class:`~repro.obs.NullRecorder` path costs one
-        predicate per event site.
+        events and an end-of-cycle sample for every active cycle; ``None``,
+        the default, is the only way to say "not observing".
 
         Every ``msg_id`` in the schedule must be unique (``delivery_cycle``
         and the trace event chains are keyed by it), every injection cycle
@@ -640,11 +639,10 @@ class SynchronousNetwork:
         no blocker, and on :meth:`deliver_classic`, the reference loop,
         otherwise.  Both return bit-identical :class:`DeliveryStats`.
         """
-        rec = recorder if recorder is not None and recorder.enabled else None
-        if vector_supported(self, rec, faults, ttl) is None:
+        if vector_supported(self, recorder, faults, ttl) is None:
             return vector_deliver_scheduled(self, schedule)
         return self.deliver_classic(
-            schedule, recorder=rec, faults=faults, ttl=ttl, fault_offset=fault_offset
+            schedule, recorder=recorder, faults=faults, ttl=ttl, fault_offset=fault_offset
         )
 
     def deliver_classic(
@@ -661,11 +659,14 @@ class SynchronousNetwork:
         Same arguments and semantics, one message at a time; the vector
         kernel is diffed against it (``tests/test_vector_engine.py``).
         Every message takes the one forwarding path below; the byzantine
-        integrity protocol lives in :class:`_Integrity`.
+        integrity protocol lives in :class:`_Integrity`.  When a recorder
+        or an adaptive router listens, each active cycle's link use and
+        queue occupancy are built once, here, and both read the same dicts.
         """
-        rec = recorder if recorder is not None and recorder.enabled else None
+        rec = recorder
         router = self.router
         adaptive = router.adaptive
+        sampling = rec is not None or adaptive
         # events after the offset, in application order; cycle-0 events of
         # an unshifted schedule describe the initial state and still apply
         fev: list = []
@@ -693,8 +694,8 @@ class SynchronousNetwork:
         if rec is not None:
             for inject, m in schedule:
                 if m.src == m.dst:  # delivered free at injection
-                    rec.on_inject(inject, m)
-                    rec.on_delivered(inject, m, m.dst)
+                    rec.on_event(inject, "inject", m.msg_id, m.src)
+                    rec.on_event(inject, "delivered", m.msg_id, m.dst)
         # pending[k] holds the (seq, message) pairs injected after cycle k;
         # seq, the position among routed messages, is the FIFO tie-break
         pending: dict[int, list[tuple[int, Message]]] = defaultdict(list)
@@ -711,7 +712,8 @@ class SynchronousNetwork:
         planned: dict[int, tuple[Node, Node, Message]] = {}
         if adaptive:
             router.begin_delivery()
-            cycle_links: Counter = Counter()
+        # messages that crossed each directed link this cycle
+        link_use: dict[tuple[Node, Node], int] = {}
         # sorted injection-cycle index: the drain fast-forward and the
         # fault-stall fast-forward used to rescan min(pending) per event,
         # which is quadratic on sparse million-message schedules; a sorted
@@ -746,7 +748,7 @@ class SynchronousNetwork:
                         if fault_mode:
                             inject_at[m.msg_id] = cycle
                         if rec is not None:
-                            rec.on_inject(cycle, m)
+                            rec.on_event(cycle, "inject", m.msg_id, m.src)
                 cycle += 1
                 while fi < n_fev and fev[fi].cycle - fault_offset <= cycle:
                     ev = fev[fi]
@@ -754,7 +756,7 @@ class SynchronousNetwork:
                     newly_failed = self._apply_fault_event(ev)
                     stats.faults_applied.append(ev)
                     if rec is not None:
-                        rec.on_fault(cycle, ev.action, ev.u, ev.v)
+                        rec.on_event(cycle, "fault", -1, ev.u, ev.v, ev.action)
                     if newly_failed and planned:
                         dead = {frozenset(link) for link in newly_failed}
                         _reroute(planned, dead, cycle, stats, rec)
@@ -781,7 +783,7 @@ class SynchronousNetwork:
                             planned.pop(m.msg_id, None)
                             in_network -= 1
                             if rec is not None:
-                                rec.on_dropped(cycle, m, node, "ttl")
+                                rec.on_event(cycle, "dropped", m.msg_id, node, detail="ttl")
                             continue
                         try:
                             hop = (
@@ -798,30 +800,32 @@ class SynchronousNetwork:
                                 # heal) may reconnect it: wait
                                 kept.append((s, m))
                                 if rec is not None:
-                                    rec.on_queued(cycle, m, node)
+                                    rec.on_event(cycle, "queued", m.msg_id, node)
                             else:
                                 stats.failed[m.msg_id] = "partitioned"
                                 in_network -= 1
                                 if rec is not None:
-                                    rec.on_dropped(cycle, m, node, "partitioned")
+                                    rec.on_event(
+                                        cycle, "dropped", m.msg_id, node, detail="partitioned"
+                                    )
                             continue
                         if sent_per_link[hop] >= link_capacity:
                             kept.append((s, m))
                             if fault_mode:
                                 planned[m.msg_id] = (node, hop, m)
                             if rec is not None:
-                                rec.on_queued(cycle, m, node)
+                                rec.on_event(cycle, "queued", m.msg_id, node)
                             continue
                         sent_per_link[hop] += 1
                         key = (node, hop)
                         link_traffic[key] = link_traffic.get(key, 0) + 1
-                        if adaptive:
-                            cycle_links[key] += 1
+                        if sampling:
+                            link_use[key] = link_use.get(key, 0) + 1
                         if fault_mode:
                             moved_any = True
                             planned.pop(m.msg_id, None)
                         if rec is not None:
-                            rec.on_hop(cycle, m, node, hop)
+                            rec.on_event(cycle, "hop", m.msg_id, node, hop)
                         if byz:
                             link = frozenset(key)
                             if (
@@ -860,18 +864,20 @@ class SynchronousNetwork:
                             delivery_cycle[m.msg_id] = cycle
                             in_network -= 1
                             if rec is not None:
-                                rec.on_delivered(cycle, m, node)
+                                rec.on_event(cycle, "delivered", m.msg_id, node)
                 # keep FIFO fairness stable: re-sort merged queues by sequence
                 for node in arrivals:
                     if queues[node]:
                         queues[node] = deque(sorted(queues[node]))
                 if integ is not None and integ.to_quarantine:
                     integ.quarantine(cycle, planned)
-                if rec is not None:
-                    rec.on_cycle_end(cycle, queues, in_network)
-                if adaptive:
-                    router.end_cycle(cycle, cycle_links, queues)
-                    cycle_links = Counter()
+                if sampling:
+                    occupancy = {n: len(q) for n, q in queues.items() if q}
+                    if rec is not None:
+                        rec.on_cycle_end(cycle, occupancy, link_use, in_network)
+                    if adaptive:
+                        router.end_cycle(cycle, link_use, occupancy)
+                    link_use = {}
                 if fault_mode and in_network and not moved_any:
                     # whole network stalled: every queued message is waiting
                     # on a future heal (or doomed).  Fast-forward to whatever
@@ -893,7 +899,9 @@ class SynchronousNetwork:
                                 planned.pop(m.msg_id, None)
                                 in_network -= 1
                                 if rec is not None:
-                                    rec.on_dropped(cycle, m, node, "partitioned")
+                                    rec.on_event(
+                                        cycle, "dropped", m.msg_id, node, detail="partitioned"
+                                    )
                             queues[node].clear()
         finally:
             self._delivering = False
@@ -964,7 +972,7 @@ def _reroute(planned: dict, dead: set, cycle: int, stats: DeliveryStats, rec) ->
             del planned[msg_id]
             stats.n_reroutes += 1
             if rec is not None:
-                rec.on_reroute(cycle, msg, at)
+                rec.on_event(cycle, "reroute", msg.msg_id, at)
 
 
 def _stall_target(next_inject, next_event, in_transit, integ) -> int | None:
@@ -1035,7 +1043,7 @@ class _Integrity:
             u, v = sorted(link, key=index)
             self.net._revive_link(u, v)
             if self.rec is not None:
-                self.rec.on_quarantine(cycle, u, v, "probe_heal")
+                self.rec.on_event(cycle, "quarantine", -1, u, v, "probe_heal")
         retrans = self.retrans
         return [m for t in sorted(t for t in retrans if t <= cycle) for m in retrans.pop(t)]
 
@@ -1076,7 +1084,7 @@ class _Integrity:
         if _checksum(carried.word) != carried.checksum:
             self.stats.n_corrupted += 1
             if self.rec is not None:
-                self.rec.on_corrupt(cycle, m, node)
+                self.rec.on_event(cycle, "corrupt", m.msg_id, node)
             return True
         if carried.word != carried.pristine:
             # the checksum collided: wrong data delivered silently — the
@@ -1094,7 +1102,7 @@ class _Integrity:
         if carried.attempts > INTEGRITY_MAX_RETRIES:
             self.stats.failed[mid] = "integrity"
             if self.rec is not None:
-                self.rec.on_dropped(cycle, m, at, "integrity")
+                self.rec.on_event(cycle, "dropped", mid, at, detail="integrity")
             return True
         self.stats.n_retransmits += 1
         carried.word = carried.pristine
@@ -1102,7 +1110,9 @@ class _Integrity:
         back = min(1 << (carried.attempts - 1), RETRANSMIT_BACKOFF_CAP)
         self.retrans.setdefault(cycle + back, []).append(m)
         if self.rec is not None:
-            self.rec.on_retransmit(cycle, m, carried.attempts)
+            self.rec.on_event(
+                cycle, "retransmit", mid, m.src, detail=f"attempt={carried.attempts}"
+            )
         return False
 
     def quarantine(self, cycle: int, planned: dict) -> None:
@@ -1120,6 +1130,6 @@ class _Integrity:
             net.corruption_ewma.pop(link, None)
             self.stats.n_quarantined += 1
             if self.rec is not None:
-                self.rec.on_quarantine(cycle, u, v, "quarantined")
+                self.rec.on_event(cycle, "quarantine", -1, u, v, "quarantined")
             _reroute(planned, {link}, cycle, self.stats, self.rec)
         self.to_quarantine.clear()

@@ -82,7 +82,7 @@ def deliver_superstep(
     ``phase``.  :func:`simulate_on_host`'s barrier mode, the compute folds
     and the runtime's supersteps and migrations all deliver through it.
     """
-    if recorder is not None and recorder.enabled:
+    if recorder is not None:
         recorder.begin_phase(phase)
     schedule = [(0, Message(mid, phi[src], phi[dst])) for mid, (src, dst) in zip(ids, pairs)]
     return network.deliver_scheduled(
@@ -177,7 +177,7 @@ def simulate_on_host(
         schedule = [
             (k, Message(mid, phi[src], phi[dst])) for mid, (k, (src, dst)) in enumerate(sends)
         ]
-        if recorder is not None and recorder.enabled:
+        if recorder is not None:
             recorder.begin_phase(f"{program.name}[pipelined]")
         with span("simulate.on_host", program=program.name, host=host_name, mode="pipelined"):
             stats = network.deliver_scheduled(schedule, recorder=recorder, faults=faults, ttl=ttl)

@@ -18,7 +18,7 @@ This module extracts the policy behind a small :class:`Router` protocol:
 * :class:`AdaptiveRouter` — congestion-aware: among the live neighbours
   that make equal progress towards the destination it picks the one with
   the lowest recent load, scored from an EWMA over the engine's own
-  per-cycle link utilisation and queue occupancy (the same series the
+  per-cycle link utilisation and queue occupancy (the same dicts a
   :class:`~repro.obs.TraceRecorder` samples) plus the picks already made
   this cycle.  Ties break through a seeded pseudo-random permutation of
   the node indices, so runs stay exactly reproducible.  An optional
@@ -79,13 +79,14 @@ class Router:
     def begin_delivery(self) -> None:
         """A new delivery starts: forget per-message state (budgets)."""
 
-    def end_cycle(self, cycle: int, link_use: dict, queues: dict) -> None:
+    def end_cycle(self, cycle: int, link_use: dict, occupancy: dict) -> None:
         """One active cycle finished.
 
         ``link_use`` maps each directed link to the messages that actually
-        crossed it this cycle; ``queues`` maps nodes to their (possibly
-        empty) output queues — the exact state the engine also hands to
-        :meth:`repro.obs.Recorder.on_cycle_end`.
+        crossed it this cycle; ``occupancy`` maps each node with a
+        non-empty output queue to its length — the same dicts the engine
+        hands to :meth:`repro.obs.Recorder.on_cycle_end`, so read them and
+        do not mutate them.
         """
 
     def state(self) -> dict | None:
@@ -217,11 +218,11 @@ class AdaptiveRouter(Router):
         self._cycle_picks.clear()
         self._budget.clear()
 
-    def end_cycle(self, cycle: int, link_use: dict, queues: dict) -> None:
-        self._observe(link_use, queues)
+    def end_cycle(self, cycle: int, link_use: dict, occupancy: dict) -> None:
+        self._observe(link_use, occupancy)
         self._cycle_picks.clear()
 
-    def _observe(self, link_use: dict, queues: dict) -> None:
+    def _observe(self, link_use: dict, occupancy: dict) -> None:
         """Fold one cycle of engine feedback into the EWMA estimates.
 
         *Every* previously-seen key decays toward zero on every active
@@ -234,10 +235,7 @@ class AdaptiveRouter(Router):
         """
         alpha = self.ewma_alpha
         decay = 1.0 - alpha
-        for table, current in (
-            (self._link_ewma, link_use),
-            (self._queue_ewma, {n: len(q) for n, q in queues.items() if q}),
-        ):
+        for table, current in ((self._link_ewma, link_use), (self._queue_ewma, occupancy)):
             for key in list(table):
                 cooled = table[key] * decay
                 if cooled < 1e-4 and key not in current:

@@ -70,8 +70,8 @@ def fits_dense_tables(topology: "Topology") -> bool:
 def vector_supported(network: "SynchronousNetwork", rec, faults, ttl) -> str | None:
     """``None`` when the kernel can run this delivery, else *every* reason not.
 
-    ``rec`` is the engine's *normalised* recorder (``None`` unless a real,
-    enabled recorder is listening).  Any non-adaptive router routes
+    ``rec`` is the delivery's recorder, ``None`` when nobody listens.
+    Any non-adaptive router routes
     through the engine's deterministic ``next_hop`` on the reference loop
     too, so adaptivity — not the concrete router class — is what matters.
 

@@ -133,6 +133,15 @@ class TestFleetAdmission:
             server.shutdown()
             fleet.stop()
 
+    def test_ill_typed_spec_is_400(self, cold_service):
+        fleet, client = cold_service
+        jid = client.submit(BASE_DOC)
+        for spec in ({"name": "z", "program": "reduction", "tree_n": "x"},
+                     {**LATE_SPEC, "height": "3"}):
+            with pytest.raises(ServiceError) as exc:
+                client.admit(jid, 0, spec)
+            assert exc.value.status == 400
+
     def test_posted_admission_joins_run(self, cold_service):
         fleet, client = cold_service
         jid = client.submit(BASE_DOC)

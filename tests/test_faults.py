@@ -257,7 +257,7 @@ class TestFaultTraceEvents:
         fault_events = [e for e in rec.events if e.kind == "fault"]
         assert fault_events[0].detail == "fail_link"
         assert fault_events[0].msg_id == -1
-        assert rec.n_faults == len(fault_events)
+        assert rec.tally["fault"] == len(fault_events)
         # a dropped message shows up as a dropped event with its reason
         g = Grid2D(1, 2)
         rec2 = TraceRecorder()

@@ -13,7 +13,9 @@ Covers the PR's acceptance identities:
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,21 +32,22 @@ from repro.cli import main
 from repro.core.verification import verify_figure1
 from repro.networks import Grid2D, Hypercube, XTree
 from repro.obs import (
-    NullRecorder,
     TraceRecorder,
     counter_inc,
     counters,
     reset_counters,
     reset_spans,
-    set_spans_enabled,
     span,
     span_summary,
     spans,
     timed,
 )
+from repro.service import Scenario, run_scenario
 from repro.simulate import (
+    FaultSchedule,
     Message,
     SynchronousNetwork,
+    neighbor_exchange_program,
     reduction_program,
     simulate_on_host,
 )
@@ -138,7 +141,7 @@ class TestTraceRecorderInvariants:
 
         assert rec.link_utilisation_totals() == stats.link_traffic
         assert rec.delivery_cycles() == stats.delivery_cycle
-        assert rec.n_injected == rec.n_delivered == len(schedule)
+        assert rec.tally["inject"] == rec.tally["delivered"] == len(schedule)
         if rec.cycles:
             assert rec.cycles[-1].in_flight == 0
             # samples are end-of-cycle, stats.max_queue is start-of-cycle:
@@ -164,19 +167,6 @@ class TestTraceRecorderInvariants:
             for a, b in zip(hops, hops[1:]):
                 assert a.link_dst == b.node
             assert chain[-1].cycle == hops[-1].cycle == stats.delivery_cycle[m.msg_id]
-
-    def test_null_recorder_records_nothing_and_changes_nothing(self):
-        net = SynchronousNetwork(Grid2D(1, 3))
-        msgs = [Message(i, (0, 0), (0, 2)) for i in range(3)]
-        null = NullRecorder()
-        assert not null.enabled
-        a = net.deliver(msgs, recorder=null)
-        b = net.deliver(msgs)
-        assert (a.cycles, a.delivery_cycle, a.link_traffic) == (
-            b.cycles,
-            b.delivery_cycle,
-            b.link_traffic,
-        )
 
 
 class TestSchedulingFix:
@@ -299,16 +289,6 @@ class TestSpans:
         assert agg["count"] == 3
         assert agg["total_s"] >= agg["max_s"] >= 0
 
-    def test_spans_can_be_disabled(self):
-        reset_spans()
-        previous = set_spans_enabled(False)
-        try:
-            with span("invisible"):
-                pass
-            assert spans() == []
-        finally:
-            set_spans_enabled(previous)
-
     def test_timed_decorator_preserves_function(self):
         reset_spans()
 
@@ -393,6 +373,66 @@ class TestTraceExport:
         assert len(csv.splitlines()) == len(rec.cycles) + 1
         report = metrics_report(rec)
         assert "trace:" in report
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _scenario(name: str, **overrides) -> Scenario:
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    return replace(Scenario.from_obj(doc), **overrides)
+
+
+class TestOneTraceLayout:
+    """An in-memory recorder's ``to_jsonl`` and a streaming recorder of
+    the same run write the same bytes."""
+
+    @pytest.mark.parametrize(
+        "name, batch",
+        [(p.stem, False) for p in sorted(SCENARIOS.glob("*.json"))] + [("chaos", True)],
+    )
+    def test_scenario_traces_are_byte_identical(self, tmp_path, name, batch):
+        scenario = _scenario(name, batch=batch)
+        mem = TraceRecorder()
+        run_scenario(scenario, recorder=mem)
+        mem.to_jsonl(tmp_path / "a.jsonl")
+        with TraceRecorder(path=tmp_path / "b.jsonl") as stream:
+            run_scenario(scenario, recorder=stream)
+        a = (tmp_path / "a.jsonl").read_bytes()
+        assert a == (tmp_path / "b.jsonl").read_bytes()
+        assert json.loads(a.splitlines()[-1])["type"] == "header"
+
+    def test_simulate_on_host_traces_are_byte_identical(self, tmp_path):
+        from repro.core import theorem1_embedding
+
+        tree = make_tree("random", theorem1_guest_size(4), seed=2)
+        emb = theorem1_embedding(tree).embedding
+        faults = FaultSchedule.chaos(
+            emb.host, n_cycles=120, link_rate=0.1, corrupt_rate=0.2,
+            flaky_rate=0.2, seed=5, byzantine_p=0.3,
+        )
+        program = neighbor_exchange_program(tree, rounds=2)
+        mem = TraceRecorder()
+        simulate_on_host(program, emb, recorder=mem, faults=faults, ttl=12)
+        mem.to_jsonl(tmp_path / "a.jsonl")
+        with TraceRecorder(path=tmp_path / "b.jsonl", flush_every=7) as stream:
+            simulate_on_host(program, emb, recorder=stream, faults=faults, ttl=12)
+        assert {"corrupt", "retransmit", "dropped"} <= set(mem.tally)
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+    def test_tally_recounts_the_events(self):
+        rec = TraceRecorder()
+        run_scenario(_scenario("chaos", batch=True), recorder=rec)
+        recount = Counter()
+        for e in rec.events:
+            recount[e.kind] += int(e.detail.partition("=")[2]) if e.kind == "migrate" else 1
+        assert rec.tally == recount
+        # one migrate event moved two messages
+        assert sum(e.kind == "migrate" for e in rec.events) == 1
+        summary = rec.summary()
+        assert summary["events"] == len(rec.events)
+        assert (summary["repairs"], summary["messages_migrated"],
+                summary["batch_fallbacks"]) == (2, 2, 342)
 
 
 class TestCLIObservability:

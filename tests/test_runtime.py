@@ -95,6 +95,34 @@ class TestJobSpec:
         with pytest.raises(ValueError, match="height"):
             Job.build(spec, XTree(4))
 
+    def test_field_mutations_parse_or_name_the_field(self):
+        """Each field of a shipped job entry set to null, 7, "x", [] or {},
+        or deleted: the spec parses (and then builds, or fails to build
+        with a ValueError) or ``from_obj`` raises a ValueError naming the
+        field."""
+        doc = json.loads(
+            (Path(__file__).resolve().parent.parent / "scenarios" / "hot_spot.json").read_text()
+        )
+        host = XTree(4)
+        for entry in doc["jobs"]:
+            mutations = [
+                (key, {k: v for k, v in entry.items() if k != key}) for key in entry
+            ] + [
+                (f.name, {**entry, f.name: value})
+                for f in dataclasses.fields(JobSpec)
+                for value in (None, 7, "x", [], {})
+            ]
+            for key, obj in mutations:
+                try:
+                    spec = JobSpec.from_obj(obj)
+                except ValueError as exc:
+                    assert repr(key) in str(exc) or f"JobSpec.{key}" in str(exc), exc
+                    continue
+                try:
+                    Job.build(spec, host)
+                except ValueError:
+                    pass
+
 
 class TestAdmission:
     def test_two_capacity8_jobs_fill_load16_exactly(self):

@@ -103,7 +103,7 @@ class TestComputeRecorder:
         assert rec.phases == [
             f"reduction[{k}]" for k in range(len(rec.phases))
         ] and rec.phases
-        assert rec.n_delivered == rec.n_injected > 0
+        assert rec.tally["delivered"] == rec.tally["inject"] > 0
         assert "reduction[0]" in trace_summary_text(rec)
 
     def test_prefix_records_one_phase_per_superstep(self, embedding):

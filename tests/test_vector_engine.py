@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.analysis.oracle import DistanceOracle
 from repro.core.xtree_embed import theorem1_embedding
 from repro.networks import XTree, registry_instances
-from repro.obs import NullRecorder, TraceRecorder
+from repro.obs import TraceRecorder
 from repro.runtime import JobSpec, Runtime
 from repro.simulate import (
     PROGRAMS,
@@ -249,18 +249,6 @@ class TestDispatch:
                 net, kwargs.get("recorder"), kwargs.get("faults"), kwargs.get("ttl")
             )
             assert blocker in why, why
-
-    def test_null_recorder_still_vectorises(self, monkeypatch):
-        monkeypatch.setattr(
-            SynchronousNetwork,
-            "deliver_classic",
-            lambda *a, **k: pytest.fail("NullRecorder delivery took the classic loop"),
-        )
-        topology = TOPOS["xtree"]
-        stats = SynchronousNetwork(topology).deliver_scheduled(
-            self._schedule(topology), recorder=NullRecorder()
-        )
-        assert stats.delivery_cycle == {0: 1}
 
     def test_oversized_topology_falls_back(self, monkeypatch):
         import repro.simulate.vector_engine as vec_mod
