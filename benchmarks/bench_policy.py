@@ -48,7 +48,9 @@ import tempfile
 from functools import partial
 from pathlib import Path
 
-from repro.policy import PolicyDoc, TEMPLATES, tune
+from repro.policy import PolicyDoc
+from repro.policy.templates import TEMPLATES
+from repro.policy.tune import tune
 from repro.service.scenario import Scenario, run_scenario
 
 REPO = Path(__file__).resolve().parent.parent

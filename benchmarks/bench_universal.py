@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.core.separators import lemma2_bound
+from repro.separators.lemma import lemma2_bound
 from repro.core.universal import embed_into_universal, spanning_defect
 from repro.core.xtree_embed import theorem1_embedding
 from repro.networks.universal import (

@@ -21,6 +21,7 @@ __all__ = [
     "atomic_write_text",
     "check_nonnegative",
     "check_positive",
+    "is_int",
     "is_power_of_two",
     "node_from_json",
     "node_to_json",
@@ -104,6 +105,15 @@ def check_positive(name: str, value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return value
+
+
+def is_int(value, low: int | None = None) -> bool:
+    """``value`` is an int (not a bool) and at least ``low``, if given."""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and (low is None or value >= low)
+    )
 
 
 def is_power_of_two(value: int) -> bool:

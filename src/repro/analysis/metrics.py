@@ -8,10 +8,12 @@ the records the benchmark tables are built from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.embedding import Embedding
+if TYPE_CHECKING:  # pragma: no cover - types only; repro.core imports this package
+    from ..core.embedding import Embedding
 
 __all__ = ["EmbeddingMetrics", "collect_metrics", "dilation_histogram", "load_histogram"]
 

@@ -9,9 +9,12 @@ the examples.
 from __future__ import annotations
 
 from collections import Counter
+from typing import TYPE_CHECKING
 
-from ..core.embedding import Embedding
 from ..networks.xtree import XTree, addr_to_string
+
+if TYPE_CHECKING:  # pragma: no cover - types only; repro.core imports this package
+    from ..core.embedding import Embedding
 
 __all__ = ["render_xtree", "render_loads", "render_dilation_bar"]
 

@@ -224,7 +224,7 @@ def _cmd_runtime(args) -> int:
     from dataclasses import replace
 
     from .obs import TraceRecorder
-    from .policy import apply_policy
+    from .policy.tune import apply_policy
     from .runtime import AdmissionError, JobSpec
     from .service.scenario import SCENARIO_VERSION, Scenario, drive_runtime
     from .simulate.faults import RepairError
@@ -349,7 +349,7 @@ def _cmd_runtime(args) -> int:
 
 
 def _cmd_tune(args) -> int:
-    from .policy import tune
+    from .policy.tune import tune
     from .service import Scenario
 
     try:
@@ -647,7 +647,7 @@ def main(argv: list[str] | None = None) -> int:
         "tune",
         help="search a policy template against scenarios (repro.policy.tune)",
     )
-    from .policy.tune import TEMPLATES as _TEMPLATES
+    from .policy.templates import TEMPLATES as _TEMPLATES
 
     p_tune.add_argument("template", choices=sorted(_TEMPLATES),
                         help="parametric policy template to search")

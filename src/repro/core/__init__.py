@@ -1,4 +1,5 @@
-"""The paper's results: embeddings, separators, universal graphs, verifiers."""
+"""The paper's results: embeddings, universal graphs, verifiers, and the
+Lemma 1/2 separators of :mod:`repro.separators.lemma`, re-exported."""
 
 from .context import (
     complete_tree_into_xtree,
@@ -11,6 +12,13 @@ from .serialization import (
     embedding_to_dict,
     load_embedding,
     save_embedding,
+)
+from ..separators.lemma import (
+    Separation,
+    lemma1_bound,
+    lemma1_split,
+    lemma2_bound,
+    lemma2_split,
 )
 from .online import OnlineResult, OnlineXTreeEmbedder, replay_online
 from .baselines import (
@@ -27,13 +35,6 @@ from .hypercube_embed import (
 )
 from .injective import expand_to_injective, injective_xtree_embedding
 from .intervals import LayoutState, LayoutStats, Piece
-from .separators import (
-    Separation,
-    lemma1_bound,
-    lemma1_split,
-    lemma2_bound,
-    lemma2_split,
-)
 from .universal import (
     UniversalGraph,
     embed_into_universal,

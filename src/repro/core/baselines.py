@@ -27,11 +27,11 @@ from __future__ import annotations
 from collections import deque
 
 from ..networks.xtree import XAddr, XTree, xtree_size
+from ..separators.lemma import lemma2_split
 from ..trees.binary_tree import BinaryTree
 from ..trees.traversal import bfs_order
 from .embedding import Embedding
 from .intervals import LayoutState
-from .separators import lemma2_split
 
 __all__ = [
     "order_chunk_embedding",

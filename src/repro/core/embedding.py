@@ -28,6 +28,7 @@ from typing import Any
 import numpy as np
 
 from .._util import node_to_json
+from ..analysis.oracle import oracle_for
 from ..networks.base import Topology, bfs_distances_from
 from ..trees.binary_tree import BinaryTree
 
@@ -132,8 +133,6 @@ class Embedding:
         Memoised (embeddings are frozen).
         """
         if self._edge_dils is None:
-            from ..analysis.oracle import oracle_for  # deferred: analysis imports core
-
             pairs = self._image_idx[self._edge_nodes]
             dists = oracle_for(self.host).pairs_distances(pairs)
             if dists.size and int(dists.min()) < 0:  # disconnected host: bug

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from ..networks.xtree import XAddr, XTree, xtree_size
 from ..trees.binary_tree import BinaryTree
 from .embedding import Embedding
+from .xtree_embed import embed_binary_tree
 
 __all__ = ["OnlineXTreeEmbedder", "OnlineResult", "replay_online"]
 
@@ -151,8 +152,6 @@ def replay_online(
     emb = embedder.to_embedding(tree)
     migration = None
     if compare_offline:
-        from .xtree_embed import embed_binary_tree
-
         offline = embed_binary_tree(tree, height=height, capacity=capacity)
         migration = sum(
             1 for v in tree.nodes() if offline.embedding.phi[v] != emb.phi[v]

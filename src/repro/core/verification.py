@@ -15,10 +15,13 @@ from typing import Any
 
 import numpy as np
 
+from ..analysis.oracle import oracle_for
+from ..networks.binary_tree_net import CompleteBinaryTreeNet
 from ..networks.hypercube import hamming_distance
-from ..obs import timed
 from ..networks.xtree import XAddr, XTree
+from ..obs import timed
 from ..trees.binary_tree import BinaryTree
+from ..trees.generators import random_binary_tree
 from .embedding import Embedding
 from .hypercube_embed import (
     corollary_injective_hypercube,
@@ -136,8 +139,6 @@ def verify_theorem4(
     trees (default: random trees with the provided seeds).  The paper-mode
     defect counts edges our reconstruction lays outside the N-relation.
     """
-    from ..trees.generators import random_binary_tree
-
     graph = UniversalGraph(t)
     n = graph.n_nodes
     if trees is None:
@@ -164,8 +165,6 @@ def verify_lemma3(r: int, samples: int = 500, seed: int = 0) -> ClaimReport:
     arithmetic + vectorised popcounts), so small ``r`` is checked on *all*
     pairs in one shot and larger ``r`` on a vectorised random sample.
     """
-    from ..analysis.oracle import oracle_for  # deferred: analysis imports core
-
     xmap = xtree_to_hypercube_map(r)
     xtree = XTree(r)
     injective = len(set(xmap.values())) == len(xmap)
@@ -194,8 +193,6 @@ def verify_lemma3(r: int, samples: int = 500, seed: int = 0) -> ClaimReport:
 @timed("verify.inorder")
 def verify_inorder(r: int) -> ClaimReport:
     """Inorder embedding of B_r into Q_{r+1}: dilation 2, distance +1."""
-    from ..networks.binary_tree_net import CompleteBinaryTreeNet
-
     io = inorder_embedding(r)
     net = CompleteBinaryTreeNet(r)
     injective = len(set(io.values())) == len(io)

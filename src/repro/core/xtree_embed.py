@@ -39,10 +39,11 @@ from dataclasses import dataclass, field
 
 from ..networks.xtree import XAddr, XTree, xtree_size
 from ..obs.spans import span
+from ..separators import make_separator
+from ..separators.lemma import lemma2_split
 from ..trees.binary_tree import BinaryTree, theorem1_guest_size
 from .embedding import Embedding
 from .intervals import LayoutState, LayoutStats, Piece
-from .separators import lemma2_split
 
 __all__ = ["EmbedConfig", "XTreeEmbeddingResult", "embed_binary_tree", "theorem1_embedding"]
 
@@ -161,10 +162,7 @@ def embed_binary_tree(
     """
     if capacity < 2:
         raise ValueError(f"capacity must be at least 2, got {capacity}")
-    if separator is not None:
-        from ..separators import make_separator
-
-        separator = make_separator(separator)
+    separator = make_separator(separator)
     if height is None:
         height = 0
         while capacity * xtree_size(height) < tree.n:

@@ -332,14 +332,6 @@ class TraceRecorder(Recorder):
         self._require_in_memory("delivery_cycles")
         return {e.msg_id: e.cycle for e in self.events if e.kind == "delivered"}
 
-    @property
-    def in_flight_peak(self) -> int:
-        return self._peak_in_flight
-
-    @property
-    def max_queue(self) -> int:
-        return self._peak_queue
-
     def summary(self) -> dict:
         """Headline numbers for the text renderer, the CLI and the header."""
         totals = self._link_totals

@@ -1,20 +1,14 @@
-"""Declarative decision-tree policies over engine feedback, plus tuning.
+"""Declarative decision-tree policies over engine feedback.
 
-``repro.policy`` turns the runtime's pluggable-but-code-only scheduling
-and routing policies into *data*:
-
-* :mod:`repro.policy.dsl` — the versioned, strictly validated JSON
-  policy-tree format (:class:`PolicyDoc`, :func:`evaluate`);
-* :mod:`repro.policy.sched` — :class:`TreeSchedulerPolicy`, a document
-  driving ``Runtime`` superstep picks;
-* :mod:`repro.policy.route` — :class:`TreeRouter`, a document driving
-  next-hop scoring/detours;
-* :mod:`repro.policy.tune` — grid / random / cross-entropy search over
-  parametric templates against scenario workloads, with a reproducible
-  seeded tuning log (:func:`tune`, :data:`TEMPLATES`).
-
-Committed winning documents live in ``policies/`` next to the scenario
-library, and are validated in CI like scenarios are.
+``repro.policy`` turns the runtime's scheduling and routing policies into
+*data*: :mod:`repro.policy.dsl` is the versioned, strictly validated JSON
+policy-tree format (:class:`PolicyDoc`, :func:`evaluate`), and imports
+nothing else from ``repro``.  The interpreters sit beside their bases,
+:class:`repro.simulate.TreeRouter` and
+:class:`repro.runtime.TreeSchedulerPolicy`.  :mod:`repro.policy.tune`
+searches the templates of :mod:`repro.policy.templates` against scenario
+workloads; it runs them through :mod:`repro.service`, so it is imported
+by its own name.  Committed winning documents live in ``policies/``.
 """
 
 from .dsl import (
@@ -27,9 +21,6 @@ from .dsl import (
     PolicyDoc,
     evaluate,
 )
-from .route import TreeRouter
-from .sched import TreeSchedulerPolicy
-from .tune import TEMPLATES, Param, Template, TuneResult, apply_policy, evaluate_doc, tune
 
 __all__ = [
     "POLICY_VERSION",
@@ -40,13 +31,4 @@ __all__ = [
     "ACTION_SIGNALS",
     "PolicyDoc",
     "evaluate",
-    "TreeRouter",
-    "TreeSchedulerPolicy",
-    "Param",
-    "Template",
-    "TEMPLATES",
-    "TuneResult",
-    "apply_policy",
-    "evaluate_doc",
-    "tune",
 ]

@@ -10,7 +10,8 @@ single delivery cycle?
 
 * :class:`~repro.runtime.jobs.JobSpec` / :class:`~repro.runtime.jobs.Job`
   — declarative workload recipes and their live instantiations;
-* :mod:`repro.runtime.policies` — FIFO and backlog-weighted fair-share
+* :mod:`repro.runtime.policies` — FIFO, backlog-weighted fair-share and
+  policy-document (:class:`~repro.runtime.policies.TreeSchedulerPolicy`)
   superstep scheduling;
 * :class:`~repro.runtime.core.Runtime` — admission control, the
   scheduling loop, online repair + message migration, and JSON
@@ -22,7 +23,14 @@ See ``docs/API.md`` ("Multi-tenant runtime") and ``docs/ALGORITHM.md``
 
 from .core import CHECKPOINT_VERSION, AdmissionError, Runtime, RuntimeResult
 from .jobs import JOB_STATUSES, Job, JobSpec
-from .policies import POLICIES, FairSharePolicy, FifoPolicy, SchedulerPolicy, make_policy
+from .policies import (
+    POLICIES,
+    FairSharePolicy,
+    FifoPolicy,
+    SchedulerPolicy,
+    TreeSchedulerPolicy,
+    make_policy,
+)
 
 __all__ = [
     "Runtime",
@@ -35,6 +43,7 @@ __all__ = [
     "SchedulerPolicy",
     "FifoPolicy",
     "FairSharePolicy",
+    "TreeSchedulerPolicy",
     "POLICIES",
     "make_policy",
 ]

@@ -49,7 +49,7 @@ from ..obs import Recorder
 from ..simulate.engine import Message, SynchronousNetwork
 from ..simulate.faults import FaultEvent, FaultSchedule, repair_embedding
 from ..simulate.mapping import deliver_superstep
-from ..simulate.routing import AdaptiveRouter, Router, make_router
+from ..simulate.routing import Router, router_from_spec
 from .jobs import Job, JobSpec
 from .policies import SchedulerPolicy, make_policy
 
@@ -654,24 +654,12 @@ class Runtime:
                 f"(this build reads {CHECKPOINT_VERSION})"
             )
         host = build_host(state["host"]["name"], state["host"]["args"])
-        rspec = state["router"]
-        if rspec["name"] == "tree":
-            from ..policy import PolicyDoc
-            from ..policy.route import TreeRouter
-
-            router: Router = TreeRouter(
-                PolicyDoc.from_obj(rspec["doc"]), **rspec["params"]
-            )
-        elif rspec["name"] == "adaptive":
-            router = AdaptiveRouter(**rspec["params"])
-        else:
-            router = make_router(rspec["name"])
         faults = (
             None if state["faults"] is None else FaultSchedule.from_obj(state["faults"])
         )
         rt = cls(
             host,
-            router=router,
+            router=router_from_spec(state["router"]),
             faults=faults,
             recorder=recorder,
             policy=state["policy"],
@@ -697,7 +685,6 @@ class Runtime:
             for u, v, ewma in integrity.get("ewma", ()):
                 link = frozenset((node_from_json(u), node_from_json(v)))
                 rt.network.corruption_ewma[link] = ewma
-        rt.network.router.load_state(rspec["state"])
         rt.cycle = state["cycle"]
         rt.dead_nodes = {node_from_json(n) for n in state["dead_nodes"]}
         for jstate in state["jobs"]:

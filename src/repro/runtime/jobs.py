@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import Any
 
-from .._util import node_from_json
+from .._util import is_int, node_from_json
 from ..core.embedding import Embedding
 from ..core.universal import lift_onto_slots
 from ..core.xtree_embed import embed_binary_tree
@@ -83,16 +83,16 @@ class JobSpec:
         args = self.program_args
         for name, ok, want in (
             ("name", isinstance(self.name, str) and self.name != "", "a non-empty string"),
-            ("tree_n", _is_int(self.tree_n, 1), "an integer >= 1"),
-            ("tree_seed", _is_int(self.tree_seed), "an integer"),
+            ("tree_n", is_int(self.tree_n, 1), "an integer >= 1"),
+            ("tree_seed", is_int(self.tree_seed), "an integer"),
             ("program_args", isinstance(args, dict)
              and all(isinstance(k, str) for k in args), "an object"),
-            ("height", self.height is None or _is_int(self.height, 0),
+            ("height", self.height is None or is_int(self.height, 0),
              "null or an integer >= 0"),
-            ("capacity", _is_int(self.capacity, 2), "an integer >= 2"),
-            ("priority", _is_int(self.priority, 1), "an integer >= 1"),
-            ("ttl", self.ttl is None or _is_int(self.ttl, 1), "null or an integer >= 1"),
-            ("cycle_budget", self.cycle_budget is None or _is_int(self.cycle_budget, 1),
+            ("capacity", is_int(self.capacity, 2), "an integer >= 2"),
+            ("priority", is_int(self.priority, 1), "an integer >= 1"),
+            ("ttl", self.ttl is None or is_int(self.ttl, 1), "null or an integer >= 1"),
+            ("cycle_budget", self.cycle_budget is None or is_int(self.cycle_budget, 1),
              "null or an integer >= 1"),
         ):
             if not ok:
@@ -132,15 +132,6 @@ class JobSpec:
             if name not in obj:
                 raise ValueError(f"job spec is missing required field {name!r}")
         return cls(**obj)
-
-
-def _is_int(value, low: int | None = None) -> bool:
-    """``value`` is an int (not a bool) and at least ``low``, if given."""
-    return (
-        isinstance(value, int)
-        and not isinstance(value, bool)
-        and (low is None or value >= low)
-    )
 
 
 class Job:

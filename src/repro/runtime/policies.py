@@ -12,16 +12,27 @@ Both built-in policies are pure functions of the jobs' own counters
 (``virtual_time``, ``backlog``, admission order), so they need no
 serialised state of their own.
 
-Beyond the two built-ins, a policy can be a declarative decision tree
-(:mod:`repro.policy`): :func:`make_policy` accepts a parsed policy
-document (dict) wherever a name is accepted.
+Beyond the two built-ins, a policy can be a declarative decision tree,
+:class:`TreeSchedulerPolicy`: :func:`make_policy` accepts a policy
+document (:class:`repro.policy.PolicyDoc` or its parsed dict) wherever a
+name is accepted.
 """
 
 from __future__ import annotations
 
+import weakref
+
+from ..policy import PolicyDoc, evaluate
 from .jobs import Job
 
-__all__ = ["SchedulerPolicy", "FifoPolicy", "FairSharePolicy", "POLICIES", "make_policy"]
+__all__ = [
+    "SchedulerPolicy",
+    "FifoPolicy",
+    "FairSharePolicy",
+    "TreeSchedulerPolicy",
+    "POLICIES",
+    "make_policy",
+]
 
 
 class SchedulerPolicy:
@@ -34,8 +45,8 @@ class SchedulerPolicy:
 
         The built-ins are pure functions of the jobs themselves and ignore
         the hook; policies that condition on runtime-wide state (the
-        global clock, fault state — see
-        :class:`repro.policy.sched.TreeSchedulerPolicy`) override it.
+        global clock, fault state — see :class:`TreeSchedulerPolicy`)
+        override it.
         """
         return self
 
@@ -100,14 +111,97 @@ class FairSharePolicy(SchedulerPolicy):
         return best
 
 
+class TreeSchedulerPolicy(SchedulerPolicy):
+    """Schedule supersteps by evaluating a scheduling-domain policy document.
+
+    Each pick evaluates the document's tree on one snapshot of the active
+    jobs and the runtime (clock and fault state, via :meth:`bind_runtime`);
+    the leaf action's weights score each job, the lowest runs and ties go
+    to admission order.  The policy is stateless: what it reads lives on
+    the jobs and the runtime, both of which checkpoint.  Fair share is the
+    one-action tree ``{"action": "score", "weights": {"virtual_time": 1.0}}``.
+    """
+
+    def __init__(self, doc: PolicyDoc | dict):
+        if isinstance(doc, dict):
+            doc = PolicyDoc.from_obj(doc)
+        if doc.domain != "scheduling":
+            raise ValueError(
+                f"policy document {doc.name!r} has domain {doc.domain!r}; "
+                f'a scheduling policy needs domain "scheduling"'
+            )
+        self.doc = doc
+        self.runtime = None
+
+    @property
+    def name(self) -> str:  # type: ignore[override]
+        return f"tree:{self.doc.name}"
+
+    def bind_runtime(self, runtime) -> "TreeSchedulerPolicy":
+        # the runtime owns its policy: a weak proxy back keeps the pair
+        # free of a reference cycle
+        self.runtime = weakref.proxy(runtime)
+        return self
+
+    # -- signal snapshots ----------------------------------------------
+    def _decision_signals(self, active: list[Job]) -> dict:
+        """One condition snapshot per pick (see ``CONDITION_SIGNALS``)."""
+        backlogs = [j.backlog for j in active]
+        rt = self.runtime
+        faulted = rt is not None and bool(rt.dead_nodes or rt.network.failed)
+        return {
+            "n_active": float(len(active)),
+            "cycle": float(rt.cycle) if rt is not None else 0.0,
+            "faulted": 1.0 if faulted else 0.0,
+            "total_backlog": float(sum(backlogs)),
+            "max_backlog": float(max(backlogs)),
+            "min_backlog": float(min(backlogs)),
+            "max_priority": float(max(j.spec.priority for j in active)),
+        }
+
+    @staticmethod
+    def _job_signal(job: Job, sig: str, order: int) -> float:
+        if sig == "order":
+            return float(order)
+        if sig == "virtual_time":
+            return job.virtual_time
+        if sig == "backlog":
+            return float(job.backlog)
+        if sig == "priority":
+            return float(job.spec.priority)
+        if sig == "n_delivered":
+            return float(len(job.delivered))
+        if sig == "n_failed":
+            return float(len(job.failed))
+        # consumed_cycles, remaining_steps, next_step, total_messages,
+        # n_repairs — all plain counters on the job
+        return float(getattr(job, sig))
+
+    # -- the pick -------------------------------------------------------
+    def pick(self, active: list[Job]) -> Job:
+        action = evaluate(self.doc.tree, self._decision_signals(active))
+        weights = action.get("weights", {})
+        bias = action.get("bias", 0.0)
+        best = None
+        best_key: tuple[float, int] | None = None
+        for order, job in enumerate(active):
+            score = bias
+            for sig, w in weights.items():
+                score += w * self._job_signal(job, sig, order)
+            key = (score, order)
+            if best_key is None or key < best_key:
+                best, best_key = job, key
+        return best
+
+
 #: CLI / config names for the built-in policies.  A decision-tree policy
 #: has no name here: it is built from its policy document.
 POLICIES = {"fifo": FifoPolicy, "fair": FairSharePolicy}
 
 
-def make_policy(spec: "SchedulerPolicy | str | dict | None") -> SchedulerPolicy:
+def make_policy(spec: SchedulerPolicy | str | dict | PolicyDoc | None) -> SchedulerPolicy:
     """Resolve ``None`` / a registry name / a ready instance / a policy
-    document (a parsed dict or :class:`repro.policy.PolicyDoc` with
+    document (a parsed dict or :class:`~repro.policy.PolicyDoc` with
     ``domain == "scheduling"``) to a policy."""
     if spec is None:
         return FifoPolicy()
@@ -121,13 +215,7 @@ def make_policy(spec: "SchedulerPolicy | str | dict | None") -> SchedulerPolicy:
                 f"unknown scheduling policy {spec!r}: expected one of "
                 f"{sorted(POLICIES)} or a policy document"
             ) from None
-    # deferred import: repro.policy imports this module
-    from ..policy import PolicyDoc
-    from ..policy.sched import TreeSchedulerPolicy
-
-    if isinstance(spec, dict):
-        spec = PolicyDoc.from_obj(spec)
-    if isinstance(spec, PolicyDoc):
+    if isinstance(spec, (dict, PolicyDoc)):
         return TreeSchedulerPolicy(spec)
     raise TypeError(
         f"policy must be a SchedulerPolicy, a name, a policy document, "

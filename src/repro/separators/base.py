@@ -5,11 +5,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Collection
 
-from ..core.separators import Separation, lemma2_split
 from ..obs.spans import counter_inc, span
 from ..trees.binary_tree import BinaryTree
+from .lemma import Separation, lemma2_split
 
-__all__ = ["Separator", "PaperSeparator", "make_separator"]
+__all__ = ["Separator", "PaperSeparator"]
 
 
 class Separator(ABC):
@@ -43,7 +43,7 @@ class PaperSeparator(Separator):
     """Lemmas 1/2 exactly as the pipeline has always run them.
 
     A thin instrumented wrapper around
-    :func:`repro.core.separators.lemma2_split`; the returned separation
+    :func:`repro.separators.lemma.lemma2_split`; the returned separation
     is bit-identical to the un-wrapped call, so selecting
     ``--separator paper`` reproduces the default pipeline exactly.
     """
@@ -65,24 +65,3 @@ class PaperSeparator(Separator):
         if sep.n_promotions:
             counter_inc("separator.paper.promotions", sep.n_promotions)
         return sep
-
-
-def make_separator(which: "str | Separator | None") -> "Separator | None":
-    """Resolve a CLI/user separator choice to an instance.
-
-    Accepts a registry name (``"paper"``/``"flow"``), an instance
-    (returned unchanged), or ``None`` (the embedder's built-in Lemma 2
-    path, also bit-identical to ``"paper"``).
-    """
-    if which is None or isinstance(which, Separator):
-        return which
-    from . import SEPARATORS
-
-    try:
-        cls = SEPARATORS[which]
-    except KeyError:
-        raise ValueError(
-            f"unknown separator {which!r}; expected one of "
-            f"{sorted(SEPARATORS)}"
-        ) from None
-    return cls()

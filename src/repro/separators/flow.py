@@ -31,15 +31,15 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Collection
 
-from ..core.separators import (
+from ..obs.spans import counter_inc, span
+from ..trees.binary_tree import BinaryTree
+from .base import Separator
+from .lemma import (
     Separation,
     _Piece,
     _repair_collinearity,
     lemma2_bound,
 )
-from ..obs.spans import counter_inc, span
-from ..trees.binary_tree import BinaryTree
-from .base import Separator
 
 __all__ = ["DinicMaxFlow", "FlowSeparator", "min_vertex_cut"]
 

@@ -36,7 +36,8 @@ list).  ``policy`` and ``router`` accept either a registry name (as
 above) or an inline :class:`repro.policy.PolicyDoc` document — a tuned
 decision tree travels inside the scenario it was tuned for, so the
 service needs no side channel to run it.  Unknown keys anywhere raise
-:class:`ValueError` — a typo'd knob must not silently run with defaults.
+:class:`ValueError` — a typo'd knob must not silently run with defaults —
+and so does a field of the wrong type or range, naming the field.
 Documents written for earlier builds may still carry the retired
 ``engine`` field (``auto``, ``classic`` or ``vector``); it is accepted and
 ignored, because every engine gave bit-identical results.
@@ -55,12 +56,13 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .._util import is_int
 from ..networks import build_host, check_host
 from ..policy.dsl import PolicyDoc
 from ..runtime import AdmissionError, JobSpec, Runtime, RuntimeResult
 from ..runtime.policies import make_policy
 from ..simulate import FaultSchedule
-from ..simulate.routing import ROUTERS
+from ..simulate.routing import make_router
 
 __all__ = ["SCENARIO_VERSION", "Scenario", "run_scenario", "drive_runtime"]
 
@@ -98,27 +100,39 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("scenario needs a non-empty name")
+        for name, ok, want in (
+            ("name", isinstance(self.name, str) and self.name != "", "a non-empty string"),
+            ("description", isinstance(self.description, str), "a string"),
+            ("router", isinstance(self.router, (str, dict)),
+             "a router name or a policy document"),
+            ("policy", self.policy is None or isinstance(self.policy, (str, dict)),
+             "null, a policy name or a policy document"),
+            ("batch", isinstance(self.batch, bool), "a boolean"),
+            ("trace", isinstance(self.trace, bool), "a boolean"),
+            *((name, is_int(getattr(self, name), 1), ">= 1 (an integer)")
+              for name in ("max_load", "link_capacity", "priority", "checkpoint_every")),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"Scenario.{name} must be {want}, got {getattr(self, name)!r}"
+                )
         check_host(self.host_name, self.host_args)
         if not self.jobs:
             raise ValueError(f"scenario {self.name!r} has no jobs")
         # inline documents are validated (and canonicalised) via PolicyDoc
         # so a malformed tree is rejected at submission, not on a worker
         if isinstance(self.router, dict):
-            doc = PolicyDoc.from_obj(self.router)
+            doc = _policy_doc("router", self.router)
             if doc.domain != "routing":
                 raise ValueError(
                     f"scenario router document {doc.name!r} has domain "
                     f"{doc.domain!r}, expected 'routing'"
                 )
             object.__setattr__(self, "router", doc.as_dict())
-        elif self.router not in ROUTERS:
-            raise ValueError(
-                f"unknown router {self.router!r}: expected one of {sorted(ROUTERS)}"
-            )
+        else:
+            make_router(self.router)  # raises on unknown router names
         if isinstance(self.policy, dict):
-            doc = PolicyDoc.from_obj(self.policy)
+            doc = _policy_doc("policy", self.policy)
             if doc.domain != "scheduling":
                 raise ValueError(
                     f"scenario policy document {doc.name!r} has domain "
@@ -127,12 +141,6 @@ class Scenario:
             object.__setattr__(self, "policy", doc.as_dict())
         else:
             make_policy(self.policy)  # raises on unknown policy names
-        if self.priority < 1:
-            raise ValueError(f"priority must be >= 1, got {self.priority}")
-        if self.checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
         names = [j.name for j in self.jobs]
         if len(set(names)) != len(names):
             raise ValueError(f"scenario {self.name!r} has duplicate job names")
@@ -160,22 +168,30 @@ class Scenario:
                 f"unknown engine {obj['engine']!r}: expected one of "
                 f"{_LEGACY_ENGINE_VALUES}"
             )
-        host = obj["host"]
-        if not isinstance(host, dict) or "name" not in host:
-            raise ValueError('scenario "host" must be {"name": ..., "args": [...]}')
+        host, jobs = obj["host"], obj["jobs"]
+        if not isinstance(host, dict):
+            raise ValueError(
+                f'Scenario.host must be {{"name": ..., "args": [...]}}, got {host!r}'
+            )
+        if not isinstance(host.get("name"), str):
+            raise ValueError(f"Scenario.host.name must be a string, got {host.get('name')!r}")
+        if not isinstance(host.get("args", []), list):
+            raise ValueError(f"Scenario.host.args must be a list, got {host['args']!r}")
+        if not isinstance(jobs, list) or not jobs:
+            raise ValueError(f"Scenario.jobs must be a non-empty list, got {jobs!r}")
         faults = obj.get("faults")
         return cls(
             name=obj["name"],
             host_name=host["name"],
             host_args=tuple(host.get("args", ())),
-            jobs=tuple(JobSpec.from_obj(j) for j in obj["jobs"]),
+            jobs=tuple(JobSpec.from_obj(j) for j in jobs),
             faults=None if faults is None else FaultSchedule.from_obj(faults),
             router=obj.get("router", "deterministic"),
             policy=obj.get("policy"),
             max_load=obj.get("max_load", 16),
             link_capacity=obj.get("link_capacity", 1),
-            batch=bool(obj.get("batch", False)),
-            trace=bool(obj.get("trace", False)),
+            batch=obj.get("batch", False),
+            trace=obj.get("trace", False),
             checkpoint_every=obj.get("checkpoint_every", 10),
             priority=obj.get("priority", 1),
             description=obj.get("description", ""),
@@ -253,6 +269,14 @@ class Scenario:
         for spec in self.jobs:
             rt.admit(spec)
         return rt
+
+
+def _policy_doc(slot: str, obj: dict) -> PolicyDoc:
+    """An inline policy document, its errors prefixed with the field."""
+    try:
+        return PolicyDoc.from_obj(obj)
+    except ValueError as exc:
+        raise ValueError(f"Scenario.{slot}: {exc}") from None
 
 
 def _normalise_admissions(entries) -> list[tuple[int, JobSpec]]:

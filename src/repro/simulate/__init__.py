@@ -30,7 +30,15 @@ from .faults import (
     repair_embedding,
 )
 from .mapping import ExecutionStats, deliver_superstep, simulate_on_guest, simulate_on_host
-from .routing import ROUTERS, AdaptiveRouter, Router, ShortestPathRouter, make_router
+from .routing import (
+    ROUTERS,
+    AdaptiveRouter,
+    Router,
+    ShortestPathRouter,
+    TreeRouter,
+    make_router,
+    router_from_spec,
+)
 from .programs import (
     PROGRAMS,
     TreeProgram,
@@ -67,8 +75,10 @@ __all__ = [
     "Router",
     "ShortestPathRouter",
     "AdaptiveRouter",
+    "TreeRouter",
     "ROUTERS",
     "make_router",
+    "router_from_spec",
     "TreeProgram",
     "PROGRAMS",
     "reduction_program",

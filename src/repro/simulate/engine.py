@@ -20,23 +20,20 @@ from __future__ import annotations
 import struct
 import zlib
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
 from collections.abc import Iterable
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Any, Hashable
 
+from ..analysis.oracle import oracle_for
 from ..networks.base import Topology, bfs_distances_from
 from ..obs import Recorder
-from .faults import FaultEvent
+from .faults import FaultEvent, FaultSchedule
+from .messages import DeliveryStats, Message, Node, UnreachableError
 from .routing import Router, make_router
 from .vector_engine import (
     fits_dense_tables,
     vector_deliver_scheduled,
     vector_supported,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from .faults import FaultSchedule
 
 __all__ = [
     "Message",
@@ -97,69 +94,6 @@ def _byz_coin(seed: int, tag: int, a: int, b: int, msg_id: int, crossing: int) -
     """
     data = struct.pack(">qqqqqq", seed, tag, a, b, msg_id, crossing)
     return int.from_bytes(blake2b(data, digest_size=8).digest(), "big")
-
-
-class UnreachableError(RuntimeError):
-    """A message destination is disconnected from its source (failed links)."""
-
-Node = Hashable
-
-
-@dataclass(frozen=True)
-class Message:
-    """A point-to-point message between two host nodes."""
-
-    msg_id: int
-    src: Node
-    dst: Node
-    payload: Any = None
-
-
-@dataclass
-class DeliveryStats:
-    """Outcome of one synchronous delivery phase."""
-
-    cycles: int
-    n_messages: int
-    #: per-message delivery cycle: a routed message records the cycle its
-    #: last hop arrives (>= 1); a self-message (src == dst) is delivered
-    #: free at its *injection* cycle — 0 for :meth:`deliver`, the scheduled
-    #: cycle ``k`` for :meth:`deliver_scheduled`
-    delivery_cycle: dict[int, int] = field(default_factory=dict)
-    #: traffic per directed link over the whole phase
-    link_traffic: dict[tuple[Node, Node], int] = field(default_factory=dict)
-    max_queue: int = 0
-    #: messages dropped instead of delivered, ``msg_id -> reason`` — the
-    #: reason is ``"ttl"`` (hop/cycle budget exhausted) or ``"partitioned"``
-    #: (destination unreachable with no heal event left to reconnect it);
-    #: only ever populated in fault-tolerant deliveries (``faults``/``ttl``)
-    failed: dict[int, str] = field(default_factory=dict)
-    #: queued messages whose planned next hop died under them (they stayed
-    #: at their sender and re-routed against the updated tables)
-    n_reroutes: int = 0
-    #: fault-schedule events this delivery actually applied, in order
-    faults_applied: list["FaultEvent"] = field(default_factory=list)
-    #: corrupted arrivals caught by the end-to-end checksum; each triggers
-    #: a retransmit from source, or an ``"integrity"`` failure once retries
-    #: exhaust (byzantine mode only — see ``corrupt_link``)
-    n_corrupted: int = 0
-    #: retransmissions the integrity protocol scheduled (corrupt arrivals
-    #: plus flaky-link in-transit drops)
-    n_retransmits: int = 0
-    #: links quarantined out of the route set by the corruption EWMA
-    n_quarantined: int = 0
-    #: corrupted deliveries the checksum FAILED to catch (a CRC collision)
-    #: — ground truth only the simulator can see; benchmarks gate this at 0
-    n_silent_corruptions: int = 0
-
-    @property
-    def max_link_traffic(self) -> int:
-        return max(self.link_traffic.values(), default=0)
-
-    @property
-    def complete(self) -> bool:
-        """True when no message was dropped (all delivered)."""
-        return not self.failed
 
 
 class SynchronousNetwork:
@@ -390,7 +324,7 @@ class SynchronousNetwork:
             raise ValueError(f"{u!r} -- {v!r} is not a link of {self.topology.name}")
         return frozenset((u, v))
 
-    def _apply_fault_event(self, ev: "FaultEvent") -> list[tuple[Node, Node]]:
+    def _apply_fault_event(self, ev: FaultEvent) -> list[tuple[Node, Node]]:
         """Apply one schedule event; return the links that newly failed.
 
         No-op events (failing a failed link, healing a live one) return an
@@ -492,8 +426,6 @@ class SynchronousNetwork:
             if not fits_dense_tables(self.topology):
                 nh = self._dense_nh = False
             else:
-                from ..analysis.oracle import oracle_for
-
                 nh = self._dense_nh = oracle_for(self.topology).next_hop_matrix()
                 self._dense_labels = list(self.topology.nodes())
         return nh
@@ -540,7 +472,7 @@ class SynchronousNetwork:
         messages: list[Message],
         *,
         recorder: Recorder | None = None,
-        faults: "FaultSchedule | None" = None,
+        faults: FaultSchedule | None = None,
         ttl: int | None = None,
     ) -> DeliveryStats:
         """Deliver all ``messages``, injected simultaneously at cycle 1.
@@ -562,7 +494,7 @@ class SynchronousNetwork:
         schedule: list[tuple[int, Message]],
         *,
         recorder: Recorder | None = None,
-        faults: "FaultSchedule | None" = None,
+        faults: FaultSchedule | None = None,
         ttl: int | None = None,
         fault_offset: int = 0,
     ) -> DeliveryStats:
@@ -650,7 +582,7 @@ class SynchronousNetwork:
         schedule: list[tuple[int, Message]],
         *,
         recorder: Recorder | None = None,
-        faults: "FaultSchedule | None" = None,
+        faults: FaultSchedule | None = None,
         ttl: int | None = None,
         fault_offset: int = 0,
     ) -> DeliveryStats:

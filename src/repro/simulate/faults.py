@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Any, Hashable
 
 from .._util import node_from_json as _node_from_json
+from ..core.embedding import Embedding
 
 __all__ = [
     "FAULT_ACTIONS",
@@ -670,8 +671,6 @@ def repair_embedding(
             loads[d] -= 1
             loads[best] += 1
             moved[g] = (d, best)
-
-    from ..core.embedding import Embedding  # deferred: simulate imports core
 
     repaired = Embedding(guest, host, new_phi)
     return RepairResult(

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.embedding import Embedding
+from ..networks.base import Topology
 from ..obs import Recorder, span
 from .engine import DeliveryStats, Message, SynchronousNetwork
 from .faults import DegradedResult, FaultReport, FaultSchedule
@@ -212,7 +213,6 @@ def simulate_on_guest(
     the edge-confined workloads this reproduces ``ideal_cycles`` exactly and
     for routed workloads (leaf gossip) it gives the honest baseline.
     """
-    from ..networks.base import Topology
 
     class _TreeNet(Topology):
         name = "guest-tree"

@@ -26,11 +26,15 @@ This module extracts the policy behind a small :class:`Router` protocol:
   message when every minimal link is much busier than a sideways one;
   the budget strictly decreases, so every message still terminates and a
   zero budget preserves shortest-path hop counts exactly.
+* :class:`TreeRouter` — the adaptive router re-parameterised per decision
+  by a routing-domain :class:`~repro.policy.PolicyDoc`.
 
 Routers are constructed unbound and attached with :meth:`Router.bind`
 (the engine does this), so ``SynchronousNetwork(topo, router="adaptive")``
 and ``SynchronousNetwork(topo, router=AdaptiveRouter(detour_budget=2))``
-both work.
+both work; :func:`make_router` also takes a policy document.  Every router
+writes its recipe and learned state with :meth:`Router.spec`, and
+:func:`router_from_spec` builds it back for a checkpoint restore.
 """
 
 from __future__ import annotations
@@ -38,14 +42,21 @@ from __future__ import annotations
 import random
 import weakref
 from collections import Counter
-from typing import Hashable
 
 from .._util import node_from_json as _j2n
 from .._util import node_to_json as _n2j
+from ..policy import PolicyDoc, evaluate
+from .messages import Node, UnreachableError
 
-__all__ = ["Router", "ShortestPathRouter", "AdaptiveRouter", "make_router", "ROUTERS"]
-
-Node = Hashable
+__all__ = [
+    "Router",
+    "ShortestPathRouter",
+    "AdaptiveRouter",
+    "TreeRouter",
+    "make_router",
+    "router_from_spec",
+    "ROUTERS",
+]
 
 
 class Router:
@@ -295,8 +306,6 @@ class AdaptiveRouter(Router):
             raise ValueError("message already at destination")
         dist = net._dist_table(dst)
         if node not in dist:
-            from .engine import UnreachableError
-
             raise UnreachableError(f"{node!r} cannot reach {dst!r} (failed links)")
         here = dist[node]
         minimal: list[Node] = []
@@ -392,14 +401,143 @@ class AdaptiveRouter(Router):
         }
 
 
+class TreeRouter(AdaptiveRouter):
+    """Route by evaluating a routing-domain policy document per decision.
+
+    Each decision classifies the candidates as :class:`AdaptiveRouter`
+    does, evaluates the document's tree on one snapshot (distances,
+    candidate counts, EWMA aggregates, detour budget, fault state), and
+    scores the candidates by the leaf action's weights, tie-break and
+    detour margin.  The learned feedback and the checkpoint state are the
+    adaptive router's.  The action ``{"action": "score", "weights": {},
+    "tiebreak": "index"}`` routes exactly like :class:`ShortestPathRouter`
+    (gated in ``tests/test_policy.py``).
+
+    The knobs are :class:`AdaptiveRouter`'s minus ``queue_weight`` (the
+    document's weights score every candidate) and ``hysteresis`` (a tree
+    opts into stickiness by weighting ``is_last_pick``).
+    """
+
+    def __init__(
+        self,
+        doc: PolicyDoc | dict,
+        *,
+        ewma_alpha: float = 0.5,
+        detour_budget: int = 0,
+        detour_margin: float = 2.0,
+        seed: int = 0,
+    ):
+        super().__init__(
+            ewma_alpha=ewma_alpha,
+            detour_budget=detour_budget,
+            detour_margin=detour_margin,
+            hysteresis=0.0,
+            seed=seed,
+        )
+        if isinstance(doc, dict):
+            doc = PolicyDoc.from_obj(doc)
+        if doc.domain != "routing":
+            raise ValueError(
+                f"policy document {doc.name!r} has domain {doc.domain!r}; "
+                f'a router needs domain "routing"'
+            )
+        self.doc = doc
+        #: the base margin the document's actions may override per decision
+        self._base_margin = detour_margin
+        # current decision's action parameters (set by _begin_decision;
+        # next_hop always calls it before any scoring happens)
+        self._weights: dict = {}
+        self._bias = 0.0
+        self._tb_index = False
+        self._cur_dst: Node | None = None
+
+    # -- per-decision re-parameterisation -------------------------------
+    def _decision_signals(
+        self,
+        node: Node,
+        dst: Node,
+        minimal: list[Node],
+        sideways: list[Node],
+        backwards: list[Node],
+        msg_id: int | None,
+    ) -> dict:
+        le, qe, cp = self._link_ewma, self._queue_ewma, self._cycle_picks
+        link_vals = [le.get((node, v), 0.0) for v in minimal]
+        queue_vals = [qe.get(v, 0.0) for v in minimal]
+        return {
+            "dist": float(self.network._dist_table(dst)[node]),
+            "n_minimal": float(len(minimal)),
+            "n_sideways": float(len(sideways)),
+            "n_backwards": float(len(backwards)),
+            "max_link_ewma": max(link_vals),
+            "min_link_ewma": min(link_vals),
+            "max_queue_ewma": max(queue_vals),
+            "min_queue_ewma": min(queue_vals),
+            "total_picks": float(sum(cp[(node, v)] for v in minimal)),
+            "budget": float(
+                self._budget.get(msg_id, self.detour_budget)
+                if msg_id is not None
+                else 0
+            ),
+            "faulted": 1.0 if self.network.failed else 0.0,
+        }
+
+    def _begin_decision(self, node, dst, minimal, sideways, backwards, msg_id):
+        action = evaluate(
+            self.doc.tree,
+            self._decision_signals(node, dst, minimal, sideways, backwards, msg_id),
+        )
+        self._cur_dst = dst
+        self._weights = action.get("weights", {})
+        self._bias = action.get("bias", 0.0)
+        self._tb_index = action.get("tiebreak", "seeded") == "index"
+        self.detour_margin = action.get("detour_margin", self._base_margin)
+
+    # -- scoring under the current action -------------------------------
+    def _score(self, node: Node, v: Node) -> float:
+        total = self._bias
+        for sig, w in self._weights.items():
+            if sig == "cycle_picks":
+                x = float(self._cycle_picks[(node, v)])
+            elif sig == "link_ewma":
+                x = self._link_ewma.get((node, v), 0.0)
+            elif sig == "queue_ewma":
+                x = self._queue_ewma.get(v, 0.0)
+            else:  # is_last_pick — validation allows nothing else
+                x = 1.0 if self._last_pick.get((node, self._cur_dst)) == v else 0.0
+            total += w * x
+        return total
+
+    def _tiebreak_key(self, v: Node) -> int:
+        if self._tb_index:
+            return self.network.topology.index(v)
+        return self._tiebreak[v]
+
+    # -- checkpointing ---------------------------------------------------
+    def spec(self) -> dict:
+        return {
+            "name": "tree",
+            "doc": self.doc.as_dict(),
+            "params": {
+                "ewma_alpha": self.ewma_alpha,
+                "detour_budget": self.detour_budget,
+                # the *base* margin: detour_margin itself is scratch state
+                # the last decision's action may have overridden
+                "detour_margin": self._base_margin,
+                "seed": self.seed,
+            },
+            "state": self.state(),
+        }
+
+
 #: CLI / config names for the built-in policies.  A policy-tree router
 #: has no name here: it is built from its policy document.
 ROUTERS = {"deterministic": ShortestPathRouter, "adaptive": AdaptiveRouter}
 
 
-def make_router(spec: "Router | str | dict | None") -> Router:
+def make_router(spec: Router | str | dict | PolicyDoc | None) -> Router:
     """Resolve ``None`` / a registry name / a ready instance / a policy
-    document (a parsed dict or :class:`repro.policy.PolicyDoc` with
+    document (a parsed dict or :class:`~repro.policy.PolicyDoc` with
     ``domain == "routing"``) to a Router."""
     if spec is None:
         return ShortestPathRouter()
@@ -413,15 +551,25 @@ def make_router(spec: "Router | str | dict | None") -> Router:
                 f"unknown router {spec!r}: expected one of {sorted(ROUTERS)} "
                 f"or a policy document"
             ) from None
-    # deferred import: repro.policy imports this module
-    from ..policy import PolicyDoc
-    from ..policy.route import TreeRouter
-
-    if isinstance(spec, dict):
-        spec = PolicyDoc.from_obj(spec)
-    if isinstance(spec, PolicyDoc):
+    if isinstance(spec, (dict, PolicyDoc)):
         return TreeRouter(spec)
     raise TypeError(
         f"router must be a Router, a name, a policy document, or None, "
         f"got {type(spec)!r}"
     )
+
+
+def router_from_spec(spec: dict) -> Router:
+    """The inverse of :meth:`Router.spec`: the router a checkpoint names,
+    with its learned state loaded.  A tree router's ``queue_weight``, which
+    earlier builds wrote and the document's weights overrode, is ignored."""
+    params = dict(spec["params"])
+    if spec["name"] == "tree":
+        params.pop("queue_weight", None)
+        router: Router = TreeRouter(spec["doc"], **params)
+    elif spec["name"] == "adaptive":
+        router = AdaptiveRouter(**params)
+    else:
+        router = make_router(spec["name"])
+    router.load_state(spec["state"])
+    return router

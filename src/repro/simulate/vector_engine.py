@@ -44,10 +44,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..analysis.oracle import oracle_for
+from ..networks.base import Topology
+from .messages import DeliveryStats, UnreachableError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from ..networks.base import Topology
-    from .engine import DeliveryStats, SynchronousNetwork
+if TYPE_CHECKING:  # pragma: no cover - the engine imports this module
+    from .engine import SynchronousNetwork
 
 __all__ = [
     "VECTOR_MAX_NODES",
@@ -62,12 +63,12 @@ __all__ = [
 VECTOR_MAX_NODES = 2048
 
 
-def fits_dense_tables(topology: "Topology") -> bool:
+def fits_dense_tables(topology: Topology) -> bool:
     """Whether ``topology`` is small enough for dense next-hop tables."""
     return topology.n_nodes <= VECTOR_MAX_NODES
 
 
-def vector_supported(network: "SynchronousNetwork", rec, faults, ttl) -> str | None:
+def vector_supported(network: SynchronousNetwork, rec, faults, ttl) -> str | None:
     """``None`` when the kernel can run this delivery, else *every* reason not.
 
     ``rec`` is the delivery's recorder, ``None`` when nobody listens.
@@ -109,8 +110,8 @@ def vector_supported(network: "SynchronousNetwork", rec, faults, ttl) -> str | N
 
 
 def vector_deliver_scheduled(
-    network: "SynchronousNetwork", schedule: list
-) -> "DeliveryStats":
+    network: SynchronousNetwork, schedule: list
+) -> DeliveryStats:
     """Run one fault-free, deterministic, unobserved delivery on the kernel.
 
     Semantically identical to the reference loop
@@ -120,8 +121,6 @@ def vector_deliver_scheduled(
     loop's.  Raises :class:`~repro.simulate.engine.UnreachableError` for a
     disconnected destination, exactly like the reference loop.
     """
-    from .engine import DeliveryStats, UnreachableError
-
     topo = network.topology
     stats = DeliveryStats(cycles=0, n_messages=len(schedule))
     inj_list, _, mid_list, src_list, dst_list = network._split_schedule(schedule, stats)

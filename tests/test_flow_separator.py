@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.separators import lemma2_bound
+from repro.separators.lemma import lemma2_bound
 from repro.core.xtree_embed import embed_binary_tree, theorem1_embedding
 from repro.obs import counters, reset_counters
 from repro.separators import (

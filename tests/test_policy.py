@@ -26,16 +26,13 @@ from repro.policy import (
     POLICY_VERSION,
     TIEBREAKS,
     PolicyDoc,
-    TreeRouter,
-    TreeSchedulerPolicy,
-    apply_policy,
     evaluate,
-    evaluate_doc,
-    tune,
 )
-from repro.runtime import Runtime
+from repro.policy.tune import apply_policy, evaluate_doc, tune
+from repro.runtime import Runtime, TreeSchedulerPolicy
 from repro.runtime.policies import make_policy
 from repro.service.scenario import Scenario, run_scenario
+from repro.simulate import TreeRouter
 from repro.simulate.routing import make_router
 
 REPO = Path(__file__).resolve().parent.parent
@@ -306,6 +303,20 @@ class TestTreePolicies:
             restored = Runtime.restore(json.loads(blob))
             assert restored.policy.name == rt.policy.name
             assert restored.run().as_dict() == full, f"cut at step {cut}"
+
+    def test_checkpoint_with_queue_weight_restores(self):
+        # earlier builds wrote the tree router's unused queue_weight into
+        # every checkpoint; such a checkpoint still resumes exactly
+        sc = _tree_scenario()
+        full = run_scenario(sc).as_dict()
+        rt = sc.build_runtime()
+        for _ in range(4):
+            rt.step()
+        state = json.loads(json.dumps(rt.checkpoint()))
+        assert state["router"]["name"] == "tree"
+        assert "queue_weight" not in state["router"]["params"]
+        state["router"]["params"]["queue_weight"] = 0.5
+        assert Runtime.restore(state).run().as_dict() == full
 
     def test_runtime_result_is_canonical_json(self):
         # the fixed-point contract callers used to re-derive by hand with

@@ -139,6 +139,47 @@ class TestScenario:
         assert run_scenario(sc).as_dict() == run_scenario(
             Scenario.from_obj(BASE_DOC)).as_dict()
 
+    def test_field_mutations_parse_or_name_the_field(self):
+        """Every top-level field of each shipped scenario, and its host's
+        ``name`` and ``args``, set to null, 7, "x", [] or {}, or deleted:
+        the document parses or raises a ValueError naming the top-level
+        field.  The fields the shipped documents leave out are set as well.
+        ``faults`` is :meth:`FaultSchedule.from_obj`'s to check."""
+        fields = ("version", "name", "description", "priority", "host", "policy",
+                  "router", "engine", "max_load", "link_capacity", "batch",
+                  "trace", "checkpoint_every", "jobs")
+        values = (None, 7, "x", [], {})
+        n_rejected = 0
+        for path in sorted(SCENARIOS.glob("*.json")):
+            base = json.loads(path.read_text())
+            mutations = [
+                (key, {k: v for k, v in base.items() if k != key}) for key in fields
+            ] + [(key, {**base, key: v}) for key in fields for v in values]
+            for key in ("name", "args"):
+                host = base["host"]
+                mutations.append(
+                    (f"host.{key}", {**base, "host": {k: v for k, v in host.items() if k != key}})
+                )
+                mutations += [
+                    (f"host.{key}", {**base, "host": {**host, key: v}}) for v in values
+                ]
+            for key, obj in mutations:
+                try:
+                    Scenario.from_obj(obj)
+                except ValueError as exc:
+                    field = key.partition(".")[0]
+                    assert field in str(exc), f"{path.name}: {key}: {exc}"
+                    n_rejected += 1
+        assert n_rejected > 0
+
+    @pytest.mark.parametrize("key,value", [
+        ("batch", "false"), ("trace", 1), ("max_load", "x"), ("link_capacity", 0),
+        ("max_load", True), ("description", 7),
+    ])
+    def test_ill_typed_field_rejected_at_parse(self, key, value):
+        with pytest.raises(ValueError, match=f"Scenario.{key} must be"):
+            Scenario.from_obj(doc(**{key: value}))
+
     def test_duplicate_job_names_rejected(self):
         jobs = [dict(BASE_DOC["jobs"][0]), dict(BASE_DOC["jobs"][0])]
         with pytest.raises(ValueError, match="duplicate job names"):
@@ -473,6 +514,14 @@ class TestApiRequests:
             ServiceClient(server.address).submit(doc(router="tree"))
         assert exc.value.status == 400
         assert "unknown router 'tree'" in str(exc.value)
+
+    def test_link_capacity_0_is_400(self, server):
+        # rejected at submission, not by a worker that then fails the job
+        hot_spot = json.loads((SCENARIOS / "hot_spot.json").read_text())
+        with pytest.raises(ServiceError) as exc:
+            ServiceClient(server.address).submit(dict(hot_spot, link_capacity=0))
+        assert exc.value.status == 400
+        assert "Scenario.link_capacity must be >= 1" in str(exc.value)
 
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_bad_content_length_is_400(self, server, length):
