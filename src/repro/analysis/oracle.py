@@ -87,6 +87,32 @@ def _xtree_pairs(height: int, ai: np.ndarray, bi: np.ndarray) -> np.ndarray:
     return best
 
 
+def _xtree_all_pairs(height: int) -> np.ndarray:
+    """X(height)'s whole distance matrix, one (level, level) block at a time.
+
+    For levels ``lu <= lv`` the closed form projects the deeper position
+    onto level ``lu`` (``iv >> (lv - lu)``) and adds ``lv - lu``, so every
+    block in row band ``lu`` is one ``2^lu x 2^lu`` int32 table ``d``,
+    ``d[a, b] = min_c 2c + |(a >> c) - (b >> c)|``, with its columns
+    repeated; the matrix is symmetric, so the band ``lv`` takes its
+    transpose.  Equal to :func:`_xtree_pairs` over the full index grid.
+    """
+    n = (1 << (height + 1)) - 1
+    out = np.empty((n, n), dtype=np.int32)
+    for lu in range(height + 1):
+        a = b = np.arange(1 << lu, dtype=np.int32)
+        d = np.abs(a[:, None] - b)
+        for c in range(1, lu + 1):
+            a = b = a >> 1
+            np.minimum(d, np.abs(a[:, None] - b) + 2 * c, out=d)
+        rows = slice((1 << lu) - 1, (2 << lu) - 1)
+        for lv in range(lu, height + 1):
+            cols = slice((1 << lv) - 1, (2 << lv) - 1)
+            out[rows, cols] = np.repeat(d, 1 << (lv - lu), axis=1) + (lv - lu)
+            out[cols, rows] = out[rows, cols].T
+    return out
+
+
 def _cbt_pairs(ai: np.ndarray, bi: np.ndarray) -> np.ndarray:
     """Closed-form complete-binary-tree distances: up to the LCA and down."""
     lu, iu = _heap_split(ai)
@@ -520,11 +546,16 @@ class DistanceOracle:
     def all_pairs(self, dtype=np.int32) -> np.ndarray:
         """Dense ``n x n`` distance matrix (rows in canonical index order).
 
-        Topologies with a vectorised closed form evaluate the formula over
-        the full index grid; everything else gets one multi-source BFS
-        sweep.  Bypasses the LRU cache either way, so a full sweep cannot
-        evict the hot rows of ongoing pair queries.
+        The X-tree fills it one (level, level) block at a time
+        (:func:`_xtree_all_pairs`); other topologies with a vectorised
+        closed form evaluate the formula over the full index grid;
+        everything else gets one multi-source BFS sweep.  Bypasses the LRU
+        cache either way, so a full sweep cannot evict the hot rows of
+        ongoing pair queries.
         """
+        t = self.topology
+        if isinstance(t, XTree):
+            return _xtree_all_pairs(t.height).astype(dtype, copy=False)
         idx = np.arange(self.n, dtype=np.int64)
         vec = self._vectorised_pairs(np.repeat(idx, self.n), np.tile(idx, self.n))
         if vec is not None:

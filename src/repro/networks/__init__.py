@@ -6,6 +6,7 @@ or reproduce the introduction's context (complete binary tree, grid,
 cube-connected cycles, butterfly).
 """
 
+from .._util import is_int
 from .base import Topology, bfs_distance, bfs_distances_from
 from .binary_tree_net import CompleteBinaryTreeNet
 from .butterfly import Butterfly
@@ -70,7 +71,7 @@ def host_params(host: Topology) -> dict:
 
 def check_host(name: str, args) -> None:
     """Raise ValueError unless ``name`` is a registered topology and
-    ``args`` holds exactly its constructor arguments."""
+    ``args`` holds exactly its constructor arguments, each an integer."""
     if name not in HOST_PARAMS:
         raise ValueError(
             f"unknown host topology {name!r}: expected one of {sorted(TOPOLOGIES)}"
@@ -81,6 +82,12 @@ def check_host(name: str, args) -> None:
             f"host {name!r} takes {len(names)} argument(s) {list(names)}, "
             f"got {list(args)}"
         )
+    for i, arg in enumerate(args):
+        if not is_int(arg):
+            raise ValueError(
+                f"host.args[{i}] ({names[i]} of {name!r}) must be an integer, "
+                f"got {arg!r}"
+            )
 
 
 def build_host(name: str, args) -> Topology:

@@ -173,6 +173,9 @@ class Scenario:
             raise ValueError(
                 f'Scenario.host must be {{"name": ..., "args": [...]}}, got {host!r}'
             )
+        extra = set(host) - {"name", "args"}
+        if extra:
+            raise ValueError(f"unknown Scenario.host fields: {sorted(extra)}")
         if not isinstance(host.get("name"), str):
             raise ValueError(f"Scenario.host.name must be a string, got {host.get('name')!r}")
         if not isinstance(host.get("args", []), list):
@@ -185,7 +188,8 @@ class Scenario:
             host_name=host["name"],
             host_args=tuple(host.get("args", ())),
             jobs=tuple(JobSpec.from_obj(j) for j in jobs),
-            faults=None if faults is None else FaultSchedule.from_obj(faults),
+            faults=(None if faults is None
+                    else FaultSchedule.from_obj(faults, path="Scenario.faults")),
             router=obj.get("router", "deterministic"),
             policy=obj.get("policy"),
             max_load=obj.get("max_load", 16),

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Hashable
 
-from .._util import node_from_json as _node_from_json
+from .._util import is_int
 from ..core.embedding import Embedding
 
 __all__ = [
@@ -116,36 +116,8 @@ class FaultEvent:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.cycle < 0:
-            raise ValueError(f"fault cycle must be non-negative, got {self.cycle}")
-        if self.action not in FAULT_ACTIONS:
-            raise ValueError(
-                f"unknown fault action {self.action!r}: expected one of {FAULT_ACTIONS}"
-            )
-        if self.action.endswith("_link") and self.v is None:
-            raise ValueError(f"{self.action} needs both endpoints, got v=None")
-        if self.action.endswith("_node") and self.v is not None:
-            raise ValueError(f"{self.action} names a single node, got v={self.v!r}")
-        if self.action == "delay_link":
-            if self.delay is None or self.delay < 0:
-                raise ValueError(
-                    f"delay_link needs delay >= 0 extra cycles, got {self.delay!r}"
-                )
-        elif self.delay is not None:
-            raise ValueError(f"{self.action} takes no delay, got delay={self.delay!r}")
-        if self.action in BYZANTINE_ACTIONS:
-            if self.rate is None or not 0.0 <= self.rate <= 1.0:
-                raise ValueError(
-                    f"{self.action} needs a rate probability in [0, 1], "
-                    f"got {self.rate!r}"
-                )
-            if self.seed is not None and not isinstance(self.seed, int):
-                raise ValueError(f"{self.action} seed must be an int, got {self.seed!r}")
-        else:
-            if self.rate is not None:
-                raise ValueError(f"{self.action} takes no rate, got rate={self.rate!r}")
-            if self.seed is not None:
-                raise ValueError(f"{self.action} takes no seed, got seed={self.seed!r}")
+        _check_event("FaultEvent", self.cycle, self.action, self.v,
+                     self.delay, self.rate, self.seed)
 
     @property
     def byzantine(self) -> bool:
@@ -165,21 +137,73 @@ class FaultEvent:
         return d
 
     @classmethod
-    def from_dict(cls, entry: dict) -> "FaultEvent":
+    def from_dict(cls, entry: dict, *, path: str = "FaultEvent") -> "FaultEvent":
         """Parse one event entry (no version gating — see
-        :meth:`FaultSchedule.from_obj` for the document-level rules)."""
+        :meth:`FaultSchedule.from_obj` for the document-level rules).
+        Every problem is a :class:`ValueError` naming ``path`` and the field."""
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path} must be an object, got {entry!r}")
         for key in ("cycle", "action", "u"):
             if key not in entry:
-                raise ValueError(f"fault event is missing required field {key!r}")
-        return cls(
-            cycle=entry["cycle"],
-            action=entry["action"],
-            u=_node_from_json(entry["u"]),
-            v=_node_from_json(entry["v"]) if "v" in entry else None,
-            delay=entry.get("delay"),
-            rate=entry.get("rate"),
-            seed=entry.get("seed"),
+                raise ValueError(f"{path} is missing required field {key!r}")
+        u = _node_field(entry["u"], f"{path}.u")
+        v = entry.get("v")
+        v = None if v is None else _node_field(v, f"{path}.v")
+        cycle, action = entry["cycle"], entry["action"]
+        delay, rate, seed = entry.get("delay"), entry.get("rate"), entry.get("seed")
+        _check_event(path, cycle, action, v, delay, rate, seed)
+        return cls(cycle, action, u, v, delay, rate, seed)
+
+
+def _node_field(value, path: str) -> Node:
+    """A node label read off the wire: an integer, a string, or a list of
+    labels (which becomes a tuple, recursively)."""
+    if isinstance(value, list):
+        return tuple(_node_field(x, f"{path}[{i}]") for i, x in enumerate(value))
+    if is_int(value) or isinstance(value, str):
+        return value
+    raise ValueError(
+        f"{path} must be a node label (an integer, a string or a list of them), "
+        f"got {value!r}"
+    )
+
+
+def _check_event(path: str, cycle, action, v, delay, rate, seed) -> None:
+    """Raise ValueError, naming ``path`` and the field, unless these make a
+    valid :class:`FaultEvent`."""
+    if not is_int(cycle, 0):
+        raise ValueError(f"{path}.cycle must be an integer >= 0, got {cycle!r}")
+    if not isinstance(action, str) or action not in FAULT_ACTIONS:
+        raise ValueError(
+            f"{path}.action: unknown fault action {action!r}: expected one of "
+            f"{FAULT_ACTIONS}"
         )
+    if action.endswith("_link") and v is None:
+        raise ValueError(f"{path}.v: {action} needs both endpoints, got v=None")
+    if action.endswith("_node") and v is not None:
+        raise ValueError(f"{path}.v: {action} names a single node, got v={v!r}")
+    if action == "delay_link":
+        if not is_int(delay, 0):
+            raise ValueError(
+                f"{path}.delay: delay_link needs an integer delay >= 0 extra "
+                f"cycles, got {delay!r}"
+            )
+    elif delay is not None:
+        raise ValueError(f"{path}.delay: {action} takes no delay, got delay={delay!r}")
+    if action in BYZANTINE_ACTIONS:
+        if not (isinstance(rate, (int, float)) and not isinstance(rate, bool)
+                and 0.0 <= rate <= 1.0):
+            raise ValueError(
+                f"{path}.rate: {action} needs a rate probability in [0, 1], "
+                f"got {rate!r}"
+            )
+        if seed is not None and not is_int(seed):
+            raise ValueError(f"{path}.seed: {action} seed must be an int, got {seed!r}")
+    else:
+        if rate is not None:
+            raise ValueError(f"{path}.rate: {action} takes no rate, got rate={rate!r}")
+        if seed is not None:
+            raise ValueError(f"{path}.seed: {action} takes no seed, got seed={seed!r}")
 
 
 class FaultSchedule:
@@ -219,12 +243,14 @@ class FaultSchedule:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_obj(cls, obj: dict | list) -> "FaultSchedule":
+    def from_obj(cls, obj: dict | list, *, path: str = "FaultSchedule") -> "FaultSchedule":
         """Build from parsed JSON: ``{"events": [...]}`` or a bare list.
 
         Each entry is ``{"cycle": int, "action": str, "u": node, "v": node?}``;
         list-valued node labels become tuples (recursively), matching the
-        tuple labels of the grid/X-tree/CCC topologies.
+        tuple labels of the grid/X-tree/CCC topologies.  Any malformed
+        field is a :class:`ValueError` naming its path under ``path``,
+        e.g. ``FaultSchedule.events[3].cycle must be an integer >= 0``.
 
         **Version gating**: byzantine actions (``corrupt_link`` /
         ``flaky_link``) are only accepted from documents that declare
@@ -234,23 +260,29 @@ class FaultSchedule:
         """
         if isinstance(obj, dict):
             version = obj.get("version", 1)
-            if version not in (1, FAULT_SCHEDULE_VERSION):
+            if not is_int(version) or version not in (1, FAULT_SCHEDULE_VERSION):
                 raise ValueError(
-                    f"unsupported fault-schedule version {version!r} "
+                    f"{path}.version: unsupported fault-schedule version {version!r} "
                     f"(this build reads 1 and {FAULT_SCHEDULE_VERSION})"
                 )
             if "events" not in obj:
-                raise ValueError("fault schedule is missing required field 'events'")
-            entries = obj["events"]
+                raise ValueError(f"{path} is missing required field 'events'")
+            entries, where = obj["events"], f"{path}.events"
+        elif isinstance(obj, list):
+            version, entries, where = 1, obj, path
         else:
-            version = 1
-            entries = obj
-        events = [FaultEvent.from_dict(entry) for entry in entries]
+            raise ValueError(f"{path} must be an object or a list of events, got {obj!r}")
+        if not isinstance(entries, list):
+            raise ValueError(f"{where} must be a list of events, got {entries!r}")
+        events = [
+            FaultEvent.from_dict(entry, path=f"{where}[{i}]")
+            for i, entry in enumerate(entries)
+        ]
         if version < FAULT_SCHEDULE_VERSION:
             byz = sorted({e.action for e in events if e.byzantine})
             if byz:
                 raise ValueError(
-                    f"byzantine fault actions {byz} need a version-"
+                    f"{path}.version: byzantine fault actions {byz} need a version-"
                     f"{FAULT_SCHEDULE_VERSION} schedule document: wrap the "
                     f'events as {{"version": {FAULT_SCHEDULE_VERSION}, '
                     '"events": [...]}'

@@ -8,33 +8,33 @@ constant-slowdown by construction (Theorem 1: dilation <= 3, load <= 16),
 so at benchmark volume that per-message interpreter overhead *is* the
 cost.  This module re-states the same semantics over flat numpy arrays:
 
-* **message state** lives in parallel arrays — current node, destination,
-  FIFO ordering key, injection cycle, delivery cycle — indexed by a dense
-  message slot;
-* **routing** is one gather from the dense next-hop / edge-id matrices the
-  :class:`~repro.analysis.oracle.DistanceOracle` builds once per topology
-  (smallest-index tie-break, so routes match
-  :class:`~repro.simulate.routing.ShortestPathRouter` exactly);
-* **contention** is one sort per cycle: messages order by
-  ``(directed link, queue key)`` and the first ``link_capacity`` of each
-  link group advance — provably the same winners the classic loop picks
-  by walking deques in FIFO order (docs/ALGORITHM.md section 10);
+* **the queue** is one int64 array of keys ``link << shift | qk``, kept
+  sorted from cycle to cycle: grouped by directed link (a CSR position,
+  so a node's queue is one contiguous run) and, within a link, in the
+  classic deque order.  ``qk`` is the message's seq once its place is
+  settled, and ``m + slot`` while it is not (docs/ALGORITHM.md section 10);
+* **contention** is one boundary scan: the first ``link_capacity`` keys
+  of each link's run advance.  Only those winners are touched: each key
+  is overwritten in place with its next link's key (one gather from the
+  :class:`~repro.analysis.oracle.DistanceOracle`'s dense edge-id table,
+  so routes match :class:`~repro.simulate.routing.ShortestPathRouter`),
+  or with a negative key once delivered, and a stable sort (a linear
+  merge on a nearly sorted array) restores the order;
 * **arrival re-sorting** (the classic engine re-sorts a node's deque by
-  sequence number whenever the node receives an arrival) becomes a
-  vectorised reset of the ordering key.
+  seq whenever the node receives an arrival) re-keys a hit node's run,
+  and only where an unsettled key can sit; injection-sorted schedules
+  never have one.
 
 The result is *bit-identical* :class:`~repro.simulate.engine.DeliveryStats`
 — same cycles, same per-message delivery cycles, same link traffic, same
-max queue — gated by the Hypothesis parity suite
-(``tests/test_vector_engine.py``) and the 40+-schedule corpus in
-``benchmarks/bench_vector.py``.
+max queue — gated by the parity suite (``tests/test_vector_engine.py``)
+and the 40+-schedule corpus in ``benchmarks/bench_vector.py``.
 
 The kernel serves the deliveries :func:`vector_supported` admits:
 deterministic routing, no recorder listening, no faults/TTL, no failed or
 slowed links, and a topology small enough for the dense tables.
-Everything else runs on the reference loop,
-:meth:`~repro.simulate.engine.SynchronousNetwork.deliver_classic`, which
-the kernel is diffed against.
+Everything else runs on the reference loop, which the kernel is diffed
+against.
 """
 
 from __future__ import annotations
@@ -124,132 +124,131 @@ def vector_deliver_scheduled(
     topo = network.topology
     stats = DeliveryStats(cycles=0, n_messages=len(schedule))
     inj_list, _, mid_list, src_list, dst_list = network._split_schedule(schedule, stats)
-    m_total = len(inj_list)
-    if m_total == 0:
+    m = len(inj_list)
+    if m == 0:
         return stats
 
     oracle = oracle_for(topo)
-    nh_mat, eid_mat = oracle.next_hop_tables()
+    eid_flat = oracle.next_hop_tables()[1].ravel()
     n = topo.n_nodes
-    nh_flat = nh_mat.ravel()
-    eid_flat = eid_mat.ravel()
-    n_dir = int(oracle.indices.size)
-
-    inject_at = np.asarray(inj_list, dtype=np.int64)
+    indptr, link_dst, labels = oracle.indptr, oracle.indices, oracle._labels
+    # per-message arrays are indexed by "seq", the classic loop's FIFO
+    # tie-break: the position among routed messages in schedule order
     src = np.asarray(src_list, dtype=np.int64)
     dst = np.asarray(dst_list, dtype=np.int64)
-    # the classic loop keys FIFO fairness on the schedule position among
-    # routed messages ("seq"); sorting by (injection cycle, seq) reproduces
-    # its per-cycle pending lists
-    seq = np.argsort(inject_at, kind="stable").astype(np.int64)
-    inject_at = inject_at[seq]
-    src = src[seq]
-    dst = dst[seq]
-    # after the permutation, slot i holds the message whose classic seq is
-    # seq[i] — that value, not i, is the FIFO tie-break
-    if (nh_flat[src * n + dst] < 0).any():
-        bad = int(np.flatnonzero(nh_flat[src * n + dst] < 0)[0])
-        labels = list(topo.nodes())
+    first_link = eid_flat[src * n + dst]
+    if (first_link < 0).any():
+        bad = int(np.flatnonzero(first_link < 0)[0])
         raise UnreachableError(
             f"{labels[int(src[bad])]!r} cannot reach {labels[int(dst[bad])]!r} "
             "(failed links)"
         )
-
-    # queue ordering key: the classic deque order is always "messages
-    # re-sorted by seq at the node's last arrival, then injection batches
-    # appended in order" — encoded as  qk = batch * m_total + seq  with
-    # batch = 0 once a node has been re-sorted (see ALGORITHM.md §10)
-    qk = np.zeros(m_total, dtype=np.int64)
-    done_cycle = np.full(m_total, -1, dtype=np.int64)
-    traffic = np.zeros(n_dir, dtype=np.int64)
-    node_hit = np.zeros(n, dtype=bool)
-    cur = src.copy()
+    # slot order is the classic (injection batch, seq) order
+    order = np.argsort(np.asarray(inj_list, dtype=np.int64), kind="stable")
+    inject = np.asarray(inj_list, dtype=np.int64)[order]
+    # the queue is one sorted int64 array of keys  link << shift | qk,
+    # where qk is seq once the message's place is settled and m + slot
+    # while it is not (ALGORITHM.md section 10); q2s maps qk back to seq
+    shift = (2 * m - 1).bit_length()
+    low = (1 << shift) - 1
+    q2s = np.concatenate((np.arange(m), order))
+    # a node's links are contiguous CSR positions, so its queue is the one
+    # run of keys in [first_key[v], end_key[v])
+    first_key = indptr.astype(np.int64) << shift
+    end_key = first_key[1:]
+    done = np.zeros(m, dtype=np.int64)
+    unsettled = np.zeros(n, dtype=bool)  # nodes that may hold unsettled keys
+    any_unsettled = False
+    keys = np.empty(0, dtype=np.int64)
+    # link traffic: the moved link ids, folded into per-link counts once
+    # they outnumber the links (neither memory nor work outgrows the hops)
+    moved, n_moved, traffic = [], 0, None
+    fold_at = max(link_dst.size, 1 << 16)
     cap = network.link_capacity
-    # combined single-key sort when it provably fits in int64, else a
-    # two-key lexsort (same order: edge group first, queue key within)
-    n_batches = int(np.unique(inject_at).size)
-    edge_stride = (n_batches + 2) * m_total
-    combined = n_dir * edge_stride < 2**62
-
-    queued = np.empty(0, dtype=np.int64)
-    ptr = 0
-    clock = 0
-    batch = 0
-    max_queue = 0
+    top = -1  # largest seq injected so far
+    ptr = clock = max_queue = 0
     network._delivering = True
     try:
-        while queued.size or ptr < m_total:
-            if not queued.size:
+        while keys.size or ptr < m:
+            if not keys.size:
                 # network drained: jump over the idle gap to the next
-                # injection (the schedule is sorted, so ptr is the event)
-                clock = int(inject_at[ptr])
-            end = int(np.searchsorted(inject_at, clock, side="right"))
-            if end > ptr:
-                fresh = np.arange(ptr, end, dtype=np.int64)
-                batch += 1
-                qk[fresh] = batch * m_total + seq[fresh]
-                queued = np.concatenate((queued, fresh)) if queued.size else fresh
+                # injection (the slots are sorted, so ptr is the event)
+                clock = int(inject[ptr])
+            if ptr < m and inject[ptr] == clock:
+                end = int(np.searchsorted(inject, clock, side="right"))
+                fresh = order[ptr:end]
+                at = src[fresh]
+                qk = fresh
+                if any_unsettled or fresh[0] < top:
+                    # behind a larger seq injected earlier, or behind an
+                    # unsettled message: appended after the node's queue
+                    unsettled[at[fresh < top]] = True
+                    late = unsettled[at]
+                    if late.any():
+                        any_unsettled = True
+                        qk = np.where(late, np.arange(m + ptr, m + end), fresh)
+                top = max(top, int(fresh[-1]))
+                fresh_keys = (first_link[fresh].astype(np.int64) << shift) | qk
+                fresh_keys.sort()
+                keys = np.sort(np.concatenate((keys, fresh_keys)), kind="stable")
+                max_queue = max(max_queue, _longest_run(keys, first_key[at], end_key[at]))
                 ptr = end
             clock += 1
-            cu = cur[queued]
-            occupancy = np.bincount(cu, minlength=n)
-            mq = int(occupancy.max())
-            if mq > max_queue:
-                max_queue = mq
-            flat = cu * n + dst[queued]
-            hop = nh_flat[flat].astype(np.int64)
-            edge = eid_flat[flat].astype(np.int64)
-            if combined:
-                order = np.argsort(edge * edge_stride + qk[queued])
-            else:
-                order = np.lexsort((qk[queued], edge))
-            edge_sorted = edge[order]
-            a = edge_sorted.size
-            is_start = np.empty(a, dtype=bool)
-            is_start[0] = True
-            np.not_equal(edge_sorted[1:], edge_sorted[:-1], out=is_start[1:])
-            if cap == 1:
-                win = is_start
-            else:
-                positions = np.arange(a, dtype=np.int64)
-                group_start = np.maximum.accumulate(
-                    np.where(is_start, positions, 0)
-                )
-                win = positions - group_start < cap
-            winners = order[win]
-            w_ids = queued[winners]
-            w_hop = hop[winners]
-            np.add.at(traffic, edge[winners], 1)
-            arrived_home = w_hop == dst[w_ids]
-            done_cycle[w_ids[arrived_home]] = clock
-            survivors = w_ids[~arrived_home]
-            cur[survivors] = w_hop[~arrived_home]
-            losers = queued[order[~win]]
-            # the classic loop re-sorts a node's whole deque by seq when
-            # *any* message (delivered or forwarded) arrives there: reset
-            # the ordering key of everything queued at a hit node
-            node_hit[w_hop] = True
-            qk[survivors] = seq[survivors]
-            stale = losers[node_hit[cur[losers]]]
-            qk[stale] = seq[stale]
-            node_hit[w_hop] = False
-            queued = np.concatenate((losers, survivors))
+            link = keys >> shift
+            head = np.empty(keys.size, dtype=bool)
+            head[0] = True
+            np.not_equal(link[1:], link[:-1], out=head[1:])
+            win = head.nonzero()[0]
+            if cap > 1:
+                run_end = np.append(win[1:], keys.size)[:, None]
+                win = win[:, None] + np.arange(cap)
+                win = win[win < run_end]
+            w_link = link[win]
+            w_seq = q2s[keys[win] & low]
+            hop = link_dst[w_link]
+            if any_unsettled:
+                # a hit re-sorts the node's queue by seq: re-key its run
+                hit = np.unique(hop[unsettled[hop]])
+                lo = keys.searchsorted(first_key[hit]).tolist()
+                for a, b in zip(lo, keys.searchsorted(end_key[hit]).tolist()):
+                    run = keys[a:b]
+                    run[:] = (run & ~low) | q2s[run & low]
+                unsettled[hit] = False
+                any_unsettled = bool(unsettled.any())
+            # the next link, or -1 once delivered: a negative key, which
+            # the sort moves to the front to be cut off
+            nxt = eid_flat[hop * n + dst[w_seq]]
+            keys[win] = (nxt.astype(np.int64) << shift) | w_seq
+            done[w_seq] = clock  # a message's last move is its delivery
+            if n_moved >= fold_at:
+                counts = np.bincount(np.concatenate(moved), minlength=link_dst.size)
+                traffic = counts if traffic is None else traffic + counts
+                moved, n_moved = [], 0
+            moved.append(w_link)
+            n_moved += w_link.size
+            keys.sort(kind="stable")  # nearly sorted: a linear merge
+            keys = keys[keys.searchsorted(0) :]
+            gained = hop[nxt >= 0]
+            if gained.size:
+                max_queue = max(max_queue, _longest_run(keys, first_key[gained], end_key[gained]))
     finally:
         network._delivering = False
 
     stats.cycles = max(clock, stats.cycles)
     stats.max_queue = max_queue
-    mids = np.asarray(mid_list, dtype=np.int64)[seq]
-    stats.delivery_cycle.update(zip(mids.tolist(), done_cycle.tolist()))
-    used = np.flatnonzero(traffic)
-    if used.size:
-        labels = oracle._labels
-        indptr = oracle.indptr
-        edge_src = np.searchsorted(indptr, used, side="right") - 1
-        edge_dst = oracle.indices[used]
-        link_traffic = stats.link_traffic
-        for u, v, count in zip(
-            edge_src.tolist(), edge_dst.tolist(), traffic[used].tolist()
-        ):
-            link_traffic[(labels[u], labels[v])] = count
+    stats.delivery_cycle.update(zip(mid_list, done.tolist()))
+    used, counts = np.unique(np.concatenate(moved), return_counts=True)
+    if traffic is not None:
+        traffic[used] += counts
+        used = np.flatnonzero(traffic)
+        counts = traffic[used]
+    link_traffic = stats.link_traffic
+    tails = np.searchsorted(indptr, used, side="right") - 1
+    for u, v, count in zip(tails.tolist(), link_dst[used].tolist(), counts.tolist()):
+        link_traffic[(labels[u], labels[v])] = count
     return stats
+
+
+def _longest_run(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
+    """The most ``keys`` within any of the key ranges ``[lo[i], hi[i])``."""
+    return int((keys.searchsorted(hi) - keys.searchsorted(lo)).max())

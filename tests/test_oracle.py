@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.distances import all_pairs_distances, reference_all_pairs_distances
-from repro.analysis.oracle import DistanceOracle, oracle_for
+from repro.analysis.oracle import DistanceOracle, _xtree_pairs, oracle_for
 from repro.networks import (
     Butterfly,
     CubeConnectedCycles,
@@ -56,6 +56,18 @@ def test_closed_form_equals_bfs_all_pairs(topology):
         assert topology.distance(u, v, cutoff=d - 1) is None
     for u in nodes:
         assert topology.distance(u, u) == 0
+
+
+@pytest.mark.parametrize("height", range(10))
+def test_xtree_all_pairs_blockwise_equals_closed_form_grid(height):
+    """``all_pairs`` builds the X-tree matrix per (level, level) block; it
+    equals the closed form evaluated over every index pair."""
+    n = XTree(height).n_nodes
+    idx = np.arange(n, dtype=np.int64)
+    grid = _xtree_pairs(height, np.repeat(idx, n), np.tile(idx, n)).reshape(n, n)
+    blocks = DistanceOracle(XTree(height)).all_pairs()
+    assert blocks.dtype == np.int32
+    np.testing.assert_array_equal(blocks, grid)
 
 
 # ----------------------------------------------------------------------

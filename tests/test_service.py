@@ -18,7 +18,9 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import copy
 import json
+import re
 import socket
 import sys
 import threading
@@ -170,6 +172,66 @@ class TestScenario:
                     field = key.partition(".")[0]
                     assert field in str(exc), f"{path.name}: {key}: {exc}"
                     n_rejected += 1
+        assert n_rejected > 0
+
+    @pytest.mark.parametrize("host,field", [
+        ({"name": "xtree", "args": ["4"]}, "host.args[0]"),
+        ({"name": "xtree", "args": [4.0]}, "host.args[0]"),
+        ({"name": "xtree", "args": [None]}, "host.args[0]"),
+        ({"name": "xtree", "args": [True]}, "host.args[0]"),
+        ({"name": "grid2d", "args": [3, "5"]}, "host.args[1]"),
+        ({"name": "xtree", "args": [4], "agrs": [9]}, "'agrs'"),
+    ])
+    def test_bad_host_rejected_at_parse(self, host, field):
+        """A host argument that is not an integer, or a key inside ``host``
+        other than ``name`` and ``args``, is refused when the document is
+        parsed, not when the runtime builds the host."""
+        hot_spot = json.loads((SCENARIOS / "hot_spot.json").read_text())
+        with pytest.raises(ValueError, match=re.escape(field)):
+            Scenario.from_obj(dict(hot_spot, host=host))
+
+    def test_fault_mutations_parse_or_name_the_path(self):
+        """Every field inside the ``faults`` object of the three fault
+        scenarios, nested events and node labels included, set to null, 7,
+        "x", [] or {}, or deleted: the document parses or raises a
+        ValueError whose message starts with the path of the field or of
+        the object holding it, under ``Scenario.faults``."""
+        values = (None, 7, "x", [], {})
+
+        def fields(obj, path=()):
+            items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+            for key, value in items:
+                yield path + (key,)
+                if isinstance(value, (dict, list)):
+                    yield from fields(value, path + (key,))
+
+        def dotted(path):
+            return "Scenario.faults" + "".join(
+                f"[{k}]" if isinstance(k, int) else f".{k}" for k in path
+            )
+
+        n_mutations = n_rejected = 0
+        for name in ("chaos", "byzantine", "byzantine_storm"):
+            base = json.loads((SCENARIOS / f"{name}.json").read_text())
+            for path in fields(base["faults"]):
+                for value in (*values, "delete"):
+                    obj = copy.deepcopy(base)
+                    parent = obj["faults"]
+                    for key in path[:-1]:
+                        parent = parent[key]
+                    if value == "delete":
+                        del parent[path[-1]]
+                    else:
+                        parent[path[-1]] = value
+                    n_mutations += 1
+                    try:
+                        Scenario.from_obj(obj)
+                    except ValueError as exc:
+                        n_rejected += 1
+                        assert str(exc).startswith((dotted(path), dotted(path[:-1]))), (
+                            f"{name}: {dotted(path)} = {value!r}: {exc}"
+                        )
+        assert n_mutations == 600
         assert n_rejected > 0
 
     @pytest.mark.parametrize("key,value", [
@@ -523,6 +585,24 @@ class TestApiRequests:
         assert exc.value.status == 400
         assert "Scenario.link_capacity must be >= 1" in str(exc.value)
 
+    def test_host_arg_string_is_400(self, server):
+        hot_spot = json.loads((SCENARIOS / "hot_spot.json").read_text())
+        with pytest.raises(ServiceError) as exc:
+            ServiceClient(server.address).submit(
+                dict(hot_spot, host={"name": "xtree", "args": ["4"]}))
+        assert exc.value.status == 400
+        assert "host.args[0]" in str(exc.value)
+
+    def test_ill_typed_fault_field_is_400(self, server):
+        # used to answer 400 with the raw TypeError text
+        chaos = json.loads((SCENARIOS / "chaos.json").read_text())
+        chaos["faults"]["events"][3]["cycle"] = "x"
+        with pytest.raises(ServiceError) as exc:
+            ServiceClient(server.address).submit(chaos)
+        assert exc.value.status == 400
+        assert ("Scenario.faults.events[3].cycle must be an integer >= 0, got 'x'"
+                in str(exc.value))
+
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_bad_content_length_is_400(self, server, length):
         host, port = server.httpd.server_address[:2]
@@ -560,6 +640,14 @@ class TestServiceCLI:
         bad.write_text('{"version": 1, "name": "x"}')
         assert main(["runtime", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_run_ill_typed_fault_exits_1(self, tmp_path, capsys):
+        chaos = json.loads((SCENARIOS / "chaos.json").read_text())
+        chaos["faults"]["events"][1]["delay"] = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(chaos))
+        assert main(["runtime", str(bad)]) == 1
+        assert "Scenario.faults.events[1].delay" in capsys.readouterr().err
 
     def test_run_resumes_from_checkpoint(self, tmp_path, capsys):
         sc = Scenario.from_json(str(SCENARIOS / "chaos.json"))

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.oracle import DistanceOracle
+from repro.analysis.oracle import DistanceOracle, oracle_for
 from repro.core.xtree_embed import theorem1_embedding
-from repro.networks import XTree, registry_instances
+from repro.networks import Hypercube, UniversalGraph, XTree, registry_instances
 from repro.obs import TraceRecorder
 from repro.runtime import JobSpec, Runtime
 from repro.simulate import (
@@ -33,7 +33,7 @@ from repro.simulate import (
 )
 from repro.simulate.faults import FaultSchedule
 from repro.simulate.vector_engine import vector_deliver_scheduled, vector_supported
-from repro.trees import make_tree
+from repro.trees import make_tree, theorem1_guest_size
 
 TOPOS = registry_instances(2)
 STAT_FIELDS = (
@@ -166,6 +166,70 @@ class TestScheduleParity:
                 list(schedule), recorder=recorder
             )
         assert recorder.events == []
+
+
+def out_of_order_hot_spot(topology, seed):
+    """All-to-one traffic into deep queues whose injection cycles fall in
+    schedule order, with late messages (small injection cycles) interleaved:
+    a fresh message often sits behind a larger seq injected earlier."""
+    rng = random.Random(seed)
+    nodes = list(topology.nodes())
+    hot = nodes[rng.randrange(len(nodes))]
+    schedule = []
+    for mid in range(6 * len(nodes)):
+        src = nodes[rng.randrange(len(nodes))]
+        dst = hot if rng.random() < 0.85 else nodes[rng.randrange(len(nodes))]
+        if rng.random() < 0.75:
+            inject = 2 * (6 - mid // len(nodes))  # decreasing in schedule order
+        else:
+            inject = rng.randrange(14)  # a late message interleaved
+        schedule.append((inject, Message(mid, src, dst)))
+    return schedule
+
+
+class TestSettlePath:
+    """The kernel keys a queued message on its seq once its place in the
+    classic deque is settled; these schedules drive the unsettled keys and
+    the re-keying of a hit node's run, which no barrier schedule reaches."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    @pytest.mark.parametrize("topology", [XTree(4), Hypercube(5)], ids=["xtree", "hypercube"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_out_of_order_hot_spots(self, topology, cap, seed):
+        schedule = out_of_order_hot_spot(topology, seed)
+        assert_stats_equal(*both_engines(topology, schedule, cap))
+
+    def test_hot_spot_on_theorem1_embedding(self, monkeypatch):
+        tree = make_tree("random", theorem1_guest_size(5), seed=1)
+        embedding = theorem1_embedding(tree).embedding
+        program = PROGRAMS["hot_spot"](embedding.guest, seed=5)
+        classic, vector = classic_then_vector(
+            monkeypatch, lambda: simulate_on_host(program, embedding)
+        )
+        assert classic.total_cycles == vector.total_cycles
+        assert classic.per_superstep_cycles == vector.per_superstep_cycles
+        assert classic.max_link_traffic == vector.max_link_traffic
+        assert classic.max_queue == vector.max_queue
+
+    def test_keys_past_int32(self):
+        """G_n at t = 10 has 233,744 directed links; with 5,000 messages a
+        key, link id times a stride of at least 2 * 5,000, passes 2^31."""
+        topology = UniversalGraph(10)
+        nodes = list(topology.nodes())
+        rng = random.Random(2)
+        schedule = [
+            (rng.randrange(3), Message(mid, rng.choice(nodes), rng.choice(nodes)))
+            for mid in range(5000)
+        ]
+        classic, vector = both_engines(topology, schedule)
+        assert_stats_equal(classic, vector)
+        oracle = oracle_for(topology)
+        index = topology.index
+        top_link = max(
+            int(oracle.indptr[index(u)]) + list(topology.neighbors(u)).index(v)
+            for u, v in vector.link_traffic
+        )
+        assert top_link * 2 * len(schedule) > 2**31
 
 
 class TestProgramParity:
