@@ -20,9 +20,11 @@ Three measurements for the struct-of-arrays kernel
   (X-tree, hypercube, complete binary tree, grid), the adversarial
   hot-spot/permutation programs, and barrier + pipelined
   ``simulate_on_host`` supersteps: classic and vector stats must be
-  *bit-identical* field by field; a SHA-256 over the canonical classic
-  stats is recorded so the corpus itself is tamper-evident, and the
-  summed corpus makespan is anchored.
+  *bit-identical* field by field, and each schedule delivered as an
+  ``ArraySchedule`` must equal its list delivery on both engines, dicts
+  in the same order; a SHA-256 over the canonical classic list stats is
+  recorded so the corpus itself is tamper-evident, and the summed corpus
+  makespan is anchored.
 
 Run with the other gate modules::
 
@@ -38,6 +40,7 @@ import time
 from functools import partial
 from unittest import mock
 
+import numpy as np
 from bench_obs import _best_of_pair, _stats_key, make_workloads
 
 import repro.simulate.engine as engine_mod
@@ -45,6 +48,7 @@ from repro.core import theorem1_embedding
 from repro.networks import XTree, registry_instances
 from repro.simulate import (
     PROGRAMS,
+    ArraySchedule,
     Message,
     SynchronousNetwork,
     simulate_on_host,
@@ -190,8 +194,26 @@ def corpus_schedules():
         yield f"{name}/permutation", topology, schedule, 2
 
 
+def _as_arrays(topology, schedule) -> ArraySchedule:
+    """The array form of an ``(inject, Message)`` schedule."""
+    index = topology.index
+    rows = [(inject, m.msg_id, index(m.src), index(m.dst)) for inject, m in schedule]
+    return ArraySchedule(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+
+
+def _same_delivery(a, b) -> bool:
+    """Every field equal, and the per-message and per-link dicts filled in
+    the same order."""
+    return (
+        a == b
+        and list(a.delivery_cycle.items()) == list(b.delivery_cycle.items())
+        and list(a.link_traffic.items()) == list(b.link_traffic.items())
+    )
+
+
 def bench_parity_corpus() -> dict:
-    """Every corpus schedule bit-identical between engines, plus supersteps."""
+    """Every corpus schedule bit-identical between engines and between its
+    list and array forms, plus supersteps."""
     digest = hashlib.sha256()
     n_schedules = 0
     corpus_cycles = 0
@@ -204,6 +226,13 @@ def bench_parity_corpus() -> dict:
         )
         if _stats_key(classic) != _stats_key(vector):
             raise AssertionError(f"parity violation on corpus schedule {label}")
+        arrays = _as_arrays(topology, schedule)
+        net = SynchronousNetwork(topology, link_capacity=cap)
+        if not (
+            _same_delivery(net.deliver_classic(arrays), classic)
+            and _same_delivery(vector_deliver_scheduled(net, arrays), vector)
+        ):
+            raise AssertionError(f"array form differs from the list on {label}")
         n_schedules += 1
         corpus_cycles += classic.cycles
         digest.update(label.encode())

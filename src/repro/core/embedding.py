@@ -74,9 +74,12 @@ class Embedding:
         # (dilation values, routes, congestion) is memoised for the
         # instance's lifetime.
         index = host.index
-        self._image_idx = np.fromiter(
+        #: ``image_idx[v]`` is the host index (``host.index``) of guest node
+        #: ``v``'s image: phi as a read-only int64 array
+        self.image_idx = np.fromiter(
             (index(self.phi[v]) for v in guest.nodes()), dtype=np.int64, count=guest.n
         )
+        self.image_idx.setflags(write=False)
         self._edge_list = list(guest.edges())
         self._edge_nodes = np.asarray(self._edge_list, dtype=np.int64).reshape(-1, 2)
         self._edge_dils: np.ndarray | None = None
@@ -133,7 +136,7 @@ class Embedding:
         Memoised (embeddings are frozen).
         """
         if self._edge_dils is None:
-            pairs = self._image_idx[self._edge_nodes]
+            pairs = self.image_idx[self._edge_nodes]
             dists = oracle_for(self.host).pairs_distances(pairs)
             if dists.size and int(dists.min()) < 0:  # disconnected host: bug
                 raise RuntimeError("no path between mapped host nodes")

@@ -201,6 +201,9 @@ def _check_condition(cond: Any, domain: str, path: str) -> None:
         missing = _LEAF_COND_KEYS - set(cond)
         if missing:
             raise _err(path, f"condition is missing {sorted(missing)}")
+        for key in ("signal", "op"):
+            if not isinstance(cond[key], str):
+                raise _err(path, f'"{key}" must be a string, got {type(cond[key]).__name__}')
         allowed = CONDITION_SIGNALS[domain]
         if cond["signal"] not in allowed:
             raise _err(

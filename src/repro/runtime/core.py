@@ -388,7 +388,7 @@ class Runtime:
         ``label`` is the phase suffix (a superstep index or ``"migrate"``).
         """
         stats = deliver_superstep(
-            self.network, pairs, job.embedding.phi, ids, f"{job.spec.name}[{label}]",
+            self.network, pairs, job.embedding, ids, f"{job.spec.name}[{label}]",
             recorder=self.recorder, faults=self.faults, ttl=job.spec.ttl,
             fault_offset=self.cycle,
         )

@@ -117,6 +117,18 @@ class Scenario:
                     f"Scenario.{name} must be {want}, got {getattr(self, name)!r}"
                 )
         check_host(self.host_name, self.host_args)
+        if self.faults is not None and self.faults.events:
+            # a fault on a node the host lacks would parse and then fail the
+            # job on a worker, when the runtime applies the event
+            host = build_host(self.host_name, self.host_args)
+            for i, ev in enumerate(self.faults.events):
+                for end, node in (("u", ev.u), ("v", ev.v)):
+                    if (end == "u" or node is not None) and not host.has_node(node):
+                        raise ValueError(
+                            f"Scenario.faults.events[{i}].{end}: {node!r} is not a node "
+                            f"of host {self.host_name} {list(self.host_args)} "
+                            f"({ev.action} at cycle {ev.cycle})"
+                        )
         if not self.jobs:
             raise ValueError(f"scenario {self.name!r} has no jobs")
         # inline documents are validated (and canonicalised) via PolicyDoc

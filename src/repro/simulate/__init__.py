@@ -12,6 +12,7 @@ from .engine import (
     QUARANTINE_PROBE_AFTER,
     QUARANTINE_THRESHOLD,
     RETRANSMIT_BACKOFF_CAP,
+    ArraySchedule,
     DeliveryStats,
     Message,
     SynchronousNetwork,
@@ -53,6 +54,7 @@ from .programs import (
 
 __all__ = [
     "Message",
+    "ArraySchedule",
     "DeliveryStats",
     "SynchronousNetwork",
     "UnreachableError",

@@ -45,8 +45,9 @@ def _run_folding(
     embedding, program, fold, span_name, *, link_capacity, recorder, router, faults, ttl
 ):
     """Run ``program``'s barrier supersteps on the host, call ``fold(src,
-    dst)`` for each arrival after its superstep, and return the cycles and
-    the fault report (``None`` without ``faults``/``ttl``).
+    dst)`` for each delivered message after its superstep, in message-id
+    order, and return the cycles and the fault report (``None`` without
+    ``faults``/``ttl``).
 
     Folding after the superstep, from the sender's state then, equals
     sending a snapshot of it because no node receives in a superstep it
@@ -59,12 +60,16 @@ def _run_folding(
     cycles = 0
     with span(span_name, host=host_name, n=embedding.guest.n):
         for pairs, stats in _barrier_supersteps(
-            network, program, embedding.phi, report,
+            network, program, embedding, report,
             restart_ids=True, recorder=recorder, faults=faults, ttl=ttl,
         ):
             cycles += stats.cycles
-            for mid in stats.delivery_cycle:  # in delivery order
-                fold(*pairs[mid])
+            # in message-id order (the ids restart at 0 per superstep), which
+            # no engine's delivery order can change; a failed id never folds
+            delivered = stats.delivery_cycle
+            for mid, pair in enumerate(pairs):
+                if mid in delivered:
+                    fold(*pair)
     return cycles, report
 
 
@@ -103,7 +108,8 @@ def simulated_reduction(
     acc: list[Any] = list(values)
 
     def fold(src: int, dst: int) -> None:
-        # order-independent because the operator is associative-commutative
+        # associative-commutative, but a float sum rounds by fold order,
+        # which _run_folding fixes to message-id order
         acc[dst] = combine(acc[dst], acc[src])
 
     cycles, report = _run_folding(

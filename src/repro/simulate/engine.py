@@ -27,9 +27,10 @@ from ..analysis.oracle import oracle_for
 from ..networks.base import Topology, bfs_distances_from
 from ..obs import Recorder
 from .faults import FaultEvent, FaultSchedule
-from .messages import DeliveryStats, Message, Node, UnreachableError
+from .messages import ArraySchedule, DeliveryStats, Message, Node, UnreachableError
 from .routing import Router, make_router
 from .vector_engine import (
+    checked_arrays,
     fits_dense_tables,
     vector_deliver_scheduled,
     vector_supported,
@@ -37,6 +38,7 @@ from .vector_engine import (
 
 __all__ = [
     "Message",
+    "ArraySchedule",
     "DeliveryStats",
     "SynchronousNetwork",
     "UnreachableError",
@@ -491,7 +493,7 @@ class SynchronousNetwork:
 
     def deliver_scheduled(
         self,
-        schedule: list[tuple[int, Message]],
+        schedule: list[tuple[int, Message]] | ArraySchedule,
         *,
         recorder: Recorder | None = None,
         faults: FaultSchedule | None = None,
@@ -507,6 +509,11 @@ class SynchronousNetwork:
         still in flight — contrast with the BSP semantics of
         :func:`repro.simulate.mapping.simulate_on_host`.
 
+        An :class:`ArraySchedule` says the same in four int64 arrays over
+        host node indices, and is delivered with the same stats,
+        ``delivery_cycle`` in the same order; the reference loop builds its
+        ``Message`` objects from them only when it runs.
+
         Sparse schedules are free: when the network drains, the clock jumps
         straight to the next injection cycle instead of spinning through
         the idle gap, so the cost is proportional to *active* cycles only
@@ -518,8 +525,10 @@ class SynchronousNetwork:
 
         Every ``msg_id`` in the schedule must be unique (``delivery_cycle``
         and the trace event chains are keyed by it), every injection cycle
-        non-negative and every endpoint a host node; otherwise
-        :class:`ValueError`, naming the message, before anything is injected.
+        non-negative and every endpoint a host node (an index in
+        ``range(topology.n_nodes)`` in an :class:`ArraySchedule`, whose
+        columns must also be equally long); otherwise :class:`ValueError`
+        before anything is injected.
 
         **Fault-tolerant mode** — active when ``faults`` and/or ``ttl`` is
         given (see :mod:`repro.simulate.faults`):
@@ -579,7 +588,7 @@ class SynchronousNetwork:
 
     def deliver_classic(
         self,
-        schedule: list[tuple[int, Message]],
+        schedule: list[tuple[int, Message]] | ArraySchedule,
         *,
         recorder: Recorder | None = None,
         faults: FaultSchedule | None = None,
@@ -595,6 +604,12 @@ class SynchronousNetwork:
         or an adaptive router listens, each active cycle's link use and
         queue occupancy are built once, here, and both read the same dicts.
         """
+        if isinstance(schedule, ArraySchedule):
+            labels = oracle_for(self.topology)._labels
+            cols = (col.tolist() for col in checked_arrays(self.topology, schedule))
+            schedule = [
+                (k, Message(mid, labels[u], labels[v])) for k, mid, u, v in zip(*cols)
+            ]
         rec = recorder
         router = self.router
         adaptive = router.adaptive

@@ -14,16 +14,25 @@ the paper minimises dilation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from ..core.embedding import Embedding
 from ..networks.base import Topology
 from ..obs import Recorder, span
-from .engine import DeliveryStats, Message, SynchronousNetwork
+from .engine import ArraySchedule, DeliveryStats, Message, SynchronousNetwork
 from .faults import DegradedResult, FaultReport, FaultSchedule
 from .programs import TreeProgram
 from .routing import Router
 
 __all__ = ["ExecutionStats", "deliver_superstep", "simulate_on_host", "simulate_on_guest"]
+
+#: supersteps of at least this many messages reach the engine as an
+#: :class:`ArraySchedule`, smaller ones as a ``Message`` list: below it the
+#: arrays' fixed cost (a few dozen NumPy calls) outweighs the per-message
+#: Python work they save (docs/ALGORITHM.md section 10 has the sweep)
+ARRAY_MIN_MESSAGES = 32
 
 
 def _fold_report(report: FaultReport, stats: DeliveryStats, superstep=None) -> None:
@@ -70,11 +79,11 @@ class ExecutionStats:
 
 
 def deliver_superstep(
-    network: SynchronousNetwork, pairs, phi, ids, phase: str, *,
+    network: SynchronousNetwork, pairs, embedding: Embedding, ids, phase: str, *,
     recorder: Recorder | None = None, faults: FaultSchedule | None = None,
     ttl: int | None = None, fault_offset: int = 0,
 ) -> DeliveryStats:
-    """Deliver one guest superstep through the embedding ``phi``.
+    """Deliver one guest superstep through ``embedding``.
 
     Message ``ids[i]`` carries the guest pair ``pairs[i] = (src, dst)``
     from host ``phi[src]`` to host ``phi[dst]``.  All are injected at cycle
@@ -82,16 +91,41 @@ def deliver_superstep(
     at global cycle ``fault_offset``, after a listening ``recorder`` opens
     ``phase``.  :func:`simulate_on_host`'s barrier mode, the compute folds
     and the runtime's supersteps and migrations all deliver through it.
+
+    A superstep of at least :data:`ARRAY_MIN_MESSAGES` messages goes as an
+    :class:`ArraySchedule` gathered from ``embedding.image_idx``, a smaller
+    one as a ``Message`` list; the stats are the same either way.  A guest
+    node outside ``embedding.guest`` raises :class:`ValueError`.
     """
     if recorder is not None:
         recorder.begin_phase(phase)
-    schedule = [(0, Message(mid, phi[src], phi[dst])) for mid, (src, dst) in zip(ids, pairs)]
+    m = len(pairs)
+    if m < ARRAY_MIN_MESSAGES:
+        phi = embedding.phi
+        try:
+            schedule = [
+                (0, Message(mid, phi[src], phi[dst])) for mid, (src, dst) in zip(ids, pairs)
+            ]
+        except KeyError as exc:
+            raise ValueError(f"guest node {exc.args[0]!r} is not in the embedding") from None
+    else:
+        guests = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * m)
+        image = embedding.image_idx
+        if guests.min() < 0 or guests.max() >= image.size:
+            bad = guests[(guests < 0) | (guests >= image.size)][0]
+            raise ValueError(f"guest node {int(bad)} is not in the embedding")
+        hosts = image[guests]
+        if isinstance(ids, range):
+            ids = np.arange(ids.start, ids.stop, ids.step, dtype=np.int64)
+        schedule = ArraySchedule(
+            np.zeros(m, dtype=np.int64), np.asarray(ids, dtype=np.int64), hosts[0::2], hosts[1::2]
+        )
     return network.deliver_scheduled(
         schedule, recorder=recorder, faults=faults, ttl=ttl, fault_offset=fault_offset
     )
 
 
-def _barrier_supersteps(network, program, phi, report, *, restart_ids=False, **deliver):
+def _barrier_supersteps(network, program, embedding, report, *, restart_ids=False, **deliver):
     """Deliver ``program`` one barrier superstep at a time, yielding each
     superstep's guest pairs and :class:`DeliveryStats`.
 
@@ -106,7 +140,7 @@ def _barrier_supersteps(network, program, phi, report, *, restart_ids=False, **d
         first = 0 if restart_ids else first
         ids = range(first, first + len(pairs))
         stats = deliver_superstep(
-            network, pairs, phi, ids, f"{program.name}[{k}]", fault_offset=base, **deliver
+            network, pairs, embedding, ids, f"{program.name}[{k}]", fault_offset=base, **deliver
         )
         first += len(pairs)
         base += stats.cycles
@@ -168,7 +202,7 @@ def simulate_on_host(
             steps = [
                 (stats.cycles, stats.max_link_traffic, stats.max_queue)
                 for _pairs, stats in _barrier_supersteps(
-                    network, program, embedding.phi, report,
+                    network, program, embedding, report,
                     recorder=recorder, faults=faults, ttl=ttl,
                 )
             ]

@@ -7,12 +7,14 @@ these; :mod:`repro.simulate.engine` re-exports them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Hashable
+from typing import TYPE_CHECKING, Any, Hashable, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    import numpy as np
+
     from .faults import FaultEvent
 
-__all__ = ["Message", "DeliveryStats", "UnreachableError", "Node"]
+__all__ = ["Message", "ArraySchedule", "DeliveryStats", "UnreachableError", "Node"]
 
 Node = Hashable
 
@@ -29,6 +31,22 @@ class Message:
     src: Node
     dst: Node
     payload: Any = None
+
+
+class ArraySchedule(NamedTuple):
+    """A schedule as four parallel int64 arrays, one entry per message.
+
+    Message ``msg_id[i]`` goes from host node index ``src[i]`` to ``dst[i]``
+    (indices in ``topology.nodes()`` order) and is injected after cycle
+    ``inject[i]``: the array form of ``(inject, Message)`` pairs that
+    :meth:`~repro.simulate.engine.SynchronousNetwork.deliver_scheduled`
+    accepts beside the list, with the same validation and the same stats.
+    """
+
+    inject: np.ndarray
+    msg_id: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
 
 
 @dataclass

@@ -45,7 +45,7 @@ import numpy as np
 
 from ..analysis.oracle import oracle_for
 from ..networks.base import Topology
-from .messages import DeliveryStats, UnreachableError
+from .messages import ArraySchedule, DeliveryStats, UnreachableError
 
 if TYPE_CHECKING:  # pragma: no cover - the engine imports this module
     from .engine import SynchronousNetwork
@@ -55,6 +55,7 @@ __all__ = [
     "fits_dense_tables",
     "vector_supported",
     "vector_deliver_scheduled",
+    "checked_arrays",
 ]
 
 #: dense next-hop tables cost O(n^2) int32 each; beyond this the classic
@@ -109,33 +110,94 @@ def vector_supported(network: SynchronousNetwork, rec, faults, ttl) -> str | Non
     return "; ".join(blockers)
 
 
+def checked_arrays(topology: Topology, schedule: ArraySchedule) -> tuple[np.ndarray, ...]:
+    """The columns of ``schedule`` as int64 arrays, validated in one
+    vectorised pass.
+
+    Raises :class:`ValueError` in the list schedule's cases (a negative
+    injection cycle, a duplicate ``msg_id``, an endpoint that is not a node
+    of ``topology``: an index below 0 or past its last node) and for
+    columns that are not one-dimensional integer arrays of equal length.
+    """
+    cols = [np.asarray(col) for col in schedule]
+    if any(col.ndim != 1 or col.dtype.kind not in "iu" for col in cols):
+        raise ValueError("an array schedule holds four one-dimensional integer arrays")
+    if len({col.size for col in cols}) > 1:
+        raise ValueError(
+            f"array schedule columns differ in length: {[col.size for col in cols]}"
+        )
+    inject, mids, src, dst = (col.astype(np.int64, copy=False) for col in cols)
+    if not mids.size:
+        return inject, mids, src, dst
+    if inject.min() < 0:
+        raise ValueError("injection cycle must be non-negative")
+    n = topology.n_nodes
+    for ends in (src, dst):
+        bad = (ends < 0) | (ends >= n)
+        if bad.any():
+            at = int(bad.argmax())
+            raise ValueError(
+                f"msg_id {int(mids[at])}: index {int(ends[at])} is not a node of "
+                f"{topology.name} ({n} nodes)"
+            )
+    if not (mids[1:] > mids[:-1]).all():  # ascending ids are unique
+        ordered = np.sort(mids)
+        dup = ordered[1:] == ordered[:-1]
+        if dup.any():
+            raise ValueError(
+                f"duplicate msg_id {int(ordered[1:][dup][0])} in schedule: delivery "
+                "stats and traces are keyed by msg_id, so ids must be unique"
+            )
+    return inject, mids, src, dst
+
+
 def vector_deliver_scheduled(
-    network: SynchronousNetwork, schedule: list
+    network: SynchronousNetwork, schedule: list | ArraySchedule
 ) -> DeliveryStats:
     """Run one fault-free, deterministic, unobserved delivery on the kernel.
 
     Semantically identical to the reference loop
     :meth:`~repro.simulate.engine.SynchronousNetwork.deliver_classic`, and
     run by ``deliver_scheduled`` whenever :func:`vector_supported` finds no
-    blocker.  The schedule is validated by the same pass as the reference
-    loop's.  Raises :class:`~repro.simulate.engine.UnreachableError` for a
-    disconnected destination, exactly like the reference loop.
+    blocker.  A list schedule is validated by the same pass as the
+    reference loop's, an :class:`~repro.simulate.messages.ArraySchedule` by
+    :func:`checked_arrays`; both give the same stats, ``delivery_cycle`` in
+    the same order (self-messages first, then schedule order).  Raises
+    :class:`~repro.simulate.engine.UnreachableError` for a disconnected
+    destination, exactly like the reference loop.
     """
-    topo = network.topology
-    stats = DeliveryStats(cycles=0, n_messages=len(schedule))
-    inj_list, _, mid_list, src_list, dst_list = network._split_schedule(schedule, stats)
-    m = len(inj_list)
-    if m == 0:
-        return stats
+    if isinstance(schedule, ArraySchedule):
+        inject, mids, src, dst = checked_arrays(network.topology, schedule)
+        stats = DeliveryStats(cycles=0, n_messages=mids.size)
+        loop = src == dst
+        if loop.any():  # self-messages are delivered free at injection
+            stats.delivery_cycle.update(zip(mids[loop].tolist(), inject[loop].tolist()))
+            stats.cycles = int(inject[loop].max())
+            routed = ~loop
+            inject, mids, src, dst = inject[routed], mids[routed], src[routed], dst[routed]
+        mid_list = mids.tolist()
+    else:
+        stats = DeliveryStats(cycles=0, n_messages=len(schedule))
+        inject, _, mid_list, src, dst = network._split_schedule(schedule, stats)
+    if mid_list:
+        _deliver(network, stats, inject, mid_list, src, dst)
+    return stats
 
+
+def _deliver(network: SynchronousNetwork, stats: DeliveryStats, inj, mid_list, src, dst) -> None:
+    """The kernel loop over the routed messages, in schedule order: their
+    injection cycles, ids and endpoint indices, as int64 arrays or lists
+    (the ids a list); fills ``stats``."""
+    m = len(mid_list)
+    topo = network.topology
     oracle = oracle_for(topo)
     eid_flat = oracle.next_hop_tables()[1].ravel()
     n = topo.n_nodes
     indptr, link_dst, labels = oracle.indptr, oracle.indices, oracle._labels
     # per-message arrays are indexed by "seq", the classic loop's FIFO
     # tie-break: the position among routed messages in schedule order
-    src = np.asarray(src_list, dtype=np.int64)
-    dst = np.asarray(dst_list, dtype=np.int64)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
     first_link = eid_flat[src * n + dst]
     if (first_link < 0).any():
         bad = int(np.flatnonzero(first_link < 0)[0])
@@ -144,8 +206,8 @@ def vector_deliver_scheduled(
             "(failed links)"
         )
     # slot order is the classic (injection batch, seq) order
-    order = np.argsort(np.asarray(inj_list, dtype=np.int64), kind="stable")
-    inject = np.asarray(inj_list, dtype=np.int64)[order]
+    order = np.argsort(np.asarray(inj, dtype=np.int64), kind="stable")
+    inject = np.asarray(inj, dtype=np.int64)[order]
     # the queue is one sorted int64 array of keys  link << shift | qk,
     # where qk is seq once the message's place is settled and m + slot
     # while it is not (ALGORITHM.md section 10); q2s maps qk back to seq
@@ -246,7 +308,6 @@ def vector_deliver_scheduled(
     tails = np.searchsorted(indptr, used, side="right") - 1
     for u, v, count in zip(tails.tolist(), link_dst[used].tolist(), counts.tolist()):
         link_traffic[(labels[u], labels[v])] = count
-    return stats
 
 
 def _longest_run(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:

@@ -261,6 +261,17 @@ class TestRuntimeExitCodes:
         assert err.startswith(f"error: bad scenario {path}: ")
         assert "Traceback" not in err
 
+    def test_fault_on_a_node_the_host_lacks_exits_1(self, tmp_path, capsys):
+        # rejected with the document, before any job is admitted or run
+        doc = json.loads((REPO / "scenarios" / "chaos.json").read_text())
+        doc["faults"]["events"][0]["u"] = "x"
+        path = tmp_path / "chaos.json"
+        path.write_text(json.dumps(doc))
+        assert main(["runtime", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: bad scenario {path}: Scenario.faults.events[0].u: ")
+        assert "admitted" not in out
+
     def test_node_death_repairs_and_checkpoint_resumes(self, tmp_path, capsys):
         # two jobs on one host, a node killed mid-run: online repair shows
         # in the trace, and the rerun resumes from the checkpoint

@@ -189,6 +189,47 @@ class TestDocumentFormat:
         with pytest.raises(ValueError, match=r"any\[1\]"):
             PolicyDoc.from_obj(bad)
 
+    def test_field_mutations_parse_or_raise_value_error(self):
+        """Every field of ``policies/hot_spot_router.json``, nested ones
+        included, set to null, 7, "x", [] or {}, or deleted: the document
+        parses or raises ValueError (a list or object as a condition's
+        ``signal`` or ``op`` used to raise TypeError)."""
+
+        def fields(obj, path=()):
+            items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+            for key, value in items:
+                yield path + (key,)
+                if isinstance(value, (dict, list)):
+                    yield from fields(value, path + (key,))
+
+        base = json.loads((REPO / "policies" / "hot_spot_router.json").read_text())
+        n_mutations = n_rejected = 0
+        for path in fields(base):
+            for value in (None, 7, "x", [], {}, "delete"):
+                obj = copy.deepcopy(base)
+                parent = obj
+                for key in path[:-1]:
+                    parent = parent[key]
+                if value == "delete":
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+                n_mutations += 1
+                try:
+                    PolicyDoc.from_obj(obj)
+                except ValueError:
+                    n_rejected += 1
+        assert n_mutations == 6 * len(list(fields(base)))
+        assert n_rejected > 0
+
+    @pytest.mark.parametrize("key", ["signal", "op"])
+    @pytest.mark.parametrize("value", [[], {}, 7])
+    def test_condition_signal_and_op_must_be_strings(self, key, value):
+        doc = json.loads((REPO / "policies" / "hot_spot_router.json").read_text())
+        doc["tree"]["if"][key] = value
+        with pytest.raises(ValueError, match=f'policy tree: tree.if: "{key}" must be a string'):
+            PolicyDoc.from_obj(doc)
+
     def test_detour_margin_is_routing_only(self):
         bad = {
             "version": 1, "name": "x", "domain": "scheduling",

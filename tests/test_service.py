@@ -242,6 +242,18 @@ class TestScenario:
         with pytest.raises(ValueError, match=f"Scenario.{key} must be"):
             Scenario.from_obj(doc(**{key: value}))
 
+    @pytest.mark.parametrize("event,end,node", [
+        (0, "u", "x"), (0, "u", 7), (0, "u", [9, 9]), (1, "v", [9, 9]),
+    ], ids=["u-string", "u-int", "u-list", "v-list"])
+    def test_fault_on_a_node_the_host_lacks_rejected_at_parse(self, event, end, node):
+        """It used to parse and fail only when the runtime applied it."""
+        chaos = json.loads((SCENARIOS / "chaos.json").read_text())
+        chaos["faults"]["events"][event][end] = node
+        label = tuple(node) if isinstance(node, list) else node
+        with pytest.raises(ValueError, match=re.escape(
+                f"Scenario.faults.events[{event}].{end}: {label!r} is not a node of host")):
+            Scenario.from_obj(chaos)
+
     def test_duplicate_job_names_rejected(self):
         jobs = [dict(BASE_DOC["jobs"][0]), dict(BASE_DOC["jobs"][0])]
         with pytest.raises(ValueError, match="duplicate job names"):
@@ -602,6 +614,15 @@ class TestApiRequests:
         assert exc.value.status == 400
         assert ("Scenario.faults.events[3].cycle must be an integer >= 0, got 'x'"
                 in str(exc.value))
+
+    def test_fault_on_a_node_the_host_lacks_is_400(self, server):
+        # used to answer 201, then fail the job on the worker
+        chaos = json.loads((SCENARIOS / "chaos.json").read_text())
+        chaos["faults"]["events"][0]["u"] = [9, 9]
+        with pytest.raises(ServiceError) as exc:
+            ServiceClient(server.address).submit(chaos)
+        assert exc.value.status == 400
+        assert "Scenario.faults.events[0].u: (9, 9) is not a node" in str(exc.value)
 
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_bad_content_length_is_400(self, server, length):

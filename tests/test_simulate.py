@@ -172,8 +172,9 @@ class TestEndToEnd:
         assert stats.slowdown >= 1.0
 
     def test_deliver_superstep_is_the_hand_built_delivery(self):
-        # id ids[i] carries pairs[i] through phi, injected at 0, with the
-        # fault schedule at global cycle fault_offset and phase opened first
+        # id ids[i] carries pairs[i] through the embedding, injected at 0,
+        # with the fault schedule at global cycle fault_offset and phase
+        # opened first
         from repro.simulate import FaultSchedule
 
         tree = make_tree("random", theorem1_guest_size(3), seed=1)
@@ -183,7 +184,7 @@ class TestEndToEnd:
         faults = FaultSchedule.chaos(emb.host, n_cycles=60, link_rate=0.3, seed=2)
         rec = TraceRecorder()
         got = deliver_superstep(
-            SynchronousNetwork(emb.host), pairs, emb.phi, ids, "p[3]",
+            SynchronousNetwork(emb.host), pairs, emb, ids, "p[3]",
             recorder=rec, faults=faults, ttl=5, fault_offset=7,
         )
         want = SynchronousNetwork(emb.host).deliver_scheduled(

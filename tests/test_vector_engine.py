@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,13 +26,17 @@ from repro.obs import TraceRecorder
 from repro.runtime import JobSpec, Runtime
 from repro.simulate import (
     PROGRAMS,
+    ArraySchedule,
     Message,
     SynchronousNetwork,
+    TreeProgram,
+    deliver_superstep,
     simulate_on_host,
     simulated_prefix,
     simulated_reduction,
 )
 from repro.simulate.faults import FaultSchedule
+from repro.simulate.mapping import ARRAY_MIN_MESSAGES
 from repro.simulate.vector_engine import vector_deliver_scheduled, vector_supported
 from repro.trees import make_tree, theorem1_guest_size
 
@@ -50,6 +55,20 @@ STAT_FIELDS = (
 def assert_stats_equal(a, b):
     for field in STAT_FIELDS:
         assert getattr(a, field) == getattr(b, field), field
+
+
+def assert_same_delivery(a, b):
+    """Every field equal, and both dicts filled in the same order."""
+    assert a == b
+    assert list(a.delivery_cycle.items()) == list(b.delivery_cycle.items())
+    assert list(a.link_traffic.items()) == list(b.link_traffic.items())
+
+
+def as_arrays(topology, schedule):
+    """The :class:`ArraySchedule` of an ``(inject, Message)`` list."""
+    index = topology.index
+    rows = [(inject, m.msg_id, index(m.src), index(m.dst)) for inject, m in schedule]
+    return ArraySchedule(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
 
 
 def both_engines(topology, schedule, link_capacity=1):
@@ -102,6 +121,12 @@ class TestScheduleParity:
         topology, schedule, cap = case
         classic, vector = both_engines(topology, schedule, cap)
         assert_stats_equal(classic, vector)
+        # the array form of the schedule, on the kernel and on the
+        # reference loop, equals the list delivery on the same engine
+        arrays = as_arrays(topology, schedule)
+        net = SynchronousNetwork(topology, link_capacity=cap)
+        assert_same_delivery(vector_deliver_scheduled(net, arrays), vector)
+        assert_same_delivery(net.deliver_classic(arrays), classic)
 
     def test_hot_spot_all_to_one(self):
         for topology in TOPOS.values():
@@ -166,6 +191,79 @@ class TestScheduleParity:
                 list(schedule), recorder=recorder
             )
         assert recorder.events == []
+
+
+class TestArraySchedule:
+    """The array form's own validation, and the guest-pair gather and the
+    size cut of :func:`deliver_superstep`."""
+
+    @pytest.mark.parametrize("columns, error", [
+        (([-1], [0], [0], [1]), "non-negative"),
+        (([0], [0], [-1], [1]), "is not a node"),
+        (([0], [0], [0], [15]), "is not a node"),  # X(3) has 15 nodes
+        (([0, 0, 0], [3, 1, 3], [0, 1, 2], [1, 2, 3]), "duplicate msg_id 3"),
+        (([0, 0], [0, 1], [0, 1], [1]), "differ in length"),
+    ], ids=["negative-inject", "endpoint-below-0", "endpoint-past-n", "duplicate-id",
+            "unequal-lengths"])
+    def test_invalid_arrays_raise_on_both_engines(self, columns, error):
+        arrays = ArraySchedule(*(np.array(col, dtype=np.int64) for col in columns))
+        topology = XTree(3)
+        with pytest.raises(ValueError, match=error):
+            SynchronousNetwork(topology).deliver_scheduled(arrays)
+        # a listening recorder sends the delivery to the reference loop
+        recorder = TraceRecorder()
+        with pytest.raises(ValueError, match=error):
+            SynchronousNetwork(topology).deliver_scheduled(arrays, recorder=recorder)
+        assert recorder.events == []
+
+    @pytest.mark.parametrize("n_pairs", [ARRAY_MIN_MESSAGES - 1, ARRAY_MIN_MESSAGES])
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    def test_guest_pair_outside_the_guest_raises(self, n_pairs, bad):
+        """On both sides of the cut; -1 must not wrap to the last image."""
+        tree = make_tree("random", 48, seed=3)
+        embedding = theorem1_embedding(tree).embedding
+        bad = tree.n if bad == "n" else bad
+        pairs = [(v, v + 1) for v in range(n_pairs - 1)] + [(bad, 0)]
+        with pytest.raises(ValueError, match=f"guest node {bad} is not in the embedding"):
+            deliver_superstep(
+                SynchronousNetwork(embedding.host), pairs, embedding,
+                range(n_pairs), "p",
+            )
+
+    def test_supersteps_around_the_cut_match_the_reference_loop(self, monkeypatch):
+        """Supersteps of cut - 1, cut and cut + 1 messages (the list, then the
+        arrays), self-messages among them: same stats as the reference loop."""
+        tree = make_tree("random", theorem1_guest_size(3), seed=2)
+        embedding = theorem1_embedding(tree).embedding
+        rng = random.Random(4)
+        steps = tuple(
+            tuple((rng.randrange(tree.n), rng.randrange(tree.n)) for _ in range(size))
+            for size in (ARRAY_MIN_MESSAGES - 1, ARRAY_MIN_MESSAGES, ARRAY_MIN_MESSAGES + 1)
+        )
+        image = embedding.image_idx
+        assert any(image[a] == image[b] for step in steps for a, b in step)
+        program = TreeProgram("cut", tree, steps)
+
+        def run():
+            net = SynchronousNetwork(embedding.host)
+            stats = [
+                deliver_superstep(net, pairs, embedding, range(len(pairs)), "p")
+                for pairs in steps
+            ]
+            return stats, simulate_on_host(program, embedding)
+
+        (classic, classic_run), (vector, vector_run) = classic_then_vector(monkeypatch, run)
+        for a, b in zip(classic, vector):
+            assert_stats_equal(a, b)
+        assert classic_run == vector_run
+
+    def test_image_array_is_read_only(self):
+        embedding = theorem1_embedding(make_tree("random", 48, seed=3)).embedding
+        assert [embedding.host.node_at(i) for i in embedding.image_idx.tolist()] == [
+            embedding.phi[v] for v in range(embedding.guest.n)
+        ]
+        with pytest.raises(ValueError):
+            embedding.image_idx[0] = 1
 
 
 def out_of_order_hot_spot(topology, seed):
@@ -252,14 +350,19 @@ class TestProgramParity:
         assert runs[0].max_queue == runs[1].max_queue
 
     def test_compute_results_identical(self, monkeypatch):
-        tree = make_tree("random", 48, seed=5)
-        embedding = theorem1_embedding(tree).embedding
-        values = list(range(tree.n))
-        for compute in (simulated_reduction, simulated_prefix):
-            classic, vector = classic_then_vector(
-                monkeypatch, lambda: compute(embedding, values)
-            )
-            assert classic == vector
+        # the float input sums differently in another fold order: the
+        # engines deliver a parent's two arrivals in different orders
+        floats = make_tree("random", theorem1_guest_size(5), seed=0)
+        float_values = [0.0] * floats.n
+        float_values[573], float_values[879], float_values[1007] = 1.0, 1e16, -1e16 + 2
+        ints = make_tree("random", 48, seed=5)
+        for tree, values in ((ints, list(range(ints.n))), (floats, float_values)):
+            embedding = theorem1_embedding(tree).embedding
+            for compute in (simulated_reduction, simulated_prefix):
+                classic, vector = classic_then_vector(
+                    monkeypatch, lambda: compute(embedding, values)
+                )
+                assert classic == vector
 
 
 class TestDispatch:
