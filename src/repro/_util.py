@@ -19,9 +19,13 @@ T = TypeVar("T")
 __all__ = [
     "as_rng",
     "atomic_write_text",
+    "check_items",
     "check_nonnegative",
+    "check_object",
     "check_positive",
+    "check_rows",
     "is_int",
+    "is_number",
     "is_power_of_two",
     "node_from_json",
     "node_to_json",
@@ -114,6 +118,51 @@ def is_int(value, low: int | None = None) -> bool:
         and not isinstance(value, bool)
         and (low is None or value >= low)
     )
+
+
+def is_number(value) -> bool:
+    """``value`` is an int or a float (not a bool)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_object(value, path: str, required: Iterable[str] = ()) -> dict:
+    """Return ``value`` if it is a dict holding every ``required`` key;
+    otherwise raise :class:`ValueError` naming ``path``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path} must be an object, got {value!r}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{path} is missing required field {key!r}")
+    return value
+
+
+def check_items(value, path: str, test, want: str) -> list:
+    """Return ``value`` if it is a list whose every item passes ``test``;
+    otherwise raise :class:`ValueError` naming the path of the first bad
+    item, e.g. ``checkpoint.dead_nodes[2] must be a node of host xtree``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{path} must be a list, got {value!r}")
+    for i, item in enumerate(value):
+        if not test(item):
+            raise ValueError(f"{path}[{i}] must be {want}, got {item!r}")
+    return value
+
+
+def check_rows(value, path: str, *columns: tuple) -> list:
+    """Return ``value`` if it is a list of rows, each a list with one cell
+    per column, and a column a ``(test, want)`` pair every cell in it
+    passes; otherwise raise :class:`ValueError` naming the path of the
+    first bad row or cell, e.g. ``job.delivered[3][1] must be an integer
+    >= 0``."""
+    check_items(
+        value, path, lambda row: isinstance(row, list) and len(row) == len(columns),
+        f"a list of {len(columns)} entries",
+    )
+    for i, row in enumerate(value):
+        for j, (test, want) in enumerate(columns):
+            if not test(row[j]):
+                raise ValueError(f"{path}[{i}][{j}] must be {want}, got {row[j]!r}")
+    return value
 
 
 def is_power_of_two(value: int) -> bool:

@@ -43,11 +43,25 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .._util import atomic_write_text, node_from_json, node_to_json
+from .._util import (
+    atomic_write_text,
+    check_items,
+    check_object,
+    check_rows,
+    is_int,
+    is_number,
+    node_from_json,
+    node_to_json,
+)
 from ..networks import build_host, host_params
 from ..obs import Recorder
 from ..simulate.engine import Message, SynchronousNetwork
-from ..simulate.faults import FaultEvent, FaultSchedule, repair_embedding
+from ..simulate.faults import (
+    FaultEvent,
+    FaultSchedule,
+    check_event_endpoints,
+    repair_embedding,
+)
 from ..simulate.mapping import deliver_superstep
 from ..simulate.routing import Router, router_from_spec
 from .jobs import Job, JobSpec
@@ -646,49 +660,93 @@ class Runtime:
         ``state`` is what :meth:`checkpoint` returned (parsed JSON is
         fine: node labels round-trip through the list form).  Pass a
         fresh ``recorder`` to trace the resumed half.
+
+        Every field is checked for type and range before it is used, fault
+        events and node labels against the host: a malformed state raises
+        :class:`ValueError` whose message starts with the field's path,
+        e.g. ``checkpoint.jobs[0].next_step must be ...``, and a state
+        that restores runs.
         """
+        check_object(state, "checkpoint")
         version = state.get("version")
         if version != CHECKPOINT_VERSION:
             raise ValueError(
-                f"unsupported checkpoint version {version!r} "
+                f"checkpoint.version: unsupported checkpoint version {version!r} "
                 f"(this build reads {CHECKPOINT_VERSION})"
             )
-        host = build_host(state["host"]["name"], state["host"]["args"])
-        faults = (
-            None if state["faults"] is None else FaultSchedule.from_obj(state["faults"])
-        )
+        check_object(state, "checkpoint", (
+            "max_load", "link_capacity", "policy", "host", "faults",
+            "applied_events", "jobs", "cycle", "router", "dead_nodes",
+        ))
+        counters = check_object(state.get("counters", {}), "checkpoint.counters")
+        for name, ok, want in (
+            ("max_load", is_int(state["max_load"], 1), "an integer >= 1"),
+            ("link_capacity", is_int(state["link_capacity"], 1), "an integer >= 1"),
+            ("cycle", is_int(state["cycle"], 0), "an integer >= 0"),
+            ("policy", state["policy"] is None or isinstance(state["policy"], (str, dict)),
+             "null, a policy name or a policy document"),
+            ("counters", all(is_int(n, 0) for n in counters.values()),
+             "an object of integers >= 0"),
+            ("applied_events", isinstance(state["applied_events"], list), "a list of events"),
+            ("jobs", isinstance(state["jobs"], list), "a list of job states"),
+        ):
+            if not ok:
+                raise ValueError(f"checkpoint.{name} must be {want}, got {state[name]!r}")
+        spec = check_object(state["host"], "checkpoint.host", ("name", "args"))
+        if not (isinstance(spec["name"], str) and isinstance(spec["args"], list)):
+            raise ValueError(
+                f'checkpoint.host must be {{"name": <string>, "args": [...]}}, got {spec!r}'
+            )
+        try:
+            host = build_host(spec["name"], spec["args"])
+        except ValueError as exc:
+            raise ValueError(f"checkpoint.host: {exc}") from None
+        try:
+            policy = make_policy(state["policy"])
+        except ValueError as exc:
+            raise ValueError(f"checkpoint.policy: {exc}") from None
+        node = (lambda n: host.has_node(node_from_json(n)), f"a node of host {host.name}")
+        faults = state["faults"]
+        if faults is not None:
+            faults = FaultSchedule.from_obj(faults, path="checkpoint.faults")
+            check_event_endpoints(faults.events, host, "checkpoint.faults.events")
+        # FaultEvent.from_dict, not FaultSchedule.from_obj: replayed
+        # entries are internal state, exempt from the wire-format version
+        # gate a bare byzantine event list would trip
+        applied = [
+            FaultEvent.from_dict(entry, path=f"checkpoint.applied_events[{i}]")
+            for i, entry in enumerate(state["applied_events"])
+        ]
+        check_event_endpoints(applied, host, "checkpoint.applied_events")
+        dead = check_items(state["dead_nodes"], "checkpoint.dead_nodes", *node)
+        integrity = _integrity_rows(state.get("integrity"), host, node)
+        jobs = [
+            Job.from_state(jstate, host, path=f"checkpoint.jobs[{i}]")
+            for i, jstate in enumerate(state["jobs"])
+        ]
         rt = cls(
             host,
-            router=router_from_spec(state["router"]),
+            router=_router_at(state["router"], node),
             faults=faults,
             recorder=recorder,
-            policy=state["policy"],
+            policy=policy,
             max_load=state["max_load"],
             link_capacity=state["link_capacity"],
         )
-        rt.counters.update(state.get("counters", {}))
-        for entry in state["applied_events"]:
-            # FaultEvent.from_dict, not FaultSchedule.from_obj: replayed
-            # entries are internal state, exempt from the wire-format
-            # version gate a bare byzantine event list would trip
-            ev = FaultEvent.from_dict(entry)
+        rt.counters.update(counters)
+        for ev in applied:
             rt.network._apply_fault_event(ev)
             rt.applied_events.append(ev)
-        integrity = state.get("integrity")
-        if integrity:
-            # quarantined links re-fail first (fail_link cancels any stale
-            # probe entry), then the probe cycles and EWMA overlay on top
-            for u, v, probe in integrity.get("quarantined", ()):
-                u, v = node_from_json(u), node_from_json(v)
-                rt.network.fail_link(u, v)
-                rt.network.quarantined[frozenset((u, v))] = probe
-            for u, v, ewma in integrity.get("ewma", ()):
-                link = frozenset((node_from_json(u), node_from_json(v)))
-                rt.network.corruption_ewma[link] = ewma
+        # quarantined links re-fail first (fail_link cancels any stale probe
+        # entry), then the probe cycles and EWMA overlay on top
+        for u, v, probe in integrity["quarantined"]:
+            rt.network.fail_link(u, v)
+            rt.network.quarantined[frozenset((u, v))] = probe
+        for u, v, ewma in integrity["ewma"]:
+            rt.network.corruption_ewma[frozenset((u, v))] = ewma
         rt.cycle = state["cycle"]
-        rt.dead_nodes = {node_from_json(n) for n in state["dead_nodes"]}
-        for jstate in state["jobs"]:
-            rt._jobs.append(Job.from_state(jstate, host))
+        rt.dead_nodes = {node_from_json(n) for n in dead}
+        rt._jobs.extend(jobs)
         return rt
 
     @classmethod
@@ -782,3 +840,60 @@ def _apply_delta(state: dict, delta: dict) -> None:
         job.update(entry)
     jobs.extend(entries[len(jobs):])  # admitted since the previous cut
     state.update(delta)
+
+
+def _integrity_rows(integrity, host, node: tuple) -> dict[str, list]:
+    """A checkpoint's ``integrity`` block as ``quarantined`` and ``ewma``
+    rows of ``(u, v, value)``, each ``{u, v}`` a host link (see
+    :meth:`Runtime._integrity_state`); both are empty without one."""
+    rows = {"quarantined": [], "ewma": []}
+    if integrity is None:
+        return rows
+    check_object(integrity, "checkpoint.integrity")
+    for key, column in (
+        ("quarantined", (lambda c: is_int(c, 0), "an integer >= 0 (a probe cycle)")),
+        ("ewma", (lambda x: is_number(x) and 0 <= x <= 1, "a number in [0, 1]")),
+    ):
+        path = f"checkpoint.integrity.{key}"
+        for i, (u, v, value) in enumerate(
+            check_rows(integrity.get(key, []), path, node, node, column)
+        ):
+            u, v = node_from_json(u), node_from_json(v)
+            if v not in host.neighbors(u):
+                raise ValueError(f"{path}[{i}]: {u!r} -- {v!r} is not a link of {host.name}")
+            rows[key].append((u, v, value))
+    return rows
+
+
+def _router_at(spec, node: tuple) -> Router:
+    """The router a checkpoint's ``router`` field names (see
+    :func:`~repro.simulate.routing.router_from_spec`), its learned state's
+    node labels checked by the ``node`` column."""
+    path = "checkpoint.router"
+    check_object(spec, path, ("name", "params", "state"))
+    name, params, learned = spec["name"], spec["params"], spec["state"]
+    if name not in ("deterministic", "adaptive", "tree"):
+        raise ValueError(
+            f"{path}.name must be 'deterministic', 'adaptive' or 'tree', got {name!r}"
+        )
+    if name == "tree":
+        check_object(spec, path, ("doc",))
+    check_object(params, f"{path}.params")
+    for key, value in params.items():
+        if not is_number(value):
+            raise ValueError(f"{path}.params.{key} must be a number, got {value!r}")
+    if learned is not None:
+        check_object(learned, f"{path}.state")
+        number = (is_number, "a number")
+        for key, columns in (
+            ("link_ewma", (node, node, number)),
+            ("queue_ewma", (node, number)),
+            ("last_pick", (node, node, node)),
+        ):
+            check_rows(learned.get(key, []), f"{path}.state.{key}", *columns)
+    try:
+        return router_from_spec(spec)
+    except (TypeError, ValueError) as exc:
+        # the constructor is what knows its parameters: an unknown one is
+        # a TypeError, one out of range a ValueError
+        raise ValueError(f"{path}: {exc}") from None

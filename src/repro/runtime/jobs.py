@@ -20,7 +20,14 @@ from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import Any
 
-from .._util import is_int, node_from_json
+from .._util import (
+    check_items,
+    check_object,
+    check_rows,
+    is_int,
+    is_number,
+    node_from_json,
+)
 from ..core.embedding import Embedding
 from ..core.universal import lift_onto_slots
 from ..core.xtree_embed import embed_binary_tree
@@ -34,6 +41,14 @@ __all__ = ["JobSpec", "Job", "JOB_STATUSES"]
 #: ``done`` (every superstep ran), ``budget_exhausted`` (the per-job cycle
 #: budget ran out first) — both keep their partial results
 JOB_STATUSES = ("active", "done", "budget_exhausted")
+
+#: integer fields >= 0 of a job's checkpoint state; the last two are absent
+#: from checkpoints that predate the integrity protocol
+_COUNTS = (
+    "msg_seq", "consumed_cycles", "n_reroutes", "n_repairs", "n_migrated",
+    "n_corrupted", "n_retransmits",
+)
+_COUNT = (lambda x: is_int(x, 0), "an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -309,32 +324,75 @@ class Job:
         return d
 
     @classmethod
-    def from_state(cls, state: dict, host) -> "Job":
-        spec = JobSpec.from_obj(state["spec"])
-        phi = {g: node_from_json(h) for g, h in state["phi"]}
+    def from_state(cls, state: dict, host, *, path: str = "job") -> "Job":
+        """The job a :meth:`state` dict describes, on ``host``.
+
+        Every field is checked for type and range before it is used; a
+        malformed one raises :class:`ValueError` whose message starts with
+        its path under ``path``, e.g. ``checkpoint.jobs[0].next_step must
+        be an integer in [0, 1] (2 supersteps, job active), got 7``.
+        """
+        check_object(state, path, (
+            "spec", "phi", "status", "next_step", *_COUNTS[:5],
+            "per_step_cycles", "delivered", "failed",
+        ))
+        try:
+            spec = JobSpec.from_obj(state["spec"])
+        except ValueError as exc:
+            raise ValueError(f"{path}.spec: {exc}") from None
+        pairs = check_rows(
+            state["phi"], f"{path}.phi", _COUNT,
+            (lambda h: host.has_node(node_from_json(h)), f"a node of host {host.name}"),
+        )
+        if len(pairs) < spec.tree_n or sorted(g for g, _ in pairs) != list(range(len(pairs))):
+            raise ValueError(
+                f"{path}.phi must map each guest node 0..n-1 once, for an "
+                f"n >= tree_n ({spec.tree_n}), got {len(pairs)} entries"
+            )
+        phi = {g: node_from_json(h) for g, h in pairs}
         # the guest Theorem 1 placed: the spec's tree with the same filler
         # chain embed_binary_tree added to reach the placement's size
         guest = make_tree(
             spec.tree_family, spec.tree_n, seed=spec.tree_seed
         ).padded_to(len(phi))
-        program = PROGRAMS[spec.program](guest, **spec.program_args)
+        try:
+            program = PROGRAMS[spec.program](guest, **spec.program_args)
+        except (TypeError, ValueError) as exc:
+            # the program factory is what knows its keyword arguments
+            raise ValueError(f"{path}.spec.program_args: {exc}") from None
+        n_steps = program.n_supersteps
+        status, next_step = state["status"], state["next_step"]
+        # an active job runs superstep next_step; a terminal one may be past
+        # the last
+        last = n_steps - 1 if status == "active" else n_steps
+        virtual_time = state.get("virtual_time", 0.0)
+        for name, ok, want in (
+            ("status", status in JOB_STATUSES, f"one of {JOB_STATUSES}"),
+            ("next_step", is_int(next_step, 0) and next_step <= last,
+             f"an integer in [0, {last}] ({n_steps} supersteps, job {status})"),
+            *((name, is_int(state.get(name, 0), 0), "an integer >= 0") for name in _COUNTS),
+            # .get(): checkpoints that predate virtual time lack it
+            ("virtual_time", is_number(virtual_time) and virtual_time >= 0, "a number >= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{path}.{name} must be {want}, got {state.get(name)!r}")
         job = cls(spec, Embedding(guest, host, phi), program)
-        job.status = state["status"]
-        job.next_step = state["next_step"]
-        job.msg_seq = state["msg_seq"]
-        job.consumed_cycles = state["consumed_cycles"]
+        job.status = status
+        job.next_step = next_step
         # float round-trips JSON exactly (repr), so restored picks are
-        # bit-identical; .get() keeps pre-virtual-time checkpoints readable
-        job.virtual_time = state.get("virtual_time", 0.0)
-        job.per_step_cycles = list(state["per_step_cycles"])
-        job.delivered = {m: c for m, c in state["delivered"]}
-        job.failed = {m: r for m, r in state["failed"]}
-        job.n_reroutes = state["n_reroutes"]
-        job.n_repairs = state["n_repairs"]
-        job.n_migrated = state["n_migrated"]
-        # .get() keeps pre-integrity-protocol checkpoints readable
-        job.n_corrupted = state.get("n_corrupted", 0)
-        job.n_retransmits = state.get("n_retransmits", 0)
+        # bit-identical
+        job.virtual_time = virtual_time
+        job.per_step_cycles = list(
+            check_items(state["per_step_cycles"], f"{path}.per_step_cycles", *_COUNT)
+        )
+        job.delivered = dict(check_rows(state["delivered"], f"{path}.delivered", _COUNT, _COUNT))
+        job.failed = dict(check_rows(
+            state["failed"], f"{path}.failed", _COUNT, (lambda r: isinstance(r, str), "a string")
+        ))
+        for name in _COUNTS:
+            # .get(): checkpoints that predate the integrity protocol lack
+            # its two counters
+            setattr(job, name, state.get(name, 0))
         return job
 
     # -- reporting ------------------------------------------------------

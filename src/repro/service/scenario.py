@@ -62,6 +62,7 @@ from ..policy.dsl import PolicyDoc
 from ..runtime import AdmissionError, JobSpec, Runtime, RuntimeResult
 from ..runtime.policies import make_policy
 from ..simulate import FaultSchedule
+from ..simulate.faults import check_event_endpoints
 from ..simulate.routing import make_router
 
 __all__ = ["SCENARIO_VERSION", "Scenario", "run_scenario", "drive_runtime"]
@@ -118,17 +119,13 @@ class Scenario:
                 )
         check_host(self.host_name, self.host_args)
         if self.faults is not None and self.faults.events:
-            # a fault on a node the host lacks would parse and then fail the
+            # a fault the host cannot apply would parse and then fail the
             # job on a worker, when the runtime applies the event
-            host = build_host(self.host_name, self.host_args)
-            for i, ev in enumerate(self.faults.events):
-                for end, node in (("u", ev.u), ("v", ev.v)):
-                    if (end == "u" or node is not None) and not host.has_node(node):
-                        raise ValueError(
-                            f"Scenario.faults.events[{i}].{end}: {node!r} is not a node "
-                            f"of host {self.host_name} {list(self.host_args)} "
-                            f"({ev.action} at cycle {ev.cycle})"
-                        )
+            check_event_endpoints(
+                self.faults.events,
+                build_host(self.host_name, self.host_args),
+                "Scenario.faults.events",
+            )
         if not self.jobs:
             raise ValueError(f"scenario {self.name!r} has no jobs")
         # inline documents are validated (and canonicalised) via PolicyDoc

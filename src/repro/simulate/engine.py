@@ -105,10 +105,11 @@ class SynchronousNetwork:
     them, and delivery raises :class:`UnreachableError` when a destination
     is cut off.  Links can also be failed mid-simulation with
     :meth:`fail_link` / healed with :meth:`heal_link` — the fault injection
-    hooks the test suite exercises.  Per-destination routing tables are
-    built lazily and invalidated *incrementally*: a link event drops only
-    the tables it can actually stale (see :meth:`_invalidate`), so long
-    fail/heal sequences keep most of the routing cache warm.
+    hooks the test suite exercises.  Per-destination routing tables, and
+    the next hops read off them, are built lazily and invalidated
+    *incrementally*: a link event drops only the tables it can actually
+    stale and the next hops of its two endpoints (see :meth:`_invalidate`),
+    so long fail/heal sequences keep most of the routing cache warm.
 
     ``router`` selects the next-hop policy (:mod:`repro.simulate.routing`):
     ``None`` / ``"deterministic"`` keep the historical smallest-index
@@ -143,6 +144,12 @@ class SynchronousNetwork:
         #: per-link corruption EWMA driving quarantine decisions
         self.corruption_ewma: dict[frozenset, float] = {}
         self._dist_to: dict[Node, dict[Node, int]] = {}
+        #: next hops memoised beside their distance table: dst -> node -> hop,
+        #: filled on first ask and invalidated with it (see _invalidate)
+        self._hop_to: dict[Node, dict[Node, Node]] = {}
+        #: live adjacency, label -> live neighbours in topology.neighbors
+        #: order; built on first use, patched per link event
+        self._adj: dict[Node, tuple[Node, ...]] | None = None
         #: dense next-hop tables from the DistanceOracle, fetched lazily for
         #: the fault-free classic path; ``False`` marks "topology too large"
         self._dense_nh = None
@@ -357,7 +364,9 @@ class SynchronousNetwork:
             self._applying_fault = False
 
     def _invalidate(self, u: Node, v: Node, *, healed: bool) -> None:
-        """Drop exactly the cached distance tables the link change stales.
+        """Bring the routing caches in line with a change of link ``{u, v}``:
+        the live adjacency of both endpoints is rebuilt, and exactly the
+        cached distance tables the change stales are dropped.
 
         A table for destination ``dst`` maps reachable nodes to exact
         distances over the live links.  The checks below are exact — a
@@ -376,9 +385,19 @@ class SynchronousNetwork:
           (``|d(u) - d(v)| >= 2``); a gap of at most 1 cannot shorten any
           path, and a link between two unreachable nodes stays invisible.
 
+        A table's next-hop memo goes with it.  A kept table keeps its memo
+        minus the entries of ``u`` and ``v``: a node's hop is the
+        smallest-index live neighbour one step nearer, so it depends only
+        on the node's own live links and the table's distances, and the
+        link changed the former for the two endpoints alone.
+
         The equivalence with a full rebuild is property-tested under
         randomised fail/heal sequences.
         """
+        adj = self._adj
+        if adj is not None:
+            adj[u] = self._live_row(u)
+            adj[v] = self._live_row(v)
         stale = []
         for dst, table in self._dist_to.items():
             du = table.get(u)
@@ -396,15 +415,30 @@ class SynchronousNetwork:
                     stale.append(dst)
         for dst in stale:
             del self._dist_to[dst]
+            del self._hop_to[dst]
+        for hops in self._hop_to.values():
+            hops.pop(u, None)
+            hops.pop(v, None)
 
-    def live_neighbors(self, node: Node):
-        """The topology's neighbours reachable over non-failed links."""
-        if not self.failed:
-            yield from self.topology.neighbors(node)
-            return
-        for v in self.topology.neighbors(node):
-            if frozenset((node, v)) not in self.failed:
-                yield v
+    def _live_row(self, node: Node) -> tuple[Node, ...]:
+        """``node``'s entry of the live adjacency, from the failed-link set."""
+        failed = self.failed
+        return tuple(
+            w for w in self.topology.neighbors(node) if frozenset((node, w)) not in failed
+        )
+
+    def live_neighbors(self, node: Node) -> tuple[Node, ...]:
+        """The topology's neighbours reachable over non-failed links, in
+        ``topology.neighbors`` order; a label not in the host raises the
+        topology's :class:`ValueError`."""
+        adj = self._adj
+        if adj is None:
+            adj = self._adj = {w: self._live_row(w) for w in self.topology.nodes()}
+        row = adj.get(node)
+        if row is None:
+            self.topology.index(node)  # the topology's own ValueError
+            raise ValueError(f"{node!r} is not a node of {self.topology.name}")
+        return row
 
     # ------------------------------------------------------------------
     # Routing
@@ -412,8 +446,10 @@ class SynchronousNetwork:
     def _dist_table(self, dst: Node) -> dict[Node, int]:
         table = self._dist_to.get(dst)
         if table is None:
-            table = bfs_distances_from(self.live_neighbors, dst)
+            self.live_neighbors(dst)  # builds the adjacency, checks the label
+            table = bfs_distances_from(self._adj.__getitem__, dst)
             self._dist_to[dst] = table
+            self._hop_to[dst] = {}
         return table
 
     def _dense_next_hop(self):
@@ -449,16 +485,28 @@ class SynchronousNetwork:
                 raise UnreachableError(
                     f"{node!r} cannot reach {dst!r} (failed links)"
                 )
+        hops = self._hop_to.get(dst)
+        if hops is not None:
+            hop = hops.get(node)
+            if hop is not None:
+                return hop
         dist = self._dist_table(dst)
-        if node not in dist:
+        here = dist.get(node)
+        if here is None:
+            self.live_neighbors(node)  # a label not in the host: ValueError
             raise UnreachableError(f"{node!r} cannot reach {dst!r} (failed links)")
-        return min(
-            (v for v in self.live_neighbors(node) if dist.get(v, -2) == dist[node] - 1),
+        # smallest-index live neighbour one step nearer, memoised until a
+        # link event at ``node`` or a change of the table (_invalidate)
+        hop = self._hop_to[dst][node] = min(
+            (v for v in self._adj[node] if dist.get(v, -2) == here - 1),
             key=self.topology.index,
         )
+        return hop
 
     def route(self, src: Node, dst: Node) -> list[Node]:
         """The full deterministic path ``src .. dst`` (inclusive)."""
+        if src == dst:
+            self.topology.index(src)  # a label not in the host: ValueError
         path = [src]
         cur = src
         while cur != dst:

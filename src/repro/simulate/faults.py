@@ -42,8 +42,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Hashable
 
-from .._util import is_int
+from .._util import is_int, is_number
 from ..core.embedding import Embedding
+from ..networks import Topology, host_params
 
 __all__ = [
     "FAULT_ACTIONS",
@@ -55,6 +56,7 @@ __all__ = [
     "DegradedResult",
     "RepairError",
     "RepairResult",
+    "check_event_endpoints",
     "repair_embedding",
 ]
 
@@ -191,8 +193,7 @@ def _check_event(path: str, cycle, action, v, delay, rate, seed) -> None:
     elif delay is not None:
         raise ValueError(f"{path}.delay: {action} takes no delay, got delay={delay!r}")
     if action in BYZANTINE_ACTIONS:
-        if not (isinstance(rate, (int, float)) and not isinstance(rate, bool)
-                and 0.0 <= rate <= 1.0):
+        if not (is_number(rate) and 0.0 <= rate <= 1.0):
             raise ValueError(
                 f"{path}.rate: {action} needs a rate probability in [0, 1], "
                 f"got {rate!r}"
@@ -204,6 +205,29 @@ def _check_event(path: str, cycle, action, v, delay, rate, seed) -> None:
             raise ValueError(f"{path}.rate: {action} takes no rate, got rate={rate!r}")
         if seed is not None:
             raise ValueError(f"{path}.seed: {action} takes no seed, got seed={seed!r}")
+
+
+def check_event_endpoints(events, host: Topology, path: str) -> None:
+    """Raise ValueError, naming ``path[i].u`` or ``path[i].v``, unless every
+    event's endpoints are nodes of ``host`` and every ``*_link`` event's
+    endpoints are joined by one of its links.
+
+    Parsing an event checks its fields alone; an event the host cannot
+    apply would otherwise parse, and then fail the run when it applies.
+    ``host`` is a registered topology (:func:`repro.networks.build_host`).
+    """
+    where = f"host {host.name} {list(host_params(host).values())}"
+    for i, ev in enumerate(events):
+        what = f"({ev.action} at cycle {ev.cycle})"
+        for end, node in (("u", ev.u), ("v", ev.v)):
+            if (end == "u" or node is not None) and not host.has_node(node):
+                raise ValueError(
+                    f"{path}[{i}].{end}: {node!r} is not a node of {where} {what}"
+                )
+        if ev.v is not None and ev.v not in host.neighbors(ev.u):
+            raise ValueError(
+                f"{path}[{i}].v: {ev.u!r} -- {ev.v!r} is not a link of {where} {what}"
+            )
 
 
 class FaultSchedule:

@@ -28,6 +28,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import weakref
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.oracle import oracle_for
+from repro.cli import main
 from repro.networks import Grid2D, XTree
 from repro.obs import TraceRecorder
 from repro.runtime import (
@@ -959,3 +961,110 @@ def test_dropped_runtime_frees_its_routing_tables(policy):
         assert tables() is None
     finally:
         gc.enable()
+
+
+def checkpoint_cut(name: str, steps: int) -> dict:
+    """The parsed checkpoint of shipped scenario ``name`` after ``steps``
+    supersteps."""
+    rt = Scenario.from_json(ROOT / "scenarios" / f"{name}.json").build_runtime()
+    for _ in range(steps):
+        rt.step()
+    return json.loads(json.dumps(rt.checkpoint()))
+
+
+def checkpoint_mutations(state: dict):
+    """Every field of ``state``, nested ones included (of a list, its first
+    three entries), set to null, 7, "x", [] or {}, or deleted: yields
+    ``(path, mutated copy)``."""
+
+    def fields(obj, path=()):
+        items = obj.items() if isinstance(obj, dict) else list(enumerate(obj))[:3]
+        for key, value in items:
+            yield path + (key,)
+            if isinstance(value, (dict, list)):
+                yield from fields(value, path + (key,))
+
+    blob = json.dumps(state)
+    for path in fields(state):
+        for value in (None, 7, "x", [], {}, "delete"):
+            obj = json.loads(blob)
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            if value == "delete":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield path, obj
+
+
+def dotted(path) -> str:
+    return "checkpoint" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+class TestRestoreIsTotal:
+    """``Runtime.restore`` checks every field before it uses it: a mutated
+    checkpoint raises ``ValueError`` naming the field (or an object holding
+    it), or restores into a runtime that runs to the end."""
+
+    @pytest.mark.parametrize("name,steps,n_fields", [
+        ("hot_spot", 2, 114), ("byzantine", 1, 174),
+    ])
+    def test_every_mutation_is_rejected_or_runs(self, name, steps, n_fields):
+        n_mutations = n_rejected = 0
+        for path, obj in checkpoint_mutations(checkpoint_cut(name, steps)):
+            n_mutations += 1
+            try:
+                rt = Runtime.restore(obj)
+            except ValueError as exc:
+                n_rejected += 1
+                holders = tuple(dotted(path[:k]) for k in range(len(path) + 1))
+                msg = str(exc)
+                assert any(
+                    msg.startswith(h) and msg[len(h)] in " :.[" for h in holders
+                ), f"{dotted(path)}: {msg}"
+                continue
+            rt.run()
+        assert n_mutations == 6 * n_fields
+        assert 0 < n_rejected < n_mutations
+
+    def test_next_step_past_the_program_is_named(self):
+        state = checkpoint_cut("hot_spot", 2)
+        state["jobs"][0]["next_step"] = 7
+        with pytest.raises(ValueError, match=re.escape(
+                "checkpoint.jobs[0].next_step must be an integer in [0, ")):
+            Runtime.restore(state)
+
+    def test_fault_event_off_the_host_is_named(self):
+        state = checkpoint_cut("byzantine", 1)
+        state["faults"]["events"][2]["u"] = 7
+        with pytest.raises(ValueError, match=re.escape(
+                "checkpoint.faults.events[2].u: 7 is not a node of host xtree [4]")):
+            Runtime.restore(state)
+
+    def test_fault_event_on_a_non_link_is_named(self):
+        state = checkpoint_cut("byzantine", 1)
+        state["faults"]["events"][2]["v"] = [3, 7]
+        with pytest.raises(ValueError, match=re.escape(
+                "checkpoint.faults.events[2].v: (2, 1) -- (3, 7) is not a link")):
+            Runtime.restore(state)
+
+    @pytest.mark.parametrize("field,value,message", [
+        (("jobs", 0, "next_step"), 7, "checkpoint.jobs[0].next_step must be"),
+        (("jobs", 1, "delivered", 0), None, "checkpoint.jobs[1].delivered[0] must be"),
+        (("dead_nodes",), "x", "checkpoint.dead_nodes must be a list"),
+        (("host", "args", 0), "x", "checkpoint.host: host.args[0]"),
+    ])
+    def test_cli_resume_exits_1_with_the_message(self, tmp_path, capsys,
+                                                  field, value, message):
+        cfg = ROOT / "scenarios" / "hot_spot.json"
+        ckpt = tmp_path / "c.json"
+        state = checkpoint_cut("hot_spot", 2)
+        parent = state
+        for key in field[:-1]:
+            parent = parent[key]
+        parent[field[-1]] = value
+        ckpt.write_text(json.dumps(state))
+        assert main(["runtime", str(cfg), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot restore checkpoint {ckpt}: {message}" in err
