@@ -20,9 +20,11 @@ module makes that query cheap at every batch size:
   ``Topology.has_closed_form_distance``) bypass BFS entirely;
   :meth:`DistanceOracle.pairs_distances` evaluates the formula over whole
   index arrays at once.
-* **Dense routing tables** — :meth:`DistanceOracle.next_hop_tables` sweeps
-  every host's neighbour slots once over its all-pairs matrix; Theorem 4's
-  G_n runs that sweep on its address quotient and broadcasts it.
+* **One dense routing table** — :meth:`DistanceOracle.next_hop_edges`
+  sweeps every host's neighbour slots once over its all-pairs matrix into
+  an edge-id table whose CSR slots name both the link and the next node;
+  Theorem 4's G_n runs that sweep on its address quotient and broadcasts
+  it.
 
 ``oracle_for`` memoises one oracle per live topology object, so call sites
 (:class:`repro.core.embedding.Embedding`, the verification layer, the
@@ -166,14 +168,14 @@ def _universal_csr(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 
 def _sweep_next_hops(
     indptr: np.ndarray, indices: np.ndarray, dist: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Smallest-index shortest-path routing over CSR arrays and an all-pairs
-    distance matrix: ``(next_hop, edge_id)``, both ``(n, n)`` int32.
+    distance matrix, as an ``(n, n)`` int32 edge-id table ``E``.
 
-    ``next_hop[u, d]`` is the smallest-index neighbour ``v`` of ``u`` with
-    ``dist[v, d] == dist[u, d] - 1`` and ``edge_id[u, d]`` its position in
-    ``indices``; both are ``-1`` where there is none (``u == d``, or ``d``
-    unreachable).
+    ``E[u, d]`` is the CSR slot (the position in ``indices``) of the link
+    from ``u`` to its smallest-index neighbour ``v`` with
+    ``dist[v, d] == dist[u, d] - 1``, so ``indices[E[u, d]]`` is the next
+    hop; ``-1`` where there is none (``u == d``, or ``d`` unreachable).
     """
     n = indptr.size - 1
     deg = np.diff(indptr).astype(np.int64)
@@ -182,35 +184,33 @@ def _sweep_next_hops(
     # sentinel ``n``; ``pos`` remembers each neighbour's CSR slot (the
     # directed-edge id)
     nbr = np.full((n, max_deg), n, dtype=np.int64)
-    pos = np.full((n, max_deg), -1, dtype=np.int64)
+    pos = np.full((n, max_deg), -1, dtype=np.int32)
     for u in range(n):
         s, e = int(indptr[u]), int(indptr[u + 1])
         row = indices[s:e].astype(np.int64)
         order = np.argsort(row)
         nbr[u, : e - s] = row[order]
         pos[u, : e - s] = s + order
-    nh = np.full((n, n), -1, dtype=np.int32)
     eid = np.full((n, n), -1, dtype=np.int32)
     # a neighbour v is a valid next hop towards d iff dist(v, d) is
     # exactly dist(u, d) - 1; sweeping the index-sorted slots from the
     # highest down lets the smallest-index candidate overwrite last,
-    # which is precisely the engine's tie-break
-    target = dist - 1
+    # which is precisely the engine's tie-break.  Where u is d or cannot
+    # reach it the target is -2, a distance no neighbour has.
+    target = np.where(dist > 0, dist - 1, -2)
     for k in range(max_deg - 1, -1, -1):
         cand = nbr[:, k]
         valid = cand < n
-        cand_rows = dist[np.where(valid, cand, 0)]
-        mask = valid[:, None] & (cand_rows == target) & (target >= 0)
-        nh = np.where(mask, cand[:, None].astype(np.int32), nh)
-        eid = np.where(mask, pos[:, k].astype(np.int32)[:, None], eid)
-    return nh, eid
+        mask = valid[:, None] & (dist[np.where(valid, cand, 0)] == target)
+        np.copyto(eid, pos[:, k, None], where=mask)
+    return eid
 
 
 def _universal_tables(
     indptr: np.ndarray, adj: list[list[int]], quotient: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """G_n's ``(next_hop, edge_id)``: one :func:`_sweep_next_hops` on the
-    address quotient, broadcast to all ``(n, n)`` vertex pairs.
+) -> np.ndarray:
+    """G_n's edge-id table: one :func:`_sweep_next_hops` on the address
+    quotient, broadcast to all ``(n, n)`` vertex pairs.
 
     For ``u = (a, j) != d = (b, k)`` and quotient distance ``Q``: with
     ``Q[a, b] < 0`` there is no hop; with ``a == b`` or ``Q[a, b] == 1``,
@@ -226,23 +226,17 @@ def _universal_tables(
     q_indptr = np.zeros(m + 1, dtype=np.int32)
     q_indptr[1:] = np.cumsum([len(rel) for rel in adj])
     q_indices = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.int32)
-    q_hop, q_pos = _sweep_next_hops(q_indptr, q_indices, quotient)
-    direct = (quotient == 0) | (quotient == 1)  # d is u, or u's neighbour
-    far_hop = np.where(q_hop >= 0, q_hop * _SLOTS, -1)
+    q_pos = _sweep_next_hops(q_indptr, q_indices, quotient)
     # offset of the hop's slot group within u's CSR row: the 15 own slots,
-    # then 16 per related address in ``adj`` order
-    group = (_SLOTS - 1) + _SLOTS * (q_pos - q_indptr[:-1, None])
-    nh = np.empty((n, n), dtype=np.int32)
+    # then 16 per related address in ``adj`` order; -1 where b is out of
+    # reach
+    group = np.where(
+        quotient < 0, -1, (_SLOTS - 1) + _SLOTS * (q_pos - q_indptr[:-1, None])
+    )
     eid = np.empty((n, n), dtype=np.int32)
-    nh4 = nh.reshape(m, _SLOTS, m, _SLOTS)
     eid4 = eid.reshape(m, _SLOTS, m, _SLOTS)
     # outside its own block, row (a, j) does not depend on j: fill one
     # (m, 1, m, 16) slab and broadcast it over the 16 slots
-    nh4[...] = np.where(
-        direct[:, None, :, None],
-        np.arange(n, dtype=np.int32).reshape(1, 1, m, _SLOTS),
-        far_hop[:, None, :, None],
-    )
     eid4[...] = np.where(
         (quotient == 1)[:, None, :, None],
         group[:, None, :, None] + np.arange(_SLOTS, dtype=np.int32),
@@ -250,10 +244,9 @@ def _universal_tables(
     )
     diag = np.arange(m)
     eid4[diag, :, diag, :] = _OWN_POS
-    eid += indptr[:-1, None]
-    np.fill_diagonal(nh, -1)
-    eid[nh < 0] = -1
-    return nh, eid
+    np.add(eid, indptr[:-1, None], out=eid, where=eid >= 0)
+    np.fill_diagonal(eid, -1)
+    return eid
 
 
 class DistanceOracle:
@@ -279,9 +272,8 @@ class DistanceOracle:
             self.indptr, self.indices = _neighbor_csr(topology)
         self._row_cache: OrderedDict[int, np.ndarray] = OrderedDict()
         self._closed_form = topology.has_closed_form_distance
-        #: dense routing tables, built lazily by :meth:`next_hop_matrix`
-        #: and memoised alongside the row cache (one per oracle lifetime)
-        self._next_hop: np.ndarray | None = None
+        #: the dense edge-id routing table, built lazily by
+        #: :meth:`next_hop_edges` and kept for the oracle's lifetime
         self._next_hop_edge: np.ndarray | None = None
         #: quotient all-pairs matrix for UniversalGraph hosts, memoised
         self._universal_quotient: np.ndarray | None = None
@@ -481,58 +473,43 @@ class DistanceOracle:
         return out
 
     # ------------------------------------------------------------------
-    # Dense routing tables
+    # Dense routing table
     # ------------------------------------------------------------------
-    def next_hop_matrix(self) -> np.ndarray:
-        """Dense deterministic routing table ``NH[u, d]`` over the fault-free
-        topology, as an ``(n, n)`` int32 matrix of canonical indices.
+    def next_hop_edges(self) -> np.ndarray:
+        """Dense deterministic routing table ``E[u, d]`` over the fault-free
+        topology, as an ``(n, n)`` int32 matrix of CSR slots.
 
-        ``NH[u, d]`` is the neighbour of ``u`` that lies on a shortest path
-        towards ``d``, with ties broken towards the smallest canonical
-        index — exactly the policy of
+        ``E[u, d]`` is the *directed-edge identifier* (the position in
+        :attr:`indices`) of the link from ``u`` to its smallest-index
+        neighbour on a shortest path towards ``d``, so one gather yields
+        both the link whose capacity the hop consumes and the next node,
+        ``indices[E[u, d]]``.  That is exactly the policy of
         :meth:`repro.simulate.engine.SynchronousNetwork.next_hop` (and
         hence :class:`~repro.simulate.routing.ShortestPathRouter`) on a
         network with no failed links.  Entries with no next hop (``u == d``
         or ``d`` unreachable) hold ``-1``.
 
-        Built once and memoised for the oracle's lifetime, like the LRU row
-        cache but a single object: both the classic engine's per-hop
-        routing and the vectorised kernel
-        (:mod:`repro.simulate.vector_engine`) gather from the same matrix.
+        Built once, read-only, and memoised for the oracle's lifetime: both
+        the classic engine's per-hop routing and the vectorised kernel
+        (:mod:`repro.simulate.vector_engine`) gather from this one table.
         Most hosts get one smallest-index sweep of their neighbour slots
         over :meth:`all_pairs`, O(n^2 * max degree).  Theorem 4's G_n gets
         the same sweep on its address quotient (``n / 16`` vertices, degree
         at most 25), broadcast to the ``(n, n)`` table: the identical
         table, without the 415 passes over an ``n x n`` distance matrix.
         """
-        if self._next_hop is None:
-            self._build_next_hop_tables()
-        return self._next_hop
-
-    def next_hop_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(next_hop, edge_id)`` matrices for the vectorised engine.
-
-        ``edge_id[u, d]`` is the *directed-edge identifier* of the link
-        ``(u, NH[u, d])`` — its position in the CSR ``indices`` array — so
-        one gather yields both the next node and the link whose capacity
-        the hop consumes.  ``-1`` where ``next_hop`` is ``-1``.
-        """
-        if self._next_hop is None:
-            self._build_next_hop_tables()
-        return self._next_hop, self._next_hop_edge
-
-    def _build_next_hop_tables(self) -> None:
-        t = self.topology
-        if isinstance(t, UniversalGraph):
-            nh, eid = _universal_tables(
-                self.indptr, t.quotient_adjacency(), self._quotient_distances(t)
-            )
-        else:
-            nh, eid = _sweep_next_hops(self.indptr, self.indices, self.all_pairs())
-        nh.setflags(write=False)
-        eid.setflags(write=False)
-        self._next_hop = nh
-        self._next_hop_edge = eid
+        eid = self._next_hop_edge
+        if eid is None:
+            t = self.topology
+            if isinstance(t, UniversalGraph):
+                eid = _universal_tables(
+                    self.indptr, t.quotient_adjacency(), self._quotient_distances(t)
+                )
+            else:
+                eid = _sweep_next_hops(self.indptr, self.indices, self.all_pairs())
+            eid.setflags(write=False)
+            self._next_hop_edge = eid
+        return eid
 
     def distance(self, u: Any, v: Any) -> int:
         """Hop distance between two node *labels* through the oracle."""
@@ -567,7 +544,7 @@ def oracle_for(topology: Topology) -> DistanceOracle:
     """The memoised :class:`DistanceOracle` for a live topology object.
 
     Kept on the topology instance itself (identity, not equality): call
-    sites share CSR builds, row caches and next-hop tables while the
+    sites share CSR builds, row caches and the routing table while the
     topology lives.  The entry lives exactly as long as its topology: the
     oracle refers back to it weakly, so dropping the last reference to the
     topology frees both at once, with no cycle for the garbage collector

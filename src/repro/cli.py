@@ -55,7 +55,7 @@ from .core.verification import (
 from .core.xtree_embed import theorem1_embedding
 from .networks.xtree import addr_to_string
 from .separators import SEPARATORS as SEPARATOR_NAMES
-from .simulate import PROGRAMS, ROUTERS, simulate_on_guest, simulate_on_host
+from .simulate import PROGRAMS, ROUTERS, FaultSchedule, simulate_on_guest, simulate_on_host
 from .trees.binary_tree import theorem1_guest_size
 from .trees.generators import FAMILIES, make_tree
 
@@ -129,6 +129,36 @@ def _load_policy_doc(path):
         return None
 
 
+def _load_faults(path):
+    """Load one fault schedule file, or print the error and return None
+    (callers turn that into exit 1)."""
+    try:
+        return FaultSchedule.from_json(Path(path))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: cannot load fault schedule {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def _write_observations(args, recorder, info) -> bool:
+    """Write ``--trace``'s JSONL file and print ``--metrics``' report to
+    ``info``; False, after printing the error, when the trace cannot be
+    written (callers turn that into exit 1)."""
+    if args.trace:
+        try:
+            recorder.to_jsonl(args.trace)
+        except OSError as exc:
+            print(f"error: cannot write trace to {args.trace}: {exc}", file=sys.stderr)
+            return False
+        print(f"wrote trace: {args.trace} ({len(recorder.events)} events, "
+              f"{len(recorder.cycles)} cycle samples)", file=info)
+    if args.metrics:
+        from .analysis.trace_report import metrics_report
+
+        print(file=info)
+        print(metrics_report(recorder), file=info)
+    return True
+
+
 def _cmd_simulate(args) -> int:
     from .obs import TraceRecorder
 
@@ -154,12 +184,8 @@ def _cmd_simulate(args) -> int:
     result = theorem1_embedding(tree, separator=args.separator)
     faults = None
     if args.faults:
-        from .simulate import FaultSchedule
-
-        try:
-            faults = FaultSchedule.from_json(Path(args.faults))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"error: cannot load fault schedule {args.faults}: {exc}", file=sys.stderr)
+        faults = _load_faults(args.faults)
+        if faults is None:
             return 1
     fault_mode = faults is not None or args.ttl is not None
     rows = []
@@ -201,19 +227,8 @@ def _cmd_simulate(args) -> int:
     if fault_mode:
         for name, report in reports:
             print(f"fault report [{name}]: {report}")
-    if args.trace:
-        try:
-            recorder.to_jsonl(args.trace)
-        except OSError as exc:
-            print(f"error: cannot write trace to {args.trace}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote trace: {args.trace} ({len(recorder.events)} events, "
-              f"{len(recorder.cycles)} cycle samples)")
-    if args.metrics:
-        from .analysis.trace_report import metrics_report
-
-        print()
-        print(metrics_report(recorder))
+    if not _write_observations(args, recorder, sys.stdout):
+        return 1
     if fault_mode and any(not rep.complete for _, rep in reports):
         return 1
     return 0
@@ -233,13 +248,8 @@ def _cmd_runtime(args) -> int:
     info = sys.stderr if args.json else sys.stdout
     faults = None
     if args.faults:
-        from .simulate import FaultSchedule
-
-        try:
-            faults = FaultSchedule.from_json(Path(args.faults))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"error: cannot load fault schedule {args.faults}: {exc}",
-                  file=sys.stderr)
+        faults = _load_faults(args.faults)
+        if faults is None:
             return 1
     policy = None
     if args.policy:
@@ -328,19 +338,8 @@ def _cmd_runtime(args) -> int:
                 f", {len(j['failed'])} failed messages" if j["failed"] else ""
             )
             print(f"incomplete job {j['name']!r}: {why}{extra}", file=sys.stderr)
-    if args.trace:
-        try:
-            recorder.to_jsonl(args.trace)
-        except OSError as exc:
-            print(f"error: cannot write trace to {args.trace}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote trace: {args.trace} ({len(recorder.events)} events, "
-              f"{len(recorder.cycles)} cycle samples)", file=info)
-    if args.metrics:
-        from .analysis.trace_report import metrics_report
-
-        print(file=info)
-        print(metrics_report(recorder), file=info)
+    if not _write_observations(args, recorder, info):
+        return 1
     # exit contract (service workers and CI depend on it, matching
     # `simulate`): 0 = every job done with every message delivered;
     # 1 = degraded/incomplete (failed messages, exhausted budgets) or a

@@ -30,6 +30,7 @@ from ..networks.xtree import XAddr, XTree, xtree_size
 from ..separators.lemma import lemma2_split
 from ..trees.binary_tree import BinaryTree
 from ..trees.traversal import bfs_order
+from .context import complete_tree_into_xtree
 from .embedding import Embedding
 from .intervals import LayoutState
 
@@ -205,12 +206,8 @@ def _spill_leftovers(state: LayoutState, xtree: XTree) -> None:
 def complete_tree_identity(r: int) -> Embedding:
     """B_r into X(r) by identity on addresses: dilation 1, load 1.
 
-    The guest is the complete binary tree labelled in heap order, so guest
-    node ``i`` is host vertex ``node_at(i)``.
+    :func:`~repro.core.context.complete_tree_into_xtree` as an
+    :class:`Embedding`: the guest is the complete binary tree labelled in
+    heap order, so guest node ``i`` is host vertex ``node_at(i)``.
     """
-    n = xtree_size(r)
-    parent = [-1] + [(v - 1) // 2 for v in range(1, n)]
-    guest = BinaryTree(parent)
-    xtree = XTree(r)
-    phi = {v: xtree.node_at(v) for v in range(n)}
-    return Embedding(guest, xtree, phi)
+    return Embedding(*complete_tree_into_xtree(r))

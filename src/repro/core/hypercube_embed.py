@@ -36,8 +36,17 @@ __all__ = [
 ]
 
 
-def _bits_to_int(bits: str) -> int:
-    return int(bits, 2) if bits else 0
+def _address_map(r: int, transform) -> dict[XAddr, int]:
+    """``alpha -> transform(alpha) 1 0^{r-|alpha|}`` for every address
+    ``alpha`` of X(r) (equivalently of B_r), keyed ``(level, index)``, the
+    ``r+1``-bit string read as an int big-endian."""
+    if r < 0:
+        raise ValueError(f"height must be non-negative, got {r}")
+    return {
+        (level, idx): int(transform(addr_to_string((level, idx))) + "1" + "0" * (r - level), 2)
+        for level in range(r + 1)
+        for idx in range(1 << level)
+    }
 
 
 def inorder_embedding(r: int) -> dict[XAddr, int]:
@@ -48,14 +57,7 @@ def inorder_embedding(r: int) -> dict[XAddr, int]:
     the ``r+1``-bit string big-endian).  Dilation 2; distance ``D`` in B_r
     maps to at most ``D + 1`` in Q_{r+1}.
     """
-    if r < 0:
-        raise ValueError(f"height must be non-negative, got {r}")
-    out: dict[XAddr, int] = {}
-    for level in range(r + 1):
-        for idx in range(1 << level):
-            bits = addr_to_string((level, idx)) + "1" + "0" * (r - level)
-            out[(level, idx)] = _bits_to_int(bits)
-    return out
+    return _address_map(r, lambda bits: bits)
 
 
 def _chi(bits: str) -> str:
@@ -80,14 +82,7 @@ def xtree_to_hypercube_map(r: int) -> dict[XAddr, int]:
     ``delta(alpha) = chi(alpha) 1 0^{r-|alpha|}``; X-tree distance ``D``
     maps to hypercube distance at most ``D + 1``.
     """
-    if r < 0:
-        raise ValueError(f"height must be non-negative, got {r}")
-    out: dict[XAddr, int] = {}
-    for level in range(r + 1):
-        for idx in range(1 << level):
-            bits = _chi(addr_to_string((level, idx))) + "1" + "0" * (r - level)
-            out[(level, idx)] = _bits_to_int(bits)
-    return out
+    return _address_map(r, _chi)
 
 
 def theorem3_embedding(tree: BinaryTree, *, validate: bool = False) -> Embedding:

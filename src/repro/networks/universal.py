@@ -27,7 +27,7 @@ Routing tables factor the same way.  The smallest-index next hop from
 of the smallest related address one quotient step closer.  So
 :mod:`repro.analysis.oracle` builds G_n's CSR from
 :meth:`UniversalGraph.quotient_adjacency`, runs its next-hop sweep once on
-the quotient, and broadcasts the result to the ``n x n`` tables.
+the quotient, and broadcasts the result to the ``n x n`` edge-id table.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ back without running Theorem 1 again.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import Any
@@ -58,7 +59,8 @@ class JobSpec:
     ``tree_family`` / ``tree_n`` / ``tree_seed`` feed
     :func:`repro.trees.make_tree`; ``program`` names a
     :data:`~repro.simulate.programs.PROGRAMS` factory and
-    ``program_args`` its extra keyword arguments.  ``height`` /
+    ``program_args`` its extra keyword arguments, each an integer the
+    factory takes besides the tree.  ``height`` /
     ``capacity`` shape the :func:`~repro.core.xtree_embed.embed_binary_tree`
     call — ``capacity`` is this job's *own* share of the paper's load-16
     bound, which is what makes multi-tenancy sound: two capacity-8 jobs
@@ -113,6 +115,17 @@ class JobSpec:
             if not ok:
                 raise ValueError(
                     f"JobSpec.{name} must be {want}, got {getattr(self, name)!r}"
+                )
+        takes = sorted(set(inspect.signature(PROGRAMS[self.program]).parameters) - {"tree"})
+        for key, value in args.items():
+            if key not in takes:
+                raise ValueError(
+                    f"JobSpec.program_args.{key}: program {self.program!r} does not "
+                    f"take {key!r}; it takes {takes or 'no arguments'}"
+                )
+            if not is_int(value):
+                raise ValueError(
+                    f"JobSpec.program_args.{key} must be an integer, got {value!r}"
                 )
 
     def as_dict(self) -> dict:
@@ -357,8 +370,8 @@ class Job:
         ).padded_to(len(phi))
         try:
             program = PROGRAMS[spec.program](guest, **spec.program_args)
-        except (TypeError, ValueError) as exc:
-            # the program factory is what knows its keyword arguments
+        except ValueError as exc:
+            # the program factory is what knows its arguments' ranges
             raise ValueError(f"{path}.spec.program_args: {exc}") from None
         n_steps = program.n_supersteps
         status, next_step = state["status"], state["next_step"]

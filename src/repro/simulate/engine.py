@@ -30,8 +30,8 @@ from .faults import FaultEvent, FaultSchedule
 from .messages import ArraySchedule, DeliveryStats, Message, Node, UnreachableError
 from .routing import Router, make_router
 from .vector_engine import (
+    VECTOR_MAX_NODES,
     checked_arrays,
-    fits_dense_tables,
     vector_deliver_scheduled,
     vector_supported,
 )
@@ -150,8 +150,9 @@ class SynchronousNetwork:
         #: live adjacency, label -> live neighbours in topology.neighbors
         #: order; built on first use, patched per link event
         self._adj: dict[Node, tuple[Node, ...]] | None = None
-        #: dense next-hop tables from the DistanceOracle, fetched lazily for
-        #: the fault-free classic path; ``False`` marks "topology too large"
+        #: the DistanceOracle's edge-id table, fetched lazily for the
+        #: fault-free classic path, and the label each CSR slot leads to;
+        #: ``False`` marks "topology too large"
         self._dense_nh = None
         self._dense_labels: list[Node] | None = None
         #: label -> canonical index, built by the first delivery
@@ -453,20 +454,23 @@ class SynchronousNetwork:
         return table
 
     def _dense_next_hop(self):
-        """Lazily fetch the oracle's dense next-hop matrix (fault-free only).
+        """Lazily fetch the oracle's edge-id table (fault-free only).
 
-        Returns the ``(n, n)`` int32 matrix, or ``False`` when the topology
+        Returns the ``(n, n)`` int32 table, with ``_dense_labels[e]`` the
+        label CSR slot ``e`` leads to, or ``False`` when the topology
         exceeds :data:`~repro.simulate.vector_engine.VECTOR_MAX_NODES` and
         the O(n^2) table is not worth building.
         """
-        nh = self._dense_nh
-        if nh is None:
-            if not fits_dense_tables(self.topology):
-                nh = self._dense_nh = False
+        table = self._dense_nh
+        if table is None:
+            if self.topology.n_nodes > VECTOR_MAX_NODES:
+                table = self._dense_nh = False
             else:
-                nh = self._dense_nh = oracle_for(self.topology).next_hop_matrix()
-                self._dense_labels = list(self.topology.nodes())
-        return nh
+                oracle = oracle_for(self.topology)
+                table = self._dense_nh = oracle.next_hop_edges()
+                labels = list(self.topology.nodes())
+                self._dense_labels = [labels[j] for j in oracle.indices.tolist()]
+        return table
 
     def next_hop(self, node: Node, dst: Node) -> Node:
         """Deterministic shortest-path next hop from ``node`` towards ``dst``."""
@@ -476,12 +480,12 @@ class SynchronousNetwork:
             # fault-free: one gather from the oracle's dense table replaces
             # the per-call neighbour scan (same smallest-index tie-break,
             # property-tested equal in tests/test_vector_engine.py)
-            nh = self._dense_next_hop()
-            if nh is not False:
+            table = self._dense_next_hop()
+            if table is not False:
                 topo = self.topology
-                hop = nh[topo.index(node), topo.index(dst)]
-                if hop >= 0:
-                    return self._dense_labels[hop]
+                link = table[topo.index(node), topo.index(dst)]
+                if link >= 0:
+                    return self._dense_labels[link]
                 raise UnreachableError(
                     f"{node!r} cannot reach {dst!r} (failed links)"
                 )

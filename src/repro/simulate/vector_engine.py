@@ -32,7 +32,7 @@ and the 40+-schedule corpus in ``benchmarks/bench_vector.py``.
 
 The kernel serves the deliveries :func:`vector_supported` admits:
 deterministic routing, no recorder listening, no faults/TTL, no failed or
-slowed links, and a topology small enough for the dense tables.
+slowed links, and a topology small enough for the dense table.
 Everything else runs on the reference loop, which the kernel is diffed
 against.
 """
@@ -52,21 +52,15 @@ if TYPE_CHECKING:  # pragma: no cover - the engine imports this module
 
 __all__ = [
     "VECTOR_MAX_NODES",
-    "fits_dense_tables",
     "vector_supported",
     "vector_deliver_scheduled",
     "checked_arrays",
 ]
 
-#: dense next-hop tables cost O(n^2) int32 each; beyond this the classic
+#: the dense edge-id table costs O(n^2) int32; beyond this the classic
 #: per-destination BFS tables are the better trade (and the kernel defers).
 #: 2048 keeps Theorem 4's G_n at t = 11 (2032 vertices) on the kernel.
 VECTOR_MAX_NODES = 2048
-
-
-def fits_dense_tables(topology: Topology) -> bool:
-    """Whether ``topology`` is small enough for dense next-hop tables."""
-    return topology.n_nodes <= VECTOR_MAX_NODES
 
 
 def vector_supported(network: SynchronousNetwork, rec, faults, ttl) -> str | None:
@@ -100,7 +94,7 @@ def vector_supported(network: SynchronousNetwork, rec, faults, ttl) -> str | Non
         blockers.append("links are flaky")
     if network.quarantined:
         blockers.append("links are quarantined")
-    if not fits_dense_tables(network.topology):
+    if network.topology.n_nodes > VECTOR_MAX_NODES:
         blockers.append(
             f"topology has {network.topology.n_nodes} nodes "
             f"(> VECTOR_MAX_NODES = {VECTOR_MAX_NODES})"
@@ -191,7 +185,7 @@ def _deliver(network: SynchronousNetwork, stats: DeliveryStats, inj, mid_list, s
     m = len(mid_list)
     topo = network.topology
     oracle = oracle_for(topo)
-    eid_flat = oracle.next_hop_tables()[1].ravel()
+    eid_flat = oracle.next_hop_edges().ravel()
     n = topo.n_nodes
     indptr, link_dst, labels = oracle.indptr, oracle.indices, oracle._labels
     # per-message arrays are indexed by "seq", the classic loop's FIFO

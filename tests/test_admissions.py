@@ -142,6 +142,16 @@ class TestFleetAdmission:
                 client.admit(jid, 0, spec)
             assert exc.value.status == 400
 
+    def test_program_arg_the_program_does_not_take_is_400(self, cold_service):
+        # used to be queued, then fail the run on the worker
+        fleet, client = cold_service
+        jid = client.submit(BASE_DOC)
+        for args, name in (({"bogus": 1}, "bogus"), ({"rounds": 2}, "rounds")):
+            with pytest.raises(ServiceError) as exc:
+                client.admit(jid, 0, {**LATE_SPEC, "program_args": args})
+            assert exc.value.status == 400
+            assert f"JobSpec.program_args.{name}" in str(exc.value)
+
     def test_posted_admission_joins_run(self, cold_service):
         fleet, client = cold_service
         jid = client.submit(BASE_DOC)

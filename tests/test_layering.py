@@ -13,7 +13,10 @@ function.  The module graph is read from the source with :mod:`ast`:
   module.
 
 The CLI imports per subcommand, so that a subcommand loads only the
-layers it uses; it is the one module allowed to.
+layers it uses; it is the one module allowed to.  For the same reason
+``import repro`` stops below the runtime: the library's root package
+reaches no module of the runtime, the service, the policy tuner or the
+CLI.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 ROOT = "repro"
 DEFERRED_OK = {"repro.cli"}
+#: the layers above the library, which ``import repro`` must not load
+UPPER_LAYERS = ("repro.runtime", "repro.service", "repro.policy.tune", "repro.cli")
 
 
 def _module_name(path: Path) -> str:
@@ -190,10 +195,33 @@ def test_module_graph_has_no_cycle():
     assert cycles == [], "import cycles:\n" + "\n".join(cycles)
 
 
+def reachable(graph: dict[str, set[str]], start: str) -> set[str]:
+    """The modules importing ``start`` loads, ``start`` included."""
+    seen, todo = {start}, [start]
+    while todo:
+        for w in graph[todo.pop()] - seen:
+            seen.add(w)
+            todo.append(w)
+    return seen
+
+
+def test_import_repro_loads_no_upper_layer():
+    graph, _ = import_graph()
+    upper = sorted(
+        m for m in reachable(graph, ROOT)
+        if any(m == p or m.startswith(p + ".") for p in UPPER_LAYERS)
+    )
+    assert upper == [], "modules `import repro` loads above the library:\n" + "\n".join(
+        upper
+    )
+
+
 def test_graph_reader_sees_a_planted_cycle():
     graph = {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}
     assert strongly_connected(graph) == [["a", "b", "c"]]
     assert _one_cycle(graph, ["a", "b", "c"]) == ["a", "b", "c", "a"]
+    assert reachable(graph, "d") == {"a", "b", "c", "d"}
+    assert reachable(graph, "a") == {"a", "b", "c"}
 
 
 def test_graph_reader_counts_enclosing_packages():

@@ -194,10 +194,10 @@ def test_oracle_for_is_memoised_per_instance():
 @pytest.mark.parametrize("cls, arg", [(XTree, 4), (UniversalGraph, 6)])
 def test_oracle_for_entry_dies_with_its_topology(cls, arg):
     # the memo must not keep its topology alive: a long-lived worker builds
-    # a fresh host per job, and each oracle holds dense next-hop tables
-    # (and, on G_n, the quotient distances they were built from)
+    # a fresh host per job, and each oracle holds a dense routing table
+    # (and, on G_n, the quotient distances it was built from)
     t = cls(arg)
-    oracle_for(t).next_hop_tables()
+    oracle_for(t).next_hop_edges()
     t_ref, oracle_ref = weakref.ref(t), weakref.ref(oracle_for(t))
     del t
     gc.collect()

@@ -92,6 +92,31 @@ class TestJobSpec:
         with pytest.raises(ValueError, match="cycle_budget"):
             JobSpec(name="j", program="reduction", tree_n=10, cycle_budget=0)
 
+    @pytest.mark.parametrize("program,args,message", [
+        ("hot_spot", {"bogus": 1}, "JobSpec.program_args.bogus: program 'hot_spot' "
+         "does not take 'bogus'; it takes ['n_hot', 'rounds', 'seed']"),
+        ("hot_spot", {"tree": 1}, "JobSpec.program_args.tree: program 'hot_spot' "
+         "does not take 'tree'"),
+        ("reduction", {"rounds": 2}, "JobSpec.program_args.rounds: program "
+         "'reduction' does not take 'rounds'; it takes no arguments"),
+        ("hot_spot", {"rounds": True}, "JobSpec.program_args.rounds must be an "
+         "integer, got True"),
+        ("permutation", {"seed": "3"}, "JobSpec.program_args.seed must be an "
+         "integer, got '3'"),
+        ("neighbor_exchange", {"rounds": 2.0}, "JobSpec.program_args.rounds must be "
+         "an integer, got 2.0"),
+    ])
+    def test_program_args_the_program_does_not_take(self, program, args, message):
+        """Used to parse, then fail with a TypeError when the job was built."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            JobSpec.from_obj({"name": "j", "program": program, "tree_n": 15,
+                              "program_args": args})
+
+    def test_program_args_the_program_takes_build(self):
+        spec = JobSpec(name="j", program="hot_spot", tree_n=15, height=4,
+                       program_args={"rounds": 3, "n_hot": 2, "seed": 5})
+        assert Job.build(spec, XTree(4)).program.n_supersteps == 3
+
     def test_wrong_host_height_rejected(self):
         spec = JobSpec(name="j", program="reduction", tree_n=15, height=3)
         with pytest.raises(ValueError, match="height"):
@@ -945,7 +970,7 @@ _SCHEDULING_TREE = {
 @pytest.mark.parametrize("policy", [None, _SCHEDULING_TREE], ids=["fifo", "tree"])
 def test_dropped_runtime_frees_its_routing_tables(policy):
     # without a full collection: no reference cycle may keep the host, and
-    # through it the oracle's (n, n) next-hop matrix, alive
+    # through it the oracle's (n, n) routing table, alive
     scenario = Scenario.from_json(
         Path(__file__).resolve().parent.parent / "scenarios" / "universal_route.json"
     )
@@ -956,7 +981,7 @@ def test_dropped_runtime_frees_its_routing_tables(policy):
     try:
         rt = scenario.build_runtime()
         rt.run()
-        tables = weakref.ref(oracle_for(rt.host).next_hop_matrix())
+        tables = weakref.ref(oracle_for(rt.host).next_hop_edges())
         del rt
         assert tables() is None
     finally:

@@ -254,6 +254,14 @@ class TestScenario:
                 f"Scenario.faults.events[{event}].{end}: {label!r} is not a node of host")):
             Scenario.from_obj(chaos)
 
+    def test_program_arg_the_program_does_not_take_rejected_at_parse(self):
+        """It used to parse and fail with a TypeError when the job was built."""
+        hot_spot = json.loads((SCENARIOS / "hot_spot.json").read_text())
+        hot_spot["jobs"][0]["program_args"] = {"bogus": 1}
+        with pytest.raises(ValueError, match=re.escape(
+                "JobSpec.program_args.bogus: program 'hot_spot' does not take 'bogus'")):
+            Scenario.from_obj(hot_spot)
+
     def test_duplicate_job_names_rejected(self):
         jobs = [dict(BASE_DOC["jobs"][0]), dict(BASE_DOC["jobs"][0])]
         with pytest.raises(ValueError, match="duplicate job names"):
@@ -623,6 +631,15 @@ class TestApiRequests:
             ServiceClient(server.address).submit(chaos)
         assert exc.value.status == 400
         assert "Scenario.faults.events[0].u: (9, 9) is not a node" in str(exc.value)
+
+    def test_program_arg_the_program_does_not_take_is_400(self, server):
+        # used to answer 201, then fail the job on the worker
+        hot_spot = json.loads((SCENARIOS / "hot_spot.json").read_text())
+        hot_spot["jobs"][0]["program_args"] = {"bogus": 1}
+        with pytest.raises(ServiceError) as exc:
+            ServiceClient(server.address).submit(hot_spot)
+        assert exc.value.status == 400
+        assert "JobSpec.program_args.bogus" in str(exc.value)
 
     @pytest.mark.parametrize("length", ["abc", "-1"])
     def test_bad_content_length_is_400(self, server, length):

@@ -5,7 +5,7 @@ The vector kernel (:mod:`repro.simulate.vector_engine`) must return
 classic reference loop (``SynchronousNetwork.deliver_classic``) on every
 delivery it accepts — these tests are the gate: random schedules over
 every registry topology, the adversarial programs through real
-embeddings, dispatch/fallback behaviour, the dense next-hop tables
+embeddings, dispatch/fallback behaviour, the dense edge-id routing table
 against the classic neighbour scan, and the runtime's cross-job batching
 split.
 """
@@ -37,7 +37,11 @@ from repro.simulate import (
 )
 from repro.simulate.faults import FaultSchedule
 from repro.simulate.mapping import ARRAY_MIN_MESSAGES
-from repro.simulate.vector_engine import vector_deliver_scheduled, vector_supported
+from repro.simulate.vector_engine import (
+    VECTOR_MAX_NODES,
+    vector_deliver_scheduled,
+    vector_supported,
+)
 from repro.trees import make_tree, theorem1_guest_size
 
 TOPOS = registry_instances(2)
@@ -431,13 +435,15 @@ class TestDispatch:
 
 class TestNextHopTables:
     def test_matrix_matches_classic_scan(self):
-        """The oracle's dense tables reproduce the smallest-index policy of
-        the classic per-call neighbour scan, entry for entry, and every edge
-        id names the CSR slot of that hop (the link the kernel charges)."""
+        """The oracle's edge-id table reproduces the smallest-index policy
+        of the classic per-call neighbour scan, entry for entry: every edge
+        id names a CSR slot of its row (the link the kernel charges), and
+        the node that slot leads to is the scan's hop."""
         for topology in TOPOS.values():
             oracle = DistanceOracle(topology)
-            matrix, eid = oracle.next_hop_tables()
+            eid = oracle.next_hop_edges()
             indptr, indices = oracle.indptr, oracle.indices
+            matrix = np.where(eid >= 0, indices[eid], -1)
             nodes = list(topology.nodes())
             net = SynchronousNetwork(topology)
             net._dense_nh = False  # force the classic BFS-table scan
@@ -453,12 +459,11 @@ class TestNextHopTables:
                 expected = net.next_hop(nodes[i], nodes[j])
                 assert nodes[matrix[i, j]] == expected, (topology.name, i, j)
                 assert indptr[i] <= eid[i, j] < indptr[i + 1], (topology.name, i, j)
-                assert indices[eid[i, j]] == matrix[i, j], (topology.name, i, j)
 
     def test_matrix_memoised_and_frozen(self):
         oracle = DistanceOracle(TOPOS["hypercube"])
-        matrix = oracle.next_hop_matrix()
-        assert oracle.next_hop_matrix() is matrix
+        matrix = oracle.next_hop_edges()
+        assert oracle.next_hop_edges() is matrix
         with pytest.raises(ValueError):
             matrix[0, 0] = 5
 
@@ -475,6 +480,19 @@ class TestNextHopTables:
         assert rerouted in set(net.live_neighbors(nodes[0]))
         net.heal_link(u, v)
         assert net.next_hop(nodes[0], nodes[-1]) == hop
+
+
+    def test_network_next_hop_past_the_bound_reads_bfs_tables(self):
+        # a host past VECTOR_MAX_NODES gets no (n, n) table, from the
+        # classic loop either: its hops come from the BFS tables
+        topology = XTree(11)
+        assert topology.n_nodes > VECTOR_MAX_NODES
+        net = SynchronousNetwork(topology)
+        nodes = list(topology.nodes())
+        route = net.route(nodes[-1], nodes[-2])
+        assert net._dense_nh is False
+        assert "_oracle" not in topology.__dict__
+        assert len(route) - 1 == topology.distance(nodes[-1], nodes[-2])
 
 
 class TestRuntimeBatching:
